@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import limits as dl
-from .errors import CoronaLabError, HorizonTooSmall
+from .errors import CoronaLabError, HorizonTooSmall, PreconditionViolation
 from .operators import (
     BlockStructure,
     ad_sandwich,
@@ -55,11 +55,9 @@ def _config_echo(args) -> dict:
         "depth",
         "epsilon",
         "j0",
-        "dim",
         "z_variant",
         "model",
         "samples",
-        "workers",
     )
     return {k: getattr(args, k) for k in keys if hasattr(args, k)}
 
@@ -84,7 +82,7 @@ def cmd_tree(args) -> int:
         return 2
     except CoronaLabError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)}, args.out)
-        return 1
+        return 2 if isinstance(exc, PreconditionViolation) else 1
     doc = tree.to_json()
     doc["config"] = _config_echo(args)
     doc["levels"] = [lv.to_json() for lv in chain.levels]
@@ -289,9 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--depth", type=int, default=3)
         sp.add_argument("--epsilon", type=float, default=0.1)
         sp.add_argument("--j0", type=int, default=10)
-        sp.add_argument("--dim", type=int, default=256)
         sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("tree", help="build the coherent binary tree with certificates")
     common(sp)

@@ -77,10 +77,6 @@ def mat_scale(A, c):
     return [[c * x for x in row] for row in A]
 
 
-def mat_eq(A, B):
-    return A == B
-
-
 def det_int(A):
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = len(A)

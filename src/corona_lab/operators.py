@@ -18,7 +18,7 @@ from .errors import (
     TruncationExceeded,
 )
 from .partitions import SparseSet, fx_profile
-from .torus import TorusElement, delta_one
+from .torus import TorusElement, circle_diameters, delta_one
 
 DENSE_NORM_DIM = 512
 
@@ -310,14 +310,11 @@ def kernel_test(
     bad = [j for j in range(j0, len(prof.d)) if prof.d[j] > eps]
     evens = [j for j in bad if j % 2 == 0]
     odds = [j for j in bad if j % 2 == 1]
-    chosen = evens if len(evens) >= len(odds) else odds
+    chosen = np.asarray(evens if len(evens) >= len(odds) else odds)
+    # one matrix unit per window, between two blocks that attain its diameter
+    pairs = circle_diameters(alpha.phases, pts[chosen], pts[chosen + 2])[1]
     a = np.zeros((blocks.dim, blocks.dim), dtype=complex)
-    for j in chosen:
-        lo_b, hi_b = int(pts[j]), int(pts[j + 2])
-        vals = alpha.values(np.arange(lo_b, hi_b))
-        diffs = np.abs(vals[:, None] - vals[None, :])
-        p, q = np.unravel_index(np.argmax(diffs), diffs.shape)
-        a[off[lo_b + p], off[lo_b + q]] = 1.0
+    a[off[pairs[:, 0]], off[pairs[:, 1]]] = 1.0
     ratio = op_norm(u.conjugate(a) - a) / op_norm(a)
     return {"trivial_on_CX": False, "witness": a, "ratio": float(ratio)}
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HorizonTooSmall, PreconditionViolation, TruncationExceeded
-from .torus import SLACK, TorusElement, circle_diameter
+from .torus import TorusElement, circle_diameters
 
 
 @dataclass(frozen=True)
@@ -147,30 +147,6 @@ def coarsen_map(Y: SparseSet, X: SparseSet) -> dict:
     return out
 
 
-def _window_diameters(phases: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Value-set diameter of exp(i*phases[s:e]) for each window, batched.
-
-    Windows are grouped by length; short windows go through one padded
-    pairwise computation per length, long ones through a direct loop.
-    """
-    values = np.exp(1j * phases)
-    lengths = ends - starts
-    out = np.empty(starts.size, dtype=float)
-    for L in np.unique(lengths):
-        sel = np.nonzero(lengths == L)[0]
-        if L <= 1:
-            out[sel] = 0.0
-            continue
-        if L <= 64:
-            idx = starts[sel][:, None] + np.arange(L)[None, :]
-            v = values[idx]
-            out[sel] = np.abs(v[:, :, None] - v[:, None, :]).max(axis=(1, 2))
-        else:
-            for s in sel:
-                out[s] = circle_diameter(values[starts[s] : ends[s]])
-    return out
-
-
 @dataclass(frozen=True)
 class FxProfile:
     """Double-interval profile of a torus element against a sparse set.
@@ -186,6 +162,12 @@ class FxProfile:
     d_endpoints: np.ndarray | None = None
 
     def in_fx(self, eps: float, j0: int) -> bool:
+        """Whether ``d[j0:] <= eps``, for a natural ``j0`` and a finite
+        ``eps >= 0`` (a negative ``j0`` would count from the end)."""
+        if j0 < 0:
+            raise PreconditionViolation(f"j0 must be >= 0, got {j0}")
+        if not 0.0 <= eps < np.inf:
+            raise PreconditionViolation(f"eps must be finite and >= 0, got {eps}")
         return bool(np.all(self.d[j0:] <= eps))
 
     def to_json(self, eps: float | None = None, j0: int | None = None) -> dict:
@@ -210,13 +192,11 @@ def fx_profile(alpha: TorusElement, X: SparseSet, split: bool = False) -> FxProf
             f"sparse set ends at {int(pts[-1])} past horizon {alpha.horizon}",
             min_horizon=int(pts[-1]),
         )
-    phases = np.asarray(alpha.phases)
-    starts = pts[:-2].astype(np.int64)
-    ends = pts[2:].astype(np.int64)
-    d = _window_diameters(phases, starts, ends)
+    phases = alpha.phases
+    d = circle_diameters(phases, pts[:-2], pts[2:])[0]
     if not split:
         return FxProfile(d=d)
-    d_single = _window_diameters(phases, pts[:-1].astype(np.int64), pts[1:].astype(np.int64))
+    d_single = circle_diameters(phases, pts[:-1], pts[1:])[0]
     d_end = np.abs(
         np.exp(1j * phases[pts[:-2]]) - np.exp(1j * phases[pts[1:-1]])
     )

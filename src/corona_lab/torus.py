@@ -22,6 +22,9 @@ TWO_PI = 2.0 * np.pi
 #: default slack for floating-point inequality checks
 SLACK = 1e-12
 
+#: most pairwise distances :func:`circle_diameters` holds at once (one batch)
+DIAMETER_CHUNK = 1 << 20
+
 TAIL_CONSTANT = "constant"
 TAIL_NONE = "none"
 
@@ -157,30 +160,58 @@ def _as_indices(I) -> np.ndarray:
 
 def delta_pair(alpha: TorusElement, beta: TorusElement, i: int, j: int) -> float:
     """|alpha(i) conj(alpha(j)) - beta(i) conj(beta(j))|."""
-    a = np.exp(1j * (alpha.phase(i) - alpha.phase(j)))
-    b = np.exp(1j * (beta.phase(i) - beta.phase(j)))
-    return float(abs(a - b))
+    return delta_set(alpha, beta, (i, j))
 
 
 def delta_set(alpha: TorusElement, beta: TorusElement, I) -> float:
-    """Max of :func:`delta_pair` over all pairs drawn from ``I``."""
+    """Max of :func:`delta_pair` over all pairs drawn from ``I``: the diameter
+    of gamma = alpha * conj(beta) on ``I``."""
     idx = _as_indices(I)
-    pa = alpha.phase_at(idx)
-    pb = beta.phase_at(idx)
-    ra = np.exp(1j * (pa[:, None] - pa[None, :]))
-    rb = np.exp(1j * (pb[:, None] - pb[None, :]))
-    return float(np.abs(ra - rb).max())
-
-
-def circle_diameter(values: np.ndarray) -> float:
-    """Diameter of a finite subset of the unit circle, by brute force."""
-    v = np.asarray(values)
-    return float(np.abs(v[:, None] - v[None, :]).max())
+    gamma = alpha.phase_at(idx) - beta.phase_at(idx)
+    return float(circle_diameters(gamma, [0], [gamma.size])[0][0])
 
 
 def delta_one(alpha: TorusElement, I) -> float:
     """Distance to the constant-one sequence; the value-set diameter on ``I``."""
-    return circle_diameter(alpha.values(_as_indices(I)))
+    return delta_set(alpha, constant_one(1), I)
+
+
+def circle_diameters(phases, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """Diameter of {exp(i*phases[k]) : s <= k < e} for every window [s, e),
+    and a pair (i, j) in the window that attains it: the first in row-major
+    order, or (s, s) for a window of fewer than two samples.
+
+    Every distance Delta_I of the package is such a diameter, because
+    |alpha(i) conj(alpha(j)) - beta(i) conj(beta(j))| = |gamma(i) - gamma(j)|
+    with gamma = alpha * conj(beta).  The windows are short, so distances are
+    computed pairwise, grouped by window length, in batches of at most
+    :data:`DIAMETER_CHUNK` entries (or one row, where a row is longer).
+    """
+    values = np.exp(1j * np.asarray(phases, dtype=float))
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(ends, dtype=np.int64) - starts
+    diam = np.zeros(starts.size)
+    best = np.zeros(starts.size, dtype=np.int64)  # row-major i * L + j
+    for L in np.unique(lengths[lengths > 1]):
+        win = np.nonzero(lengths == L)[0]
+        v = values[starts[win, None] + np.arange(L)]
+        # a batch holds whole windows while they fit, else rows of one window
+        rows = max(1, DIAMETER_CHUNK // L)
+        per = max(1, rows // L)
+        for w0 in range(0, win.size, per):
+            sel, vw = win[w0 : w0 + per], v[w0 : w0 + per]
+            for r0 in range(0, L, rows):
+                dist = np.abs(vw[:, r0 : r0 + rows, None] - vw[:, None, :])
+                dist = dist.reshape(sel.size, -1)
+                flat = dist.argmax(axis=1)
+                d = dist[np.arange(sel.size), flat]
+                # a later slice of rows moves the pair only when strictly
+                # farther, so the pair stays the first in row-major order
+                up = d > diam[sel]
+                diam[sel[up]] = d[up]
+                best[sel[up]] = r0 * L + flat[up]
+    i, j = np.divmod(best, np.maximum(lengths, 1))
+    return diam, np.stack([starts + i, starts + j], axis=1)
 
 
 def lij_bound_check(
@@ -221,26 +252,18 @@ def fuzz_lij(n: int, seed: int = 0, horizon: int = 16, set_size: int = 3) -> int
     rng = np.random.default_rng(seed)
     pa = rng.uniform(0.0, TWO_PI, size=(n, horizon))
     pb = rng.uniform(0.0, TWO_PI, size=(n, horizon))
-    I = np.stack(
-        [rng.permutation(horizon)[:set_size] for _ in range(n)]
-    )
-    J = np.stack(
-        [rng.permutation(horizon)[:set_size] for _ in range(n)]
-    )
+    # uniform set_size-subsets of range(horizon), in random order
+    I = np.argsort(rng.random((n, horizon)), axis=1)[:, :set_size]
+    J = np.argsort(rng.random((n, horizon)), axis=1)[:, :set_size]
+    gamma = pa - pb
     rows = np.arange(n)[:, None]
 
-    def pair_max(idx):
-        # max over index pairs from idx (per row) of the pair distance
-        a = np.exp(1j * pa[rows, idx])
-        b = np.exp(1j * pb[rows, idx])
-        ra = a[:, :, None] * a.conj()[:, None, :]
-        rb = b[:, :, None] * b.conj()[:, None, :]
-        return np.abs(ra - rb).max(axis=(1, 2))
+    def delta(idx):
+        # per row, the distance over the indices idx[row]
+        k = idx.shape[1]
+        starts = np.arange(n) * k
+        return circle_diameters(gamma[rows, idx].ravel(), starts, starts + k)[0]
 
-    lhs = pair_max(np.concatenate([I, J], axis=1))
-    d_pair = np.abs(
-        np.exp(1j * (pa[rows[:, 0], I[:, 0]] - pa[rows[:, 0], J[:, 0]]))
-        - np.exp(1j * (pb[rows[:, 0], I[:, 0]] - pb[rows[:, 0], J[:, 0]]))
-    )
-    rhs = pair_max(I) + pair_max(J) + d_pair
+    lhs = delta(np.concatenate([I, J], axis=1))
+    rhs = delta(I) + delta(J) + delta(np.stack([I[:, 0], J[:, 0]], axis=1))
     return int(np.sum(lhs > rhs + SLACK))

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionViolation,
 )
 from .partitions import SparseSet, fx_profile, n_of
-from .torus import TorusElement, constant_one
+from .torus import TorusElement, circle_diameters, constant_one
 
 DIVERGENCE_TOL = 1e-9
 
@@ -218,7 +218,6 @@ def _pair_profiles(alpha_k, alpha_n, X_n):
 def sparsify_limit(
     alphas,
     Xs,
-    horizon: int,
     eps: float = 0.1,
     j0: int = 10,
 ) -> LimitSparsification:
@@ -317,7 +316,6 @@ def merge_limit(alphas, x_inf: SparseSet, horizon: int | None = None) -> TorusEl
         horizon = max(a.horizon for a in alphas)
     out = np.zeros(horizon)
     gamma = 0.0
-    gammas = [0.0]
     for n in range(K):
         lo = int(pts[n])
         hi = int(pts[n + 1]) if n < K - 1 else horizon
@@ -326,7 +324,6 @@ def merge_limit(alphas, x_inf: SparseSet, horizon: int | None = None) -> TorusEl
         if n < K - 1:
             p = int(pts[n + 1])
             gamma = gamma + alphas[n].phase(p) - alphas[n + 1].phase(p)
-            gammas.append(gamma)
     return TorusElement(out)
 
 
@@ -411,8 +408,8 @@ def build_tree(
             node_s = nodes[label_s]
             diff = node_s.alpha.mul(node_t.alpha.inverse())
             prof = fx_profile(diff, chain.levels[cut])
-            tail_max = float(prof.d[j0:].max()) if prof.d.size > j0 else 0.0
             holds = prof.in_fx(eps, j0)
+            tail_max = float(prof.d[j0:].max()) if prof.d.size > j0 else 0.0
             certs.append(
                 Certificate(
                     kind="coherence",
@@ -431,20 +428,24 @@ def build_tree(
                     f"coherence failed for {label_s!r} < {label_t!r}: "
                     f"tail max {tail_max} > {eps}"
                 )
-    # sibling divergence over the scheduled blocks of the next level
-    for label, node in list(nodes.items()):
-        if node.level >= depth:
+    # sibling divergence over the scheduled blocks of the next level: the
+    # siblings differ by the level's witness, so each Δ is its block diameter
+    level_blocks = []
+    for lvl in range(depth):
+        pts = chain.levels[lvl + 1].enumeration
+        sched = chain.schedules[lvl]
+        at = np.asarray([entry.block for entry in sched], dtype=np.int64)
+        deltas = circle_diameters(witnesses[lvl].phases, pts[at], pts[at + 1])[0]
+        level_blocks.append([
+            {"block": entry.block, "m": entry.m, "delta": float(d)}
+            for entry, d in zip(sched, deltas)
+            if d >= 2.0 - DIVERGENCE_TOL
+        ])
+    for label in nodes:
+        lvl = len(label)
+        if lvl >= depth:
             continue
-        lvl = node.level
-        w = witnesses[lvl]
-        hi = chain.levels[lvl + 1]
-        blocks = []
-        for entry in chain.schedules[lvl]:
-            lo_pt, hi_pt = n_of(hi, entry.block), n_of(hi, entry.block + 1)
-            vals = w.values(np.arange(lo_pt, hi_pt))
-            d = float(np.abs(vals[:, None] - vals[None, :]).max())
-            if d >= 2.0 - DIVERGENCE_TOL:
-                blocks.append({"block": entry.block, "m": entry.m, "delta": d})
+        blocks = level_blocks[lvl]
         certs.append(
             Certificate(
                 kind="divergence",

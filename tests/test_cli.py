@@ -29,6 +29,17 @@ def test_tree_horizon_too_small(tmp_path):
     assert doc["error"] == "HorizonTooSmall" and doc["min_horizon"] > 50
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--j0", "-5"], ["--epsilon", "nan"], ["--depth", "-1"]],
+    ids=["negative-j0", "nan-epsilon", "negative-depth"],
+)
+def test_tree_invalid_input(tmp_path, flags):
+    out = tmp_path / "tree.json"
+    assert run(["tree", "--horizon", "3000", *flags, "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["error"] == "PreconditionViolation"
+
+
 def test_tree_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(["tree", "--depth", "1", "--horizon", "3000", "--seed", "7", "--out", str(a)])

@@ -16,7 +16,7 @@ from corona_lab import (
     delta_set,
     lij_bound_check,
 )
-from corona_lab.torus import circle_diameter, fuzz_lij
+from corona_lab.torus import DIAMETER_CHUNK, circle_diameters, fuzz_lij
 
 SLACK = 1e-12
 
@@ -165,9 +165,38 @@ def test_json_roundtrip():
     assert np.array_equal(a.phases, b.phases) and b.tail == a.tail
 
 
-def test_circle_diameter_brute():
-    vals = np.exp(1j * np.array([0.0, np.pi]))
-    assert circle_diameter(vals) == pytest.approx(2.0, abs=1e-12)
+def test_circle_diameters_match_pairwise_reference():
+    rng = np.random.default_rng(7)
+    phases = rng.uniform(0, 2 * np.pi, 3000)
+    phases[200:210] = 1.5  # repeated phases
+    phases[300:302] = [0.0, np.pi]  # the exact antipodal pair
+    # one window longer than one batch holds, whose farthest pair lies in
+    # rows past the first batch
+    phases[1500:2600] = rng.uniform(0, 0.5, 1100)
+    phases[[2550, 2560]] = [2.0, 2.0 + np.pi]
+    assert DIAMETER_CHUNK // 1100 < 2550 - 1500
+    windows = [(5, 5), (7, 8), (200, 210), (195, 215), (300, 302), (1500, 2600)]
+    # many windows of one length
+    starts = rng.integers(0, 3000 - 40, 2000)
+    assert starts.size > 2 * (DIAMETER_CHUNK // 40**2)
+    windows += [(int(s), int(s) + 40) for s in starts]
+    windows += [(int(s), int(s) + int(n)) for s, n in
+                zip(rng.integers(0, 2900, 300), rng.integers(0, 70, 300))]
+    windows = [windows[k] for k in rng.permutation(len(windows))]
+    lo, hi = np.array(windows).T
+    diam, pairs = circle_diameters(phases, lo, hi)
+    for (s, e), d, (i, j) in zip(windows, diam, pairs):
+        v = np.exp(1j * phases[s:e])
+        ref = float(np.abs(v[:, None] - v[None, :]).max()) if e > s else 0.0
+        assert abs(d - ref) <= 1e-15
+        if e - s < 2:
+            assert (i, j) == (s, s)
+        else:
+            assert s <= i < e and s <= j < e
+            assert abs(abs(v[i - s] - v[j - s]) - d) <= 1e-15
+    assert diam[windows.index((300, 302))] == 2.0
+    assert tuple(pairs[windows.index((1500, 2600))]) == (2550, 2560)
+    assert diam[windows.index((200, 210))] == 0.0
 
 
 def test_phases_normalized_and_frozen():

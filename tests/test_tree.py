@@ -123,7 +123,7 @@ def test_sparsify_limit_single_input():
     X = SparseSet(np.arange(2, 40, 2))
     rng = np.random.default_rng(0)
     alpha = TorusElement(rng.uniform(0, 2 * np.pi, 40))
-    out = sparsify_limit([alpha], [X], horizon=40)
+    out = sparsify_limit([alpha], [X])
     assert out.x_inf is X and out.max_ratio == 0.0
 
 
@@ -131,7 +131,7 @@ def test_sparsify_limit_two_equal_levels():
     X0 = SparseSet(np.arange(1, 60))
     X1 = SparseSet(np.arange(2, 60, 2))
     alpha = constant_one(60)
-    out = sparsify_limit([alpha, alpha], [X0, X1], horizon=60)
+    out = sparsify_limit([alpha, alpha], [X0, X1])
     assert out.max_ratio == 0.0
 
 
@@ -139,7 +139,7 @@ def test_sparsify_limit_branch_recheck():
     chain = generate_chain(3, 20000, [32, 36, 40])
     tree, alphas = _branch(chain, 3, eps=0.15, j0=10)
     alphas = [constant_one(chain.horizon)] + alphas
-    out = sparsify_limit(alphas, list(chain.levels), chain.horizon, eps=0.15, j0=10)
+    out = sparsify_limit(alphas, list(chain.levels), eps=0.15, j0=10)
     assert out.max_ratio < 1.0
     # independent brute-force recheck of both closeness conditions
     pts = out.x_inf.enumeration
@@ -164,7 +164,7 @@ def test_sparsify_limit_incoherent_rejected():
     a0 = constant_one(40)
     a1 = TorusElement(rng.uniform(0, 2 * np.pi, 40))
     with pytest.raises(PreconditionViolation):
-        sparsify_limit([a0, a1], [X0, X1], horizon=40, eps=0.1, j0=2)
+        sparsify_limit([a0, a1], [X0, X1], eps=0.1, j0=2)
 
 
 def test_merge_limit_trivial_cases():
