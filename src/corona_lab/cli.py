@@ -22,10 +22,11 @@ from .operators import (
     ad_sandwich,
     dd_check,
     load_matrix,
+    op_norm,
     save_matrix,
     stratify,
 )
-from .partitions import SparseSet, fx_profile
+from .partitions import check_tolerance
 from .torus import TorusElement, fuzz_lij
 from .tree import build_tree, generate_chain
 from .weak_units import (
@@ -97,11 +98,7 @@ def cmd_stratify(args) -> int:
         _emit({"error": "parse", "message": str(exc)}, args.out)
         return 2
     blocks = BlockStructure((1,) * m.shape[0])
-    try:
-        w = stratify(m, blocks)
-    except CoronaLabError as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)}, args.out)
-        return 1
+    w = stratify(m, blocks)
     residual = w.reconstruction_residual(m)
     dd_ok = dd_check(w.m_e + w.m_o, w.X, blocks)
     parts = {}
@@ -127,6 +124,8 @@ def cmd_stratify(args) -> int:
 
 
 def cmd_sandwich(args) -> int:
+    if args.samples < 0:
+        raise PreconditionViolation(f"samples must be >= 0, got {args.samples}")
     rng = np.random.default_rng(args.seed)
     rows = []
     violations = 0
@@ -221,6 +220,7 @@ def _jsonable(x):
 
 
 def cmd_verify(args) -> int:
+    check_tolerance(args.epsilon, args.j0)
     failures = []
     horizon = 2000 if args.fast else 20000
     fuzz_n = 2000 if args.fast else 20000
@@ -237,7 +237,7 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     D = 32 if args.fast else 128
     m = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-    m /= np.linalg.norm(m, 2)
+    m /= op_norm(m)
     blocks = BlockStructure((1,) * D)
     w = stratify(m, blocks)
     if w.reconstruction_residual(m) > 1e-12 or not w.tail_bound_ok():
@@ -329,6 +329,9 @@ def main(argv=None) -> int:
         except ValueError:
             print(f"bad CORONA_LAB_SEED: {env_seed!r}", file=sys.stderr)
             return 2
+    if args.seed < 0:
+        print(f"seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except CoronaLabError as exc:

@@ -16,10 +16,6 @@ class PreconditionViolation(CoronaLabError):
 class TruncationExceeded(CoronaLabError):
     """A request went past the finite truncation of a set or matrix."""
 
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
 
 class HorizonTooSmall(CoronaLabError):
     """The working horizon cannot accommodate the requested construction.

@@ -336,7 +336,18 @@ class AbGroupPresentation:
 
     @classmethod
     def from_json(cls, doc) -> "AbGroupPresentation":
-        return cls(rank=int(doc["rank"]), relations=tuple(tuple(r) for r in doc["relations"]))
+        if not isinstance(doc, dict) or type(doc.get("rank")) is not int:
+            raise PreconditionViolation("a level is an object with an integer rank")
+        return cls(rank=doc["rank"], relations=_int_rows(doc.get("relations"), "relations"))
+
+
+def _int_rows(rows, what: str) -> tuple:
+    """A JSON matrix as a tuple of equal-length rows of integers."""
+    if not isinstance(rows, list) or not all(
+        isinstance(r, list) and all(type(x) is int for x in r) for r in rows
+    ):
+        raise PreconditionViolation(f"{what} must be a list of rows of integers")
+    return tuple(tuple(r) for r in _as_mat(rows))
 
 
 def free_group(rank: int) -> AbGroupPresentation:
@@ -393,7 +404,7 @@ class Tower:
             raise PreconditionViolation("tail level and tail bond go together")
         if self.tail_level is not None:
             b = [list(r) for r in self.tail_bond]
-            if len(b) != self.tail_level.rank:
+            if len(b) != self.tail_level.rank or (b and len(b[0]) != len(b)):
                 raise PreconditionViolation("tail bond has wrong shape")
             if not _bond_well_defined(b, self.tail_level, self.tail_level):
                 raise PreconditionViolation("tail bond does not respect relations")
@@ -418,12 +429,18 @@ class Tower:
 
     @classmethod
     def from_json(cls, doc) -> "Tower":
-        tail = doc.get("tail")
+        if not isinstance(doc, dict):
+            raise PreconditionViolation("a tower is a JSON object")
+        levels, bonds, tail = doc.get("levels"), doc.get("bonds"), doc.get("tail")
+        if not (isinstance(levels, list) and isinstance(bonds, list)):
+            raise PreconditionViolation("a tower needs lists of levels and bonds")
+        if not isinstance(tail, (dict, type(None))):
+            raise PreconditionViolation("a tower's tail is an object")
         return cls(
-            levels=tuple(AbGroupPresentation.from_json(lv) for lv in doc["levels"]),
-            bonds=tuple(tuple(tuple(r) for r in b) for b in doc["bonds"]),
-            tail_level=AbGroupPresentation.from_json(tail["level"]) if tail else None,
-            tail_bond=tuple(tuple(r) for r in tail["bond"]) if tail else None,
+            levels=tuple(AbGroupPresentation.from_json(lv) for lv in levels),
+            bonds=tuple(_int_rows(b, f"bond {n}") for n, b in enumerate(bonds)),
+            tail_level=AbGroupPresentation.from_json(tail.get("level")) if tail else None,
+            tail_bond=_int_rows(tail.get("bond"), "tail bond") if tail else None,
         )
 
 

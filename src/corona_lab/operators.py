@@ -12,42 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NoStratification,
-    PreconditionViolation,
-    TruncationExceeded,
-)
+from .errors import NoStratification, PreconditionViolation
 from .partitions import SparseSet, fx_profile
 from .torus import TorusElement, circle_diameters, delta_one
 
+# unused here; perfbench/tracing.py splits its op_norm counters at this size
 DENSE_NORM_DIM = 512
 
 
 def op_norm(m: np.ndarray) -> float:
-    """Operator (spectral) norm; dense SVD at test scale, certified power
-    iteration above it."""
+    """Operator (spectral) norm: the largest singular value from LAPACK's SVD,
+    accurate to rounding at every size; 0.0 for an empty or zero matrix."""
     m = np.atleast_2d(np.asarray(m))
     if m.size == 0 or not np.any(m):
         return 0.0
-    if max(m.shape) <= DENSE_NORM_DIM:
-        return float(np.linalg.norm(m, 2))
-    # power iteration on m* m; Frobenius norm gives an a-priori upper bound
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(m.shape[1]) + 1j * rng.standard_normal(m.shape[1])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(10_000):
-        w = m.conj().T @ (m @ v)
-        s = np.linalg.norm(w)
-        if s == 0.0:
-            return 0.0
-        v = w / s
-        if abs(s - prev) <= 1e-12 * max(s, 1.0):
-            break
-        prev = s
-    est = float(np.sqrt(s))
-    fro = float(np.linalg.norm(m))
-    return min(est, fro) if est > fro else est
+    return float(np.linalg.norm(m, 2))
 
 
 @dataclass(frozen=True)
@@ -129,7 +108,10 @@ def load_matrix(path) -> np.ndarray:
             rows.append([complex(tok) for tok in line.split(",")])
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise PreconditionViolation("malformed matrix file")
-    return np.asarray(rows, dtype=complex)
+    m = np.asarray(rows, dtype=complex)
+    if not np.all(np.isfinite(m)):
+        raise PreconditionViolation("matrix file has a non-finite entry")
+    return m
 
 
 def _interval_masks(X: SparseSet, blocks: BlockStructure):
@@ -145,13 +127,14 @@ def _interval_masks(X: SparseSet, blocks: BlockStructure):
 
 @dataclass(frozen=True)
 class DDWitness:
-    """Certified near-block-diagonal decomposition m = m_e + m_o + a."""
+    """Near-block-diagonal decomposition m = m_e + m_o + a; ``tail_bounds[i]``
+    is ``op_norm`` of (1 - p_{n(i)}) a, an SVD norm accurate to rounding."""
 
     X: SparseSet
     m_e: np.ndarray
     m_o: np.ndarray
     a: np.ndarray
-    tail_bounds: tuple  # tail_bounds[i] = norm of (1 - p_{n(i)}) a
+    tail_bounds: tuple
 
     def reconstruction_residual(self, m: np.ndarray) -> float:
         return op_norm(m - (self.m_e + self.m_o + self.a))
@@ -177,8 +160,8 @@ def _capture_masks(iv: np.ndarray):
 
 
 def stratify_against(m: np.ndarray, X: SparseSet, blocks: BlockStructure) -> DDWitness:
-    """Decompose m relative to a given sparse set; the residual's certified
-    tail norms say whether the level is admissible."""
+    """Decompose m relative to a given sparse set; the residual's tail norms
+    say whether the level is admissible."""
     iv = _interval_masks(X, blocks)
     mask_e, mask_o = _capture_masks(iv)
     m = np.asarray(m, dtype=complex)
@@ -193,41 +176,34 @@ def stratify_against(m: np.ndarray, X: SparseSet, blocks: BlockStructure) -> DDW
     return DDWitness(X=X, m_e=m_e, m_o=m_o, a=a, tail_bounds=tuple(tails))
 
 
-def stratify(m: np.ndarray, blocks: BlockStructure, j_max: int = 64) -> DDWitness:
+def stratify(m: np.ndarray, blocks: BlockStructure) -> DDWitness:
     """Choose the sparse set by the inductive tail-norm rule, then decompose.
 
-    n(0) = 0 and n(j+1) is minimal with the corner norms of both m and m*
-    below 2^{-j}; the selection always terminates at finite dimension because
-    tails past the last block vanish exactly.
+    n(0) = 0, n(1) = 1, and n(j+1) is the least block index past n(j) whose
+    first coordinate row gives corners m[row:, :cut] and m[:cut, row:] (the
+    corner of m*) of norm <= 2^{-j}, cut being block n(j)'s first coordinate.
+    These norms do not grow with row, so n(j+1) is found by bisection; the
+    block count qualifies (its corners are empty), so the selection ends.
     """
     m = np.asarray(m, dtype=complex)
     nb = blocks.num_blocks
     off = blocks.offsets
     if m.shape != (blocks.dim, blocks.dim):
         raise PreconditionViolation("matrix does not match the block structure")
-    ns = [0, 1]
-    j = 1
+    ns = [1]
     while ns[-1] < nb:
-        if j > j_max:
-            raise TruncationExceeded(
-                f"no sparse set within {j_max} steps", achieved=j - 1
-            )
-        prev = ns[-1]
-        bound = 2.0 ** (-j)
-        cut = off[prev]
-        nxt = None
-        for cand in range(prev + 1, nb + 1):
-            row = off[cand]
-            if (
-                op_norm(m[row:, :cut]) <= bound
-                and op_norm(m.conj().T[row:, :cut]) <= bound
-            ):
-                nxt = cand
-                break
-        ns.append(nxt if nxt is not None else nb)
-        j += 1
-    X = SparseSet(np.asarray(ns[1:], dtype=np.int64))
-    return stratify_against(m, X, blocks)
+        bound = 2.0 ** -len(ns)
+        cut = off[ns[-1]]
+        lo, hi = ns[-1] + 1, nb
+        while lo < hi:
+            mid = (lo + hi) // 2
+            row = off[mid]
+            if op_norm(m[row:, :cut]) <= bound and op_norm(m[:cut, row:]) <= bound:
+                hi = mid
+            else:
+                lo = mid + 1
+        ns.append(lo)
+    return stratify_against(m, SparseSet(np.asarray(ns, dtype=np.int64)), blocks)
 
 
 def dd_check(m: np.ndarray, X: SparseSet, blocks: BlockStructure) -> bool:

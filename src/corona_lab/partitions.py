@@ -147,6 +147,15 @@ def coarsen_map(Y: SparseSet, X: SparseSet) -> dict:
     return out
 
 
+def check_tolerance(eps: float, j0: int) -> None:
+    """Reject a tolerance (eps, j0) unless j0 is natural and eps is finite
+    and >= 0 (a negative j0 would count from the end of a profile)."""
+    if j0 < 0:
+        raise PreconditionViolation(f"j0 must be >= 0, got {j0}")
+    if not 0.0 <= eps < np.inf:
+        raise PreconditionViolation(f"eps must be finite and >= 0, got {eps}")
+
+
 @dataclass(frozen=True)
 class FxProfile:
     """Double-interval profile of a torus element against a sparse set.
@@ -162,12 +171,8 @@ class FxProfile:
     d_endpoints: np.ndarray | None = None
 
     def in_fx(self, eps: float, j0: int) -> bool:
-        """Whether ``d[j0:] <= eps``, for a natural ``j0`` and a finite
-        ``eps >= 0`` (a negative ``j0`` would count from the end)."""
-        if j0 < 0:
-            raise PreconditionViolation(f"j0 must be >= 0, got {j0}")
-        if not 0.0 <= eps < np.inf:
-            raise PreconditionViolation(f"eps must be finite and >= 0, got {eps}")
+        """Whether ``d[j0:] <= eps``, after ``check_tolerance(eps, j0)``."""
+        check_tolerance(eps, j0)
         return bool(np.all(self.d[j0:] <= eps))
 
     def to_json(self, eps: float | None = None, j0: int | None = None) -> dict:

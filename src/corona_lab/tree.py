@@ -22,7 +22,7 @@ from .errors import (
     InsufficientBlock,
     PreconditionViolation,
 )
-from .partitions import SparseSet, fx_profile, n_of
+from .partitions import SparseSet, check_tolerance, fx_profile, n_of
 from .torus import TorusElement, circle_diameters, constant_one
 
 DIVERGENCE_TOL = 1e-9
@@ -378,6 +378,7 @@ def build_tree(
 ) -> CoherenceTree:
     """Grow the full binary tree of the given depth over the chain and verify
     every certificate; any failure aborts with the failing pair identified."""
+    check_tolerance(eps, j0)
     if depth > chain.depth:
         raise PreconditionViolation(
             f"tree depth {depth} exceeds chain depth {chain.depth}"

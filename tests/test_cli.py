@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corona_lab.cli import main
 from corona_lab.limits import constant_tower, free_group, tower_to_json
@@ -31,13 +33,45 @@ def test_tree_horizon_too_small(tmp_path):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--j0", "-5"], ["--epsilon", "nan"], ["--depth", "-1"]],
-    ids=["negative-j0", "nan-epsilon", "negative-depth"],
+    [
+        ["--j0", "-5"],
+        ["--epsilon", "nan"],
+        ["--depth", "-1"],
+        ["--depth", "0", "--j0", "-5", "--epsilon", "nan"],
+    ],
+    ids=["negative-j0", "nan-epsilon", "negative-depth", "depth0-bad-tolerance"],
 )
 def test_tree_invalid_input(tmp_path, flags):
     out = tmp_path / "tree.json"
     assert run(["tree", "--horizon", "3000", *flags, "--out", str(out)]) == 2
     assert json.loads(out.read_text())["error"] == "PreconditionViolation"
+
+
+@pytest.mark.parametrize("flags", [["--j0", "-5"], ["--epsilon", "nan"]])
+def test_verify_invalid_tolerance(tmp_path, flags):
+    assert run(["verify", "--fast", *flags, "--out", str(tmp_path / "v.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, text, flags",
+    [
+        ("stratify", "1,2\n3,4\n5,6\n", []),
+        ("stratify", "1,nan\n0,1\n", []),
+        ("stratify", "1,0\n0,inf+1j\n", []),
+        ("limits", "[1, 2]", []),
+        ("limits", '{"levels": [{"rank": 1, "relations": [[null]]}], "bonds": []}', []),
+        ("sandwich", None, ["--samples", "-3"]),
+        ("sandwich", None, ["--seed", "-1"]),
+    ],
+    ids=["non-square", "nan-entry", "inf-entry", "tower-list", "tower-null-entry",
+         "negative-samples", "negative-seed"],
+)
+def test_invalid_input_exits_2(tmp_path, command, text, flags):
+    inputs = []
+    if text is not None:
+        (tmp_path / "input").write_text(text)
+        inputs.append(str(tmp_path / "input"))
+    assert run([command, *inputs, *flags, "--out", str(tmp_path / "out")]) == 2
 
 
 def test_tree_determinism(tmp_path):
@@ -124,3 +158,102 @@ def test_verify_fast(tmp_path):
     assert run(["verify", "--fast", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["ok"] and doc["failures"] == []
+
+
+# Exit-code contract: every input ends in 0, 1 or 2, never in a traceback.
+# Each generated input is well formed or carries one fault.
+
+_ENTRY = st.one_of(
+    st.floats(-4, 4).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds(complex, st.floats(-4, 4), st.floats(-4, 4)).map(str),
+)
+_BAD_ENTRY = st.sampled_from(["nan", "inf", "-inf", "nanj", "1e400", "", "x", "1 2", "(1+j"])
+
+
+@st.composite
+def _matrix_texts(draw):
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
+    fault = draw(st.sampled_from(["", "", "entry", "row", "ragged"]))
+    if fault == "entry":
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_BAD_ENTRY)
+    elif fault == "row":
+        rows.pop()
+    elif fault == "ragged":
+        rows[-1].pop()
+    return "".join(",".join(r) + "\n" for r in rows)
+
+
+_SMALL = st.integers(-4, 4)
+_JSON_ATOM = st.one_of(st.none(), st.booleans(), _SMALL, st.floats(-2, 2), st.text(max_size=3))
+
+
+def _int_matrix(rows, cols):
+    return st.lists(st.lists(_SMALL, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def _tower_docs(draw):
+    # rank <= 2 keeps the entries that smith_normal_form produces small
+    ranks = draw(st.lists(st.integers(0, 2), max_size=3))
+    levels = [{"rank": r, "relations": draw(_int_matrix(r, draw(st.integers(0, 2))))}
+              for r in ranks]
+    bonds = [draw(_int_matrix(ranks[n], ranks[n + 1])) for n in range(len(ranks) - 1)]
+    doc = {"levels": levels, "bonds": bonds}
+    if ranks and draw(st.booleans()):
+        doc["tail"] = {"level": levels[-1], "bond": draw(_int_matrix(ranks[-1], ranks[-1]))}
+    matrices = [lv["relations"] for lv in levels] + bonds + [doc.get("tail", {}).get("bond", [])]
+    rows = [r for mat in matrices for r in mat]
+    fault = draw(st.sampled_from(["", "", "part", "entry", "ragged"]))
+    if fault == "part":
+        doc[draw(st.sampled_from(["levels", "bonds", "tail"]))] = draw(_JSON_ATOM)
+    elif fault == "entry" and any(rows):
+        row = draw(st.sampled_from([r for r in rows if r]))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_JSON_ATOM)
+    elif fault == "ragged" and rows:
+        draw(st.sampled_from(rows)).append(0)
+    return doc
+
+
+_JSON_DOCS = st.recursive(
+    _JSON_ATOM,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["levels", "bonds", "tail", "rank", "relations",
+                                       "level", "bond"]), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def _exit_code(argv):
+    code = main(argv)
+    assert code in (0, 1, 2)
+    return code
+
+
+_CONTRACT = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@_CONTRACT
+@given(text=_matrix_texts())
+def test_stratify_exit_code_contract(tmp_path_factory, text):
+    d = tmp_path_factory.mktemp("stratify")
+    (d / "m.txt").write_text(text)
+    _exit_code(["stratify", str(d / "m.txt"), "--out", str(d / "w.json")])
+
+
+@_CONTRACT
+@given(doc=st.one_of(_tower_docs(), _JSON_DOCS))
+def test_limits_exit_code_contract(tmp_path_factory, doc):
+    d = tmp_path_factory.mktemp("limits")
+    (d / "t.json").write_text(json.dumps(doc))
+    _exit_code(["limits", str(d / "t.json"), "--out", str(d / "l.json")])
+
+
+@_CONTRACT
+@given(samples=st.integers(-5, 3), seed=st.integers(-3, 3))
+def test_sandwich_exit_code_contract(tmp_path_factory, samples, seed):
+    out = tmp_path_factory.mktemp("sandwich") / "s.csv"
+    code = _exit_code(["sandwich", "--samples", str(samples), "--seed", str(seed),
+                       "--out", str(out)])
+    assert code == (2 if samples < 0 or seed < 0 else 0)

@@ -42,10 +42,22 @@ def test_op_norm_matches_svd():
 
 
 def test_op_norm_power_iteration_large():
+    # past the former dense/iterative switch at 512 rows
     rng = np.random.default_rng(1)
     m = rng.standard_normal((600, 600))
     ref = np.linalg.svd(m, compute_uv=False)[0]
-    assert op_norm(m) == pytest.approx(ref, rel=1e-6)
+    assert op_norm(m) == pytest.approx(ref, rel=1e-12)
+
+
+def test_op_norm_near_degenerate_top_pair_large():
+    # sigma_1 = 1 and sigma_2 = 1 - 1e-9: a power iteration stops short of
+    # sigma_1, which would make a tail "bound" fall below the true norm
+    rng = np.random.default_rng(2)
+    u, _ = np.linalg.qr(rng.standard_normal((600, 600)))
+    v, _ = np.linalg.qr(rng.standard_normal((600, 600)))
+    s = np.concatenate([[1.0, 1.0 - 1e-9], np.linspace(0.9, 0.1, 598)])
+    m = (u * s) @ v.T
+    assert op_norm(m) >= 1.0 - 1e-13
 
 
 def test_block_structure():
@@ -119,6 +131,41 @@ def test_stratify_random_certified():
                 else 0.0,
                 abs=1e-12,
             )
+
+
+def _linear_scan_X(m, blocks):
+    """The selection rule of ``stratify``, scanning every candidate in turn."""
+    off, nb = blocks.offsets, blocks.num_blocks
+    adj = m.conj().T
+    ns = [1]
+    while ns[-1] < nb:
+        bound, cut = 2.0 ** -len(ns), off[ns[-1]]
+        ns.append(next(
+            c for c in range(ns[-1] + 1, nb + 1)
+            if op_norm(m[off[c]:, :cut]) <= bound and op_norm(adj[off[c]:, :cut]) <= bound
+        ))
+    return ns
+
+
+def test_stratify_selection_is_minimal():
+    rng = np.random.default_rng(6)
+    cases = []
+    for d in (40, 90, 150):
+        sizes = rng.integers(1, 4, size=d)
+        blocks = BlockStructure(tuple(int(s) for s in sizes))
+        cases.append((rand_mat(rng, blocks.dim), blocks))
+    # entries decaying away from the diagonal: corners are small, never 0
+    blocks = BlockStructure((2, 1, 3, 1, 1, 2) * 6)
+    m = rand_mat(rng, blocks.dim) * np.exp(-np.abs(np.subtract.outer(
+        np.arange(blocks.dim), np.arange(blocks.dim))))
+    cases.append((m, blocks))
+    # normalised tridiagonal 200x200: the selection runs for 199 steps
+    tri = np.eye(200) + np.eye(200, k=1) + np.eye(200, k=-1)
+    cases.append((tri / op_norm(tri), BlockStructure((1,) * 200)))
+    for m, blocks in cases:
+        w = stratify(m, blocks)
+        assert w.X.elements.tolist() == _linear_scan_X(m, blocks)
+        assert w.reconstruction_residual(m) <= 1e-12 and w.tail_bound_ok()
 
 
 def test_dd_check_examples():
