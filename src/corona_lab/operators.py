@@ -203,7 +203,10 @@ def stratify(m: np.ndarray, blocks: BlockStructure) -> DDWitness:
             else:
                 lo = mid + 1
         ns.append(lo)
-    return stratify_against(m, SparseSet(np.asarray(ns, dtype=np.int64)), blocks)
+    # one block stops the selection at n(1) = 1; a sparse set needs two
+    # elements, and {0, 1} has the same enumeration as {1}
+    X = SparseSet(np.asarray(ns if len(ns) > 1 else [0, 1], dtype=np.int64))
+    return stratify_against(m, X, blocks)
 
 
 def dd_check(m: np.ndarray, X: SparseSet, blocks: BlockStructure) -> bool:

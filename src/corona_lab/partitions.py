@@ -62,7 +62,7 @@ class SparseSet:
         return i < len(self.elements) and int(self.elements[i]) == int(x)
 
     def to_json(self) -> dict:
-        return {"elements": [int(x) for x in self.elements]}
+        return {"elements": self.elements.tolist()}
 
     @classmethod
     def from_json(cls, doc: dict) -> "SparseSet":
@@ -176,10 +176,10 @@ class FxProfile:
         return bool(np.all(self.d[j0:] <= eps))
 
     def to_json(self, eps: float | None = None, j0: int | None = None) -> dict:
-        doc = {"d": [float(x) for x in self.d]}
+        doc = {"d": self.d.tolist()}
         if self.d_single is not None:
-            doc["d_single"] = [float(x) for x in self.d_single]
-            doc["d_endpoints"] = [float(x) for x in self.d_endpoints]
+            doc["d_single"] = self.d_single.tolist()
+            doc["d_endpoints"] = self.d_endpoints.tolist()
         if eps is not None:
             doc["verdict"] = {
                 "eps": eps,

@@ -102,7 +102,7 @@ class TorusElement:
     def to_json(self) -> dict:
         return {
             "horizon": self.horizon,
-            "phases": [float(p) for p in self.phases],
+            "phases": self.phases.tolist(),
             "tail": self.tail,
         }
 
@@ -183,18 +183,28 @@ def circle_diameters(phases, starts, ends) -> tuple[np.ndarray, np.ndarray]:
 
     Every distance Delta_I of the package is such a diameter, because
     |alpha(i) conj(alpha(j)) - beta(i) conj(beta(j))| = |gamma(i) - gamma(j)|
-    with gamma = alpha * conj(beta).  The windows are short, so distances are
-    computed pairwise, grouped by window length, in batches of at most
-    :data:`DIAMETER_CHUNK` entries (or one row, where a row is longer).
+    with gamma = alpha * conj(beta).
+
+    Step functions leave most windows constant: one O(n) pass over the
+    phases finds the windows whose phases are all equal, and they keep
+    diameter 0.0 and pair (s, s) without computing a distance.  The other
+    windows are short, so distances are computed pairwise, grouped by window
+    length, in batches of at most :data:`DIAMETER_CHUNK` entries (or one
+    row, where a row is longer).
     """
-    values = np.exp(1j * np.asarray(phases, dtype=float))
+    phases = np.asarray(phases, dtype=float)
     starts = np.asarray(starts, dtype=np.int64)
-    lengths = np.asarray(ends, dtype=np.int64) - starts
+    ends = np.asarray(ends, dtype=np.int64)
+    lengths = ends - starts
     diam = np.zeros(starts.size)
     best = np.zeros(starts.size, dtype=np.int64)  # row-major i * L + j
-    for L in np.unique(lengths[lengths > 1]):
-        win = np.nonzero(lengths == L)[0]
-        v = values[starts[win, None] + np.arange(L)]
+    # steps[k]: how many k' < k have phases[k'] != phases[k' + 1]
+    steps = np.concatenate(([0], np.cumsum(phases[1:] != phases[:-1])))
+    varies = lengths > 1
+    varies[varies] = steps[ends[varies] - 1] != steps[starts[varies]]
+    for L in np.unique(lengths[varies]):
+        win = np.nonzero(varies & (lengths == L))[0]
+        v = np.exp(1j * phases[starts[win, None] + np.arange(L)])
         # a batch holds whole windows while they fit, else rows of one window
         rows = max(1, DIAMETER_CHUNK // L)
         per = max(1, rows // L)

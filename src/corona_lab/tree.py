@@ -58,8 +58,7 @@ class Chain:
     def check_invariants(self) -> None:
         for t in range(self.depth):
             lo, hi = self.levels[t], self.levels[t + 1]
-            lo_set = set(int(x) for x in lo.elements)
-            if not set(int(x) for x in hi.elements) <= lo_set:
+            if not np.isin(hi.elements, lo.elements).all():
                 raise ConstructionError(f"level {t + 1} not contained in level {t}")
             if len(hi) >= len(lo):
                 raise ConstructionError(f"level {t + 1} not strictly sparser")

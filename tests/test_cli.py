@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corona_lab import cli
 from corona_lab.cli import main
 from corona_lab.limits import constant_tower, free_group, tower_to_json
 from corona_lab.operators import save_matrix
@@ -96,6 +97,16 @@ def test_stratify(tmp_path):
     assert set(doc["parts"]) == {"m_e", "m_o", "a"}
 
 
+def test_stratify_single_block(tmp_path):
+    # one block: X = {0, 1}, everything captured
+    (tmp_path / "m.txt").write_text("0.5\n")
+    out = tmp_path / "w.json"
+    assert run(["stratify", str(tmp_path / "m.txt"), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["X"] == {"elements": [0, 1]}
+    assert doc["reconstruction_residual"] == 0.0 and doc["tail_bounds_ok"]
+
+
 def test_stratify_malformed(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not,a,matrix\n")
@@ -116,12 +127,15 @@ def test_sandwich_tent_and_self_test(tmp_path):
     assert run(["sandwich", "--samples", "2", "--self-test", "--out", str(out)]) == 1
 
 
-def test_limits_paper_model(tmp_path):
+def test_limits_paper_model(tmp_path, capsys):
     out = tmp_path / "l.json"
     assert run(["limits", "--paper-model", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["six_term"]["lim1_F"] == "Nonzero"
     assert doc["flasque_T"]
+    capsys.readouterr()
+    assert run(["limits", "--paper-model"]) == 0  # the same text on stdout
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_limits_tower_file(tmp_path):
@@ -257,3 +271,47 @@ def test_sandwich_exit_code_contract(tmp_path_factory, samples, seed):
     code = _exit_code(["sandwich", "--samples", str(samples), "--seed", str(seed),
                        "--out", str(out)])
     assert code == (2 if samples < 0 or seed < 0 else 0)
+
+
+# The emitter writes what json.dumps(doc, indent=2, sort_keys=True) writes.
+
+_STRINGS = st.text(max_size=5) | st.sampled_from(['"q"', "back\\slash", "\n\t\x00\x1f", "é☃😀"])
+_FLOATS = st.floats() | st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf")])
+_FLOAT_RUNS = st.lists(st.tuples(_FLOATS, st.integers(1, 40)), min_size=1, max_size=6).map(
+    lambda runs: [x for x, count in runs for _ in range(count)])
+_MIXED = st.lists(st.sampled_from([True, False, 1, 0, 1.0, 0.0, -0.0, None]), max_size=8)
+_EMIT_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | _STRINGS
+    | _FLOAT_RUNS | _MIXED | st.lists(st.integers(), max_size=5),
+    lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(_STRINGS, kids, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=_EMIT_DOCS)
+@example(doc={"runs": [0.0] * 40 + [-0.0] * 40 + [0.0, float("nan")] * 20})
+def test_emit_matches_json_dumps(tmp_path_factory, doc):
+    out = tmp_path_factory.mktemp("emit") / "doc.json"
+    cli._emit(doc, str(out))
+    assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--depth", "3", "--horizon", "3000"], ["--depth", "2", "--horizon", "20000", "--z-variant"]],
+    ids=["depth3", "depth2-z-variant"],
+)
+def test_tree_output_matches_json_dumps(tmp_path, monkeypatch, flags):
+    docs = []
+    emit = cli._emit
+
+    def capture(doc, out):
+        docs.append(doc)
+        emit(doc, out)
+
+    monkeypatch.setattr(cli, "_emit", capture)
+    out = tmp_path / "tree.json"
+    assert run(["tree", *flags, "--out", str(out)]) == 0
+    assert out.read_text() == json.dumps(docs[0], indent=2, sort_keys=True) + "\n"

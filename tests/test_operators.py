@@ -104,6 +104,18 @@ def test_stratify_single_block_support():
     assert np.array_equal(w.m_e + w.m_o, m)
 
 
+@pytest.mark.parametrize("sizes", [(1,), (3,)])
+def test_stratify_one_block(sizes):
+    # a single block stops the selection at n(1) = 1: X = {0, 1}
+    rng = np.random.default_rng(9)
+    blocks = BlockStructure(sizes)
+    m = rand_mat(rng, blocks.dim)
+    w = stratify(m, blocks)
+    assert w.X.enumeration.tolist() == [0, 1]
+    assert w.reconstruction_residual(m) == 0.0 and op_norm(w.a) == 0.0
+    assert w.tail_bound_ok() and dd_check(w.m_e + w.m_o, w.X, blocks)
+
+
 def test_stratify_identity():
     blocks = BlockStructure((2,) * 8)
     m = np.eye(16, dtype=complex)

@@ -204,3 +204,33 @@ def test_phases_normalized_and_frozen():
     assert np.all(a.phases >= 0) and np.all(a.phases < 2 * np.pi)
     with pytest.raises(ValueError):
         a.phases[0] = 1.0
+
+
+def test_circle_diameters_on_step_functions():
+    # long constant runs, single-sample steps, a -0.0/0.0 boundary and a dense
+    # random stretch; constant windows are skipped, the rest go pairwise
+    rng = np.random.default_rng(8)
+    phases = np.concatenate([
+        np.full(300, 1.25),
+        rng.uniform(0, 2 * np.pi, 5),  # single-sample steps
+        np.full(200, 4.0),
+        [-0.0] * 40 + [0.0] * 40,
+        rng.uniform(0, 2 * np.pi, 150),  # dense
+        np.full(100, 1.25),
+    ])
+    n, zero = phases.size, 545  # phases[505:545] are -0.0, [545:585] are 0.0
+    assert str(phases[zero - 1]) == "-0.0" and str(phases[zero]) == "0.0"
+    windows = [(s, s + L) for L in (0, 1, 2, 3, 5, 8, 40) for s in range(0, n - L + 1, 3)]
+    windows += [(0, n), (290, 320), (505, 585), (zero, zero + 1), (580, 680)]
+    lo, hi = np.array(windows).T
+    diam, pairs = circle_diameters(phases, lo, hi)
+    for (s, e), d, pair in zip(windows, diam, pairs):
+        v = np.exp(1j * phases[s:e])
+        dist = np.abs(v[:, None] - v[None, :])
+        k = int(dist.argmax()) if e > s else 0
+        assert d == (dist.flat[k] if e > s else 0.0)
+        assert tuple(pair) == (s + k // max(e - s, 1), s + k % max(e - s, 1))
+        if e - s < 2 or np.all(phases[s:e] == phases[s]):
+            assert (d, tuple(pair)) == (0.0, (s, s))
+    assert (diam[windows.index((505, 585))], tuple(pairs[windows.index((505, 585))])) == (
+        0.0, (505, 505))

@@ -20,6 +20,7 @@ from corona_lab import (
     successor_witness,
 )
 from corona_lab.partitions import interval, n_of
+from corona_lab.tree import ScheduleEntry
 
 
 def test_chain_minimal():
@@ -39,6 +40,23 @@ def test_chain_depth3_schedule_1_to_8():
     chain = generate_chain(3, 100_000, list(range(1, 9)))
     chain.check_invariants()
     assert chain.depth == 3
+
+
+@pytest.mark.parametrize(
+    "hi, m, message",
+    [
+        ([2, 8], 1, "level 1 not contained in level 0"),  # past the last point
+        ([2, 3, 6], 1, "level 1 not contained in level 0"),  # a gap inside
+        ([0, 2], 1, "level 1 not contained in level 0"),  # before the first
+        ([1, 2, 4, 6], 1, "level 1 not strictly sparser"),
+        ([4, 6], 4, "block 0 at level 0 holds 3 intervals < m=4"),
+    ],
+)
+def test_chain_invariants_reject(hi, m, message):
+    lo = SparseSet([1, 2, 4, 6])
+    chain = Chain(levels=(lo, SparseSet(hi)), schedules=((ScheduleEntry(m=m, block=0),),))
+    with pytest.raises(ConstructionError, match=message):
+        chain.check_invariants()
 
 
 def test_chain_depth0():
