@@ -12,6 +12,7 @@ import csv
 import math
 import os
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -251,7 +252,7 @@ def cmd_sandwich(args) -> int:
 
 def cmd_limits(args) -> int:
     if args.paper_model:
-        ses = dl.build_paper_model(depth=max(args.depth, 2))
+        ses = dl.build_paper_model(depth=args.depth)
         report = dl.six_term_check(ses)
         doc = {
             "config": _config_echo(args),
@@ -357,7 +358,9 @@ def cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it."""
     p = argparse.ArgumentParser(
         prog="corona-lab",
         description="finite-horizon laboratory for torus pseudometrics, "

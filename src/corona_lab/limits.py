@@ -1,9 +1,14 @@
 """Towers of finitely generated abelian groups and their derived limits.
 
 All computation is exact over arbitrary-precision integers.  Groups are
-presented as Z^rank modulo the column span of a relation matrix; Smith normal
-form answers every kernel, image, and membership question, and Hermite normal
-form provides canonical lattice bases for image-stabilization arguments.
+presented as Z^rank modulo the column span of a relation matrix.  Hermite
+normal form, a canonical lattice basis whose entries stay small, answers
+every kernel, image, membership and image-stabilization question; Smith
+normal form is used only where invariant factors are the answer.
+
+Groups and towers are frozen dataclasses of integer tuples, so each one
+computes an exact verdict about itself (invariants, validity, flasqueness,
+its tail's image chain) once and remembers it.
 
 The first derived limit is decided through the Mittag-Leffler criterion for
 towers indexed by the naturals: descending image stabilization forces it to
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .errors import InvalidSes, PreconditionViolation
@@ -238,44 +244,31 @@ def col_hermite(M):
 
 
 def kernel_basis(M):
-    """Columns spanning {x : M x = 0}, exact."""
+    """Columns spanning {x : M x = 0}, exact and saturated: the rows of the
+    Hermite form of [M^T | I] whose M^T part vanishes, cut to their I part."""
     A = _as_mat(M)
     if not A or not A[0]:
         n = len(A[0]) if A else 0
         return mat_id(n)
-    _, S, V = smith_normal_form(A)
-    n = len(A[0])
-    rank = sum(1 for i in range(min(len(S), n)) if S[i][i] != 0)
-    cols = [[V[i][j] for i in range(n)] for j in range(rank, n)]
+    m, n = len(A), len(A[0])
+    H = row_hermite(mat_hstack(mat_t(A), mat_id(n)))
+    cols = [row[m:] for row in H if not any(row[:m])]
     return mat_t(cols) if cols else mat_zero(n, 0)
 
 
 def lattice_contains(L, x):
     """Is the integer vector x in the column span of L?"""
-    A = _as_mat(L)
-    x = [int(v) for v in x]
-    if not A or not A[0]:
-        return all(v == 0 for v in x)
-    U, S, _ = smith_normal_form(A)
-    y = [sum(U[i][j] * x[j] for j in range(len(x))) for i in range(len(U))]
-    k = min(len(S), len(S[0]))
-    for i in range(len(y)):
-        d = S[i][i] if i < k else 0
-        if d == 0:
-            if y[i] != 0:
-                return False
-        elif y[i] % d != 0:
-            return False
-    return True
+    return lattice_leq([[int(v)] for v in x], L)
 
 
 def lattice_leq(A, B):
-    """Column lattice of A contained in that of B?"""
+    """Column lattice of A contained in that of B?  Then adding A's columns
+    leaves B's canonical basis unchanged."""
     A = _as_mat(A)
     if not A or not A[0]:
         return True
-    cols = mat_t(A)
-    return all(lattice_contains(B, c) for c in cols)
+    B = _as_mat(B)
+    return col_hermite(mat_hstack(B, A)) == col_hermite(B)
 
 
 def lattice_equal(A, B):
@@ -307,6 +300,10 @@ class AbGroupPresentation:
 
     def invariants(self):
         """(free_rank, torsion coefficients > 1 in divisibility order)."""
+        return self._invariants
+
+    @cached_property
+    def _invariants(self):
         if self.rank == 0:
             return (0, ())
         if not self.relations or not self.relations[0]:
@@ -382,6 +379,7 @@ class Tower:
     def __post_init__(self):
         if len(self.bonds) != max(len(self.levels) - 1, 0):
             raise PreconditionViolation("need one bond per adjacent level pair")
+        object.__setattr__(self, "levels", tuple(self.levels))
         bonds = tuple(tuple(tuple(int(x) for x in row) for row in b) for b in self.bonds)
         object.__setattr__(self, "bonds", bonds)
         if self.tail_bond is not None:
@@ -393,6 +391,12 @@ class Tower:
         return len(self.levels)
 
     def check_invariants(self) -> None:
+        """Raise PreconditionViolation unless the tower is well formed.
+        Success is remembered; an invalid tower raises on every call."""
+        self._well_formed  # computed once; raises while invalid
+
+    @cached_property
+    def _well_formed(self) -> bool:
         for n, bond in enumerate(self.bonds):
             src, dst = self.levels[n + 1], self.levels[n]
             b = [list(r) for r in bond]
@@ -414,6 +418,24 @@ class Tower:
                     raise PreconditionViolation(
                         "last explicit level must match the tail level"
                     )
+        return True
+
+    @cached_property
+    def _flasque(self) -> bool:
+        surjective = all(
+            _bond_surjective([list(r) for r in bond], self.levels[n + 1], self.levels[n])
+            for n, bond in enumerate(self.bonds)
+        )
+        if surjective and self.tail_level is not None:
+            surjective = _bond_surjective(
+                [list(r) for r in self.tail_bond], self.tail_level, self.tail_level
+            )
+        return surjective
+
+    @cached_property
+    def _tails(self) -> dict:
+        """Tail analyses by depth; see :func:`_tail_analysis`."""
+        return {}
 
     def to_json(self) -> dict:
         doc = {
@@ -508,6 +530,26 @@ def _strict_scaled_descent(chain) -> bool:
     return True
 
 
+def _tail_analysis(T: Tower, depth: int):
+    """For a free injective period-1 tail: (image chain up to ``depth`` as
+    nested tuples, stabilized?, certified strict descent?); None for any
+    other tower.  Computed once per (tower, depth)."""
+    if depth not in T._tails:
+        M = _tail_is_free_injective(T)
+        if M is None:
+            T._tails[depth] = None
+        else:
+            chain, stab = _image_chain(M, T.tail_level.rank, depth)
+            descent = not stab and _strict_scaled_descent(chain[1:])
+            T._tails[depth] = (tuple(tuple(map(tuple, H)) for H in chain), stab, descent)
+    return T._tails[depth]
+
+
+def _chain_lists(chain) -> list:
+    """A fresh list-of-lists copy of a remembered image chain."""
+    return [[list(r) for r in H] for H in chain]
+
+
 def lim_tower(T: Tower, depth: int = 16) -> dict:
     """Inverse limit over the truncation.
 
@@ -519,8 +561,8 @@ def lim_tower(T: Tower, depth: int = 16) -> dict:
     if not T.levels and T.tail_level is None:
         raise PreconditionViolation("empty tower")
     top = T.levels[-1] if T.levels else T.tail_level
-    M = _tail_is_free_injective(T)
-    if M is None:
+    tail = _tail_analysis(T, depth)
+    if tail is None:
         truncated = top.canonical()
         stabilized = False
         if len(T.levels) >= 2 and T.tail_level is None:
@@ -534,25 +576,24 @@ def lim_tower(T: Tower, depth: int = 16) -> dict:
                 )
             )
         return {"truncated_lim": truncated, "stabilized": stabilized, "evidence": None}
-    rank = T.tail_level.rank
-    chain, stab = _image_chain(M, rank, depth)
+    chain, stab, descent = tail
     if stab:
         ncols = len(chain[-1][0]) if chain[-1] else 0
         return {
             "truncated_lim": free_group(ncols).canonical(),
             "stabilized": True,
-            "evidence": chain,
+            "evidence": _chain_lists(chain),
         }
-    if _strict_scaled_descent(chain[1:]):
+    if descent:
         return {
             "truncated_lim": free_group(0),
             "stabilized": True,
-            "evidence": chain,
+            "evidence": _chain_lists(chain),
         }
     return {
-        "truncated_lim": free_group(rank).canonical(),
+        "truncated_lim": free_group(T.tail_level.rank).canonical(),
         "stabilized": False,
-        "evidence": chain,
+        "evidence": _chain_lists(chain),
     }
 
 
@@ -569,17 +610,17 @@ def lim1_tower(T: Tower, depth: int = 16) -> dict:
             "reason": "finite levels force image stabilization",
             "evidence": None,
         }
-    M = _tail_is_free_injective(T)
-    if M is not None:
-        chain, stab = _image_chain(M, T.tail_level.rank, depth)
-        evidence["tail_image_chain"] = chain
+    tail = _tail_analysis(T, depth)
+    if tail is not None:
+        chain, stab, descent = tail
+        evidence["tail_image_chain"] = _chain_lists(chain)
         if stab:
             return {
                 "verdict": "Zero",
                 "reason": "tail images stabilize",
                 "evidence": evidence,
             }
-        if _strict_scaled_descent(chain[1:]):
+        if descent:
             return {
                 "verdict": "Nonzero",
                 "reason": "certified strict image descent on the tail",
@@ -589,13 +630,12 @@ def lim1_tower(T: Tower, depth: int = 16) -> dict:
 
 
 def _bond_surjective(bond, src: AbGroupPresentation, dst: AbGroupPresentation) -> bool:
-    """Surjectivity of the induced map onto Z^r_dst modulo relations."""
-    span = mat_hstack(bond, dst.rel_mat) if dst.relations and dst.relations[0] else bond
+    """Surjectivity of the induced map onto Z^r_dst modulo relations: the
+    bond's columns and the relations span all of Z^r_dst."""
     if dst.rank == 0:
         return True
-    diag = snf_diagonal(span) if span and span[0] else []
-    nonzero = [d for d in diag if d != 0]
-    return len(nonzero) == dst.rank and all(abs(d) == 1 for d in nonzero)
+    span = mat_hstack(bond, dst.rel_mat) if dst.relations and dst.relations[0] else bond
+    return col_hermite(span) == mat_id(dst.rank)
 
 
 def _bond_injective(bond, src: AbGroupPresentation, dst: AbGroupPresentation) -> bool:
@@ -611,16 +651,9 @@ def _bond_injective(bond, src: AbGroupPresentation, dst: AbGroupPresentation) ->
 
 
 def flasque_check(T: Tower) -> bool:
-    """All bonds surjective (the tower analogue of extendable partial threads)."""
-    for n, bond in enumerate(T.bonds):
-        if not _bond_surjective([list(r) for r in bond], T.levels[n + 1], T.levels[n]):
-            return False
-    if T.tail_level is not None:
-        if not _bond_surjective(
-            [list(r) for r in T.tail_bond], T.tail_level, T.tail_level
-        ):
-            return False
-    return True
+    """All bonds surjective (the tower analogue of extendable partial
+    threads); decided once per tower."""
+    return T._flasque
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +671,21 @@ class SesTower:
     iotas: tuple
     sigmas: tuple
 
+    def __post_init__(self):
+        for name in ("iotas", "sigmas"):
+            maps = tuple(
+                tuple(tuple(int(x) for x in row) for row in m) for m in getattr(self, name)
+            )
+            object.__setattr__(self, name, maps)
+
     def check_invariants(self) -> None:
+        """Raise unless the three towers and the maps between them form a
+        levelwise short exact sequence.  Success is remembered; an invalid
+        sequence raises on every call."""
+        self._well_formed  # computed once; raises while invalid
+
+    @cached_property
+    def _well_formed(self) -> bool:
         self.F.check_invariants()
         self.T.check_invariants()
         self.G.check_invariants()
@@ -663,6 +710,7 @@ class SesTower:
                 raise InvalidSes(f"im iota != ker sigma at level {n}")
         for n in range(depth - 1):
             self._check_square(n)
+        return True
 
     def _image_equals_kernel(self, n: int) -> bool:
         fn, tn, gn = self.F.levels[n], self.T.levels[n], self.G.levels[n]

@@ -36,9 +36,6 @@ class ScheduleEntry:
     m: int
     block: int
 
-    def jump_size(self) -> float:
-        return 2.0 * float(np.sin(np.pi / (2.0 * self.m)))
-
 
 @dataclass(frozen=True)
 class Chain:
@@ -77,6 +74,14 @@ class Chain:
         return min(e.m for sched in self.schedules for e in sched)
 
 
+def _pair_merge(cur: int, end: int) -> np.ndarray:
+    """Indices of the points kept when points cur..end are merged in pairs,
+    always keeping ``end``."""
+    if cur >= end:
+        return np.empty(0, dtype=np.int64)
+    return np.append(np.arange(cur + 2, end, 2), end)
+
+
 def _try_build_chain(depth, horizon, m_schedule):
     """One construction attempt; returns a Chain or raises HorizonTooSmall
     without a horizon estimate."""
@@ -88,37 +93,28 @@ def _try_build_chain(depth, horizon, m_schedule):
     region_pos = 1
     for _t in range(depth):
         pts = levels[-1].enumeration
-        bounds = []
-        cur = 0
         # pair-merge up to the start of this transition's scheduled region
-        a = int(np.searchsorted(pts, region_pos))
-        if a >= pts.size:
+        cur = int(np.searchsorted(pts, region_pos))
+        if cur >= pts.size:
             raise HorizonTooSmall("no room before scheduled region")
-        while cur < a:
-            nxt = min(cur + 2, a)
-            bounds.append(int(pts[nxt]))
-            cur = nxt
+        head = _pair_merge(0, cur)
+        scheduled = []
         sched = []
         for m in m_schedule:
             if m < 1:
                 raise PreconditionViolation("schedule entries must be >= 1")
-            nxt = cur + m + 1
-            if nxt >= pts.size:
+            cur += m + 1
+            if cur >= pts.size:
                 raise HorizonTooSmall("scheduled region does not fit")
-            block_index = len(bounds)
-            bounds.append(int(pts[nxt]))
-            sched.append(ScheduleEntry(m=int(m), block=block_index))
-            cur = nxt
+            sched.append(ScheduleEntry(m=int(m), block=head.size + len(scheduled)))
+            scheduled.append(cur)
         region_pos = int(pts[cur]) + 1
         # pair-merge the remainder, always keeping the final point
-        last = pts.size - 1
-        while cur < last:
-            nxt = min(cur + 2, last)
-            bounds.append(int(pts[nxt]))
-            cur = nxt
-        if len(bounds) < 2:
+        tail = _pair_merge(cur, pts.size - 1)
+        kept = np.concatenate((head, np.array(scheduled, dtype=np.int64), tail))
+        if kept.size < 2:
             raise HorizonTooSmall("too few intervals after merging")
-        levels.append(SparseSet(np.asarray(bounds, dtype=np.int64)))
+        levels.append(SparseSet(pts[kept]))
         schedules.append(tuple(sched))
     chain = Chain(levels=tuple(levels), schedules=tuple(schedules))
     chain.check_invariants()

@@ -63,9 +63,13 @@ def test_verify_invalid_tolerance(tmp_path, flags):
         ("limits", '{"levels": [{"rank": 1, "relations": [[null]]}], "bonds": []}', []),
         ("sandwich", None, ["--samples", "-3"]),
         ("sandwich", None, ["--seed", "-1"]),
+        ("limits", None, ["--paper-model", "--depth", "-5"]),
+        ("limits", None, ["--paper-model", "--depth", "0"]),
+        ("limits", None, ["--paper-model", "--depth", "1"]),
     ],
     ids=["non-square", "nan-entry", "inf-entry", "tower-list", "tower-null-entry",
-         "negative-samples", "negative-seed"],
+         "negative-samples", "negative-seed", "paper-depth-negative", "paper-depth-0",
+         "paper-depth-1"],
 )
 def test_invalid_input_exits_2(tmp_path, command, text, flags):
     inputs = []
@@ -209,8 +213,8 @@ def _int_matrix(rows, cols):
 
 @st.composite
 def _tower_docs(draw):
-    # rank <= 2 keeps the entries that smith_normal_form produces small
-    ranks = draw(st.lists(st.integers(0, 2), max_size=3))
+    # ranks up to 3, those of the benchmark's seeded torsion towers
+    ranks = draw(st.lists(st.integers(0, 3), max_size=3))
     levels = [{"rank": r, "relations": draw(_int_matrix(r, draw(st.integers(0, 2))))}
               for r in ranks]
     bonds = [draw(_int_matrix(ranks[n], ranks[n + 1])) for n in range(len(ranks) - 1)]

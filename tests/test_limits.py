@@ -1,6 +1,12 @@
+import json
+import signal
+
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from corona_lab import (
@@ -19,12 +25,15 @@ from corona_lab import (
     six_term_check,
     smith_normal_form,
 )
+from corona_lab.cli import main
 from corona_lab.limits import (
+    _bond_surjective,
     col_hermite,
     det_int,
     kernel_basis,
     lattice_contains,
     lattice_equal,
+    lattice_leq,
     mat_id,
     mat_mul,
     row_hermite,
@@ -279,3 +288,166 @@ def test_invalid_ses_detected():
     )
     with pytest.raises(InvalidSes):
         broken.check_invariants()
+
+
+# Hermite-form lattice questions against sympy, on integer matrices up to 6x6
+# with entries in [-9, 9]; a repeated row or column makes rank deficits common.
+
+_ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def _int_matrices(draw, rows=None):
+    m = rows if rows is not None else draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-9, 9) | st.just(0)
+    M = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        M[-1] = list(M[0])
+    if n > 1 and draw(st.booleans()):
+        for row in M:
+            row[-1] = row[0]
+    return M
+
+
+@_ORACLE
+@given(M=_int_matrices())
+def test_kernel_basis_against_sympy(M):
+    n = len(M[0])
+    K = kernel_basis(M)
+    assert len(K) == n
+    k = len(K[0])
+    assert k == n - sympy.Matrix(M).rank()
+    if k:
+        assert all(x == 0 for row in mat_mul(M, K) for x in row)
+        assert all(d == 1 for d in invariant_factors(sympy.Matrix(K)))
+
+
+@_ORACLE
+@given(M=_int_matrices(), data=st.data())
+def test_bond_surjective_against_sympy(M, data):
+    m, n = len(M), len(M[0])
+    k = data.draw(st.integers(1, n))
+    bond = [row[:k] for row in M]
+    dst = AbGroupPresentation(rank=m, relations=tuple(tuple(row[k:]) for row in M))
+    factors = [abs(d) for d in invariant_factors(sympy.Matrix(M))]
+    assert _bond_surjective(bond, free_group(k), dst) == (factors.count(1) == m)
+
+
+@_ORACLE
+@given(B=_int_matrices(), data=st.data())
+def test_lattice_leq_against_sympy(B, data):
+    m = len(B)
+    if data.draw(st.booleans()):
+        A = data.draw(_int_matrices(rows=m))
+    else:  # a combination of B's columns, so containment holds
+        C = data.draw(_int_matrices(rows=len(B[0])))
+        A = mat_mul(B, [[x % 5 - 2 for x in row] for row in C])
+    SA, SB = sympy.Matrix(A), sympy.Matrix(B)
+    expected = hermite_normal_form(SB.row_join(SA)) == hermite_normal_form(SB)
+    assert lattice_leq(A, B) == expected
+    for j in range(len(A[0])):
+        col = [row[j] for row in A]
+        assert lattice_contains(B, col) == (
+            hermite_normal_form(SB.row_join(sympy.Matrix(col))) == hermite_normal_form(SB)
+        )
+
+
+# The benchmark's two fixed torsion towers, torsion_tower(default_rng([0x5EED,
+# rank, k]), rank, 4) for (rank, k) = (5, 9) and (6, 1): four equal levels
+# Z^r / R Z^r and three bonds.  Their answers are known by construction.
+
+_FIXED_TOWERS = {
+    5: {
+        "relations": [[24, 30, 6, 0, -24], [27, 33, 6, 0, -24], [-31, -35, -5, 0, 24],
+                      [24, 0, 0, 12, 0], [-24, -24, 0, 0, 24]],
+        "bonds": [
+            [[11, -54, 36, 30, 0], [9, -55, 42, 30, -3], [-12, 66, -42, -28, 6],
+             [36, -12, 24, -7, -12], [0, 48, -24, -24, 5]],
+            [[7, -18, -30, 30, -30], [0, -11, -33, 33, -33], [1, 19, 43, -35, 35],
+             [-36, 12, -24, -5, -12], [0, 24, 24, -24, 31]],
+            [[37, 24, 0, -30, 42], [39, 28, 3, -30, 45], [-40, -30, -6, 29, -50],
+             [-12, 0, 12, 1, 12], [-24, -24, 0, 24, -47]],
+        ],
+        "flasque": True,
+        "torsion": [3, 6, 12, 24],
+        "stabilized": True,
+    },
+    6: {
+        "relations": [[2, 0, 0, 0, 0, 0], [-258, 4, -128, 0, -4, -72],
+                      [168, 0, 84, 0, -72, 0], [-288, 0, -144, 24, 144, 0],
+                      [-144, 0, -72, 0, 72, 0], [266, 0, 132, 0, 0, 72]],
+        "bonds": [
+            [[2, 2, -2, 0, 0, 2], [128, -196, 318, 204, -8, -258],
+             [-12, 156, -250, -12, -72, 240], [-24, -312, 432, 2, 144, -408],
+             [0, -144, 216, 0, 74, -216], [-132, 206, -326, -204, 0, 268]],
+            [[5, -2, 2, -2, -2, 0], [190, 57, -134, 382, 458, -136],
+             [-96, -156, 19, -324, -180, 12], [120, 264, -24, 583, 312, -24],
+             [72, 144, 0, 288, 151, 0], [-194, -62, 134, -398, -470, 139]],
+            [[0, -2, 0, 2, 0, 0], [58, 188, -200, -54, -128, -8],
+             [-84, -240, 86, 156, 156, -72], [168, 432, -168, -310, -312, 168],
+             [72, 216, -72, -144, -142, 72], [-62, -194, 204, 62, 132, 2]],
+        ],
+        "flasque": False,
+        "torsion": [2, 4, 12, 24, 72, 72],
+        "stabilized": False,
+    },
+}
+
+
+class _Stopped(Exception):
+    pass
+
+
+def _stop(signum, frame):
+    raise _Stopped()
+
+
+@pytest.mark.parametrize("rank", sorted(_FIXED_TOWERS))
+def test_fixed_benchmark_towers(tmp_path, rank):
+    spec = _FIXED_TOWERS[rank]
+    level = {"rank": rank, "relations": spec["relations"]}
+    path, out = tmp_path / "tower.json", tmp_path / "limits.json"
+    path.write_text(json.dumps({"levels": [level] * 4, "bonds": spec["bonds"]}))
+    previous = signal.signal(signal.SIGALRM, _stop)
+    signal.alarm(2)  # a stuck normal form fails the test instead of hanging it
+    try:
+        code = main(["limits", str(path), "--out", str(out)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["flasque"] == spec["flasque"]
+    assert doc["lim"] == {
+        "invariants": {"free_rank": 0, "torsion": spec["torsion"]},
+        "stabilized": spec["stabilized"],
+    }
+    assert doc["lim1"]["verdict"] == "Zero"
+
+
+def test_remembered_verdicts_never_excuse_invalid_objects():
+    bad = Tower(levels=(cyclic_group(4), cyclic_group(2)), bonds=(((1,),),))
+    for check in (bad.check_invariants, lambda: lim_tower(bad), lambda: lim1_tower(bad)):
+        for _ in range(2):
+            with pytest.raises(PreconditionViolation):
+                check()
+    ses = build_paper_model(4)
+    broken = SesTower(F=ses.F, T=ses.T, G=ses.G, iotas=ses.iotas, sigmas=(((0,),),) * 4)
+    for _ in range(2):
+        with pytest.raises(InvalidSes):
+            broken.check_invariants()
+        with pytest.raises(InvalidSes):
+            six_term_check(broken)
+
+
+def test_remembered_evidence_is_not_shared_with_documents():
+    z = free_group(1)
+    x2 = Tower(levels=(z,) * 3, bonds=(((2,),),) * 2, tail_level=z, tail_bond=((2,),))
+    first = lim1_tower(x2)["evidence"]["tail_image_chain"]
+    expected = [[list(r) for r in H] for H in first]
+    first[1][0][0] = 99
+    first.append([])
+    lim_tower(x2)["evidence"].clear()
+    assert lim1_tower(x2)["evidence"]["tail_image_chain"] == expected
+    assert lim_tower(x2)["evidence"] == expected
