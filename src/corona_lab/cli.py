@@ -272,8 +272,8 @@ def cmd_limits(args) -> int:
     except (OSError, ValueError, KeyError, CoronaLabError) as exc:
         _emit({"error": "invalid tower", "message": str(exc)}, args.out)
         return 2
-    lim = dl.lim_tower(tower)
-    lim1 = dl.lim1_tower(tower)
+    lim = dl.lim_tower(tower, args.depth)
+    lim1 = dl.lim1_tower(tower, args.depth)
     doc = {
         "config": _config_echo(args),
         "flasque": dl.flasque_check(tower),

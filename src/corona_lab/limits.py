@@ -505,7 +505,10 @@ def _image_chain(M, rank: int, depth: int):
 
 def _strict_scaled_descent(chain) -> bool:
     """Is each step of the (non-stabilized) chain a proper scaled copy of the
-    previous lattice?  Certifies descent forever for a period-1 tail."""
+    previous lattice?  Certifies descent forever for a period-1 tail; a
+    chain with no step certifies nothing."""
+    if len(chain) < 2:
+        return False
     for A, B in zip(chain, chain[1:]):
         if not A or not B:
             return False
@@ -525,7 +528,8 @@ def _strict_scaled_descent(chain) -> bool:
         d = g_b // g_a
         if d <= 1:
             return False
-        if not lattice_equal(B, mat_scale(A, d)):
+        # both are Hermite bases, and so is a positive multiple of one
+        if B != mat_scale(A, d):
             return False
     return True
 
@@ -545,6 +549,13 @@ def _tail_analysis(T: Tower, depth: int):
     return T._tails[depth]
 
 
+def _check_depth(depth: int) -> None:
+    """A period-1 tail is decided by the step from its first to its second
+    image, so the chain needs depth >= 2."""
+    if depth < 2:
+        raise PreconditionViolation("need depth >= 2")
+
+
 def _chain_lists(chain) -> list:
     """A fresh list-of-lists copy of a remembered image chain."""
     return [[list(r) for r in H] for H in chain]
@@ -557,6 +568,7 @@ def lim_tower(T: Tower, depth: int = 16) -> dict:
     injective period-1 tail admits a genuine answer through the stable image
     lattice; a certified strictly scaled descent gives limit zero.
     """
+    _check_depth(depth)
     T.check_invariants()
     if not T.levels and T.tail_level is None:
         raise PreconditionViolation("empty tower")
@@ -599,6 +611,7 @@ def lim_tower(T: Tower, depth: int = 16) -> dict:
 
 def lim1_tower(T: Tower, depth: int = 16) -> dict:
     """First derived limit verdict via Mittag-Leffler image stabilization."""
+    _check_depth(depth)
     T.check_invariants()
     evidence = {}
     if flasque_check(T):
@@ -752,6 +765,7 @@ def six_term_check(S: SesTower, depth: int = 16) -> dict:
     of T to the limit of G cannot be surjective in the stabilized sense; the
     non-stabilizing image chain of F is the certificate.
     """
+    _check_depth(depth)
     S.check_invariants()
     l1F = lim1_tower(S.F, depth)
     l1T = lim1_tower(S.T, depth)

@@ -128,7 +128,8 @@ def _interval_masks(X: SparseSet, blocks: BlockStructure):
 @dataclass(frozen=True)
 class DDWitness:
     """Near-block-diagonal decomposition m = m_e + m_o + a; ``tail_bounds[i]``
-    is ``op_norm`` of (1 - p_{n(i)}) a, an SVD norm accurate to rounding."""
+    is the norm of (1 - p_{n(i)}) a: the largest ``op_norm`` (an SVD norm)
+    over the connected blocks of that tail, exact to rounding."""
 
     X: SparseSet
     m_e: np.ndarray
@@ -168,12 +169,50 @@ def stratify_against(m: np.ndarray, X: SparseSet, blocks: BlockStructure) -> DDW
     m_e = np.where(mask_e, m, 0.0)
     m_o = np.where(mask_o, m, 0.0)
     a = np.where(~(mask_e | mask_o), m, 0.0)
-    off = blocks.offsets
-    tails = []
-    for i, n_i in enumerate(X.enumeration):
-        start = off[min(int(n_i), blocks.num_blocks)]
-        tails.append(op_norm(a[start:, :]))
+    # tail i is the rows labelled >= i, the label past the truncation last
+    labels = np.where(iv < 0, X.num_intervals, iv)
+    tails = _tail_norms(a, labels, X.num_points)
     return DDWitness(X=X, m_e=m_e, m_o=m_o, a=a, tail_bounds=tuple(tails))
+
+
+def _tail_norms(a: np.ndarray, labels: np.ndarray, count: int) -> list:
+    """Norms of the row tails a[labels >= i, :] for i < count.
+
+    ``labels`` is non-decreasing, with no label skipped.  Up to a permutation
+    each tail is the direct sum of the connected blocks of its label-level
+    nonzero pattern, so its norm is the largest ``op_norm`` of a block.  Row
+    labels join from the last to the first; a block's norm is taken again
+    only when a new row label reaches it.
+    """
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    bounds = np.append(starts, labels.size).tolist()
+    nz = np.logical_or.reduceat(a != 0, starts, axis=0)
+    nz = np.logical_or.reduceat(nz, starts, axis=1)
+    blocks = {}  # name -> (row labels, column labels, norm); named by its first row label
+    owner = {}  # column label -> name of its block
+    tails = [0.0] * count
+    for r in range(starts.size - 1, -1, -1):
+        reached = np.flatnonzero(nz[r]).tolist()
+        if reached:
+            rows, cols = {r}, set(reached)
+            for b in {owner[c] for c in reached if c in owner}:
+                b_rows, b_cols, _ = blocks.pop(b)
+                rows |= b_rows
+                cols |= b_cols
+            owner.update(dict.fromkeys(cols, r))
+            norm = op_norm(a[_coords(rows, bounds)][:, _coords(cols, bounds)])
+            blocks[r] = rows, cols, norm
+        tails[r] = max((norm for _, _, norm in blocks.values()), default=0.0)
+    return tails
+
+
+def _coords(chosen: set, bounds: list):
+    """Coordinates of a set of labels, label k spanning bounds[k] to
+    bounds[k + 1]: a slice (a view, no copy) when the labels are consecutive."""
+    lo, hi = min(chosen), max(chosen)
+    if hi - lo + 1 == len(chosen):
+        return slice(bounds[lo], bounds[hi + 1])
+    return np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in sorted(chosen)])
 
 
 def stratify(m: np.ndarray, blocks: BlockStructure) -> DDWitness:

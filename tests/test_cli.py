@@ -53,6 +53,14 @@ def test_verify_invalid_tolerance(tmp_path, flags):
     assert run(["verify", "--fast", *flags, "--out", str(tmp_path / "v.json")]) == 2
 
 
+# Z with doubling bonds and a doubling tail: its image chain needs two steps
+_FREE_TOWER = json.dumps({
+    "levels": [{"rank": 1, "relations": [[]]}] * 2,
+    "bonds": [[[2]]],
+    "tail": {"level": {"rank": 1, "relations": [[]]}, "bond": [[2]]},
+})
+
+
 @pytest.mark.parametrize(
     "command, text, flags",
     [
@@ -66,10 +74,13 @@ def test_verify_invalid_tolerance(tmp_path, flags):
         ("limits", None, ["--paper-model", "--depth", "-5"]),
         ("limits", None, ["--paper-model", "--depth", "0"]),
         ("limits", None, ["--paper-model", "--depth", "1"]),
+        ("limits", _FREE_TOWER, ["--depth", "-4"]),
+        ("limits", _FREE_TOWER, ["--depth", "0"]),
+        ("limits", _FREE_TOWER, ["--depth", "1"]),
     ],
     ids=["non-square", "nan-entry", "inf-entry", "tower-list", "tower-null-entry",
          "negative-samples", "negative-seed", "paper-depth-negative", "paper-depth-0",
-         "paper-depth-1"],
+         "paper-depth-1", "tower-depth-negative", "tower-depth-0", "tower-depth-1"],
 )
 def test_invalid_input_exits_2(tmp_path, command, text, flags):
     inputs = []

@@ -28,6 +28,7 @@ from corona_lab import (
 from corona_lab.cli import main
 from corona_lab.limits import (
     _bond_surjective,
+    _strict_scaled_descent,
     col_hermite,
     det_int,
     kernel_basis,
@@ -451,3 +452,23 @@ def test_remembered_evidence_is_not_shared_with_documents():
     lim_tower(x2)["evidence"].clear()
     assert lim1_tower(x2)["evidence"]["tail_image_chain"] == expected
     assert lim_tower(x2)["evidence"] == expected
+
+
+def test_tail_descent_needs_two_steps():
+    # the tail bond doubles one coordinate and fixes the other: the images
+    # descend, but not by a scaling, so nothing is certified
+    z2 = free_group(2)
+    bond = ((2, 0), (0, 1))
+    t = Tower(levels=(z2,) * 3, bonds=(bond,) * 2, tail_level=z2, tail_bond=bond)
+    ses = build_paper_model(3)
+    for depth in (-1, 0, 1):
+        for call in (lambda: lim_tower(t, depth), lambda: lim1_tower(t, depth),
+                     lambda: six_term_check(ses, depth)):
+            with pytest.raises(PreconditionViolation, match="need depth >= 2"):
+                call()
+    for depth in (2, 3, 16):
+        rep = lim_tower(t, depth)
+        free, torsion = rep["truncated_lim"].invariants()
+        assert free == 2 and not torsion and not rep["stabilized"]
+        assert lim1_tower(t, depth)["verdict"] == "Undetermined"
+    assert not _strict_scaled_descent([]) and not _strict_scaled_descent([[[2, 0], [0, 1]]])

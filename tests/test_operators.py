@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corona_lab import (
     BlockStructure,
@@ -143,6 +145,47 @@ def test_stratify_random_certified():
                 else 0.0,
                 abs=1e-12,
             )
+
+
+@st.composite
+def _stratify_cases(draw):
+    """Mixed blocks of sizes 1-3; X with 3 or 4 intervals (where a dense
+    residual splits into blocks) or with many; X may end before the last
+    block, leaving rows and columns past the truncation; zero, banded,
+    80%-sparse or dense matrices."""
+    nb = draw(st.integers(4, 40))
+    blocks = BlockStructure(tuple(draw(st.lists(st.integers(1, 3), min_size=nb, max_size=nb))))
+    k = draw(st.one_of(st.sampled_from([3, 4]), st.integers(3, nb)))
+    last = draw(st.integers(k, nb))
+    inner = draw(st.lists(st.integers(1, last - 1), min_size=k - 1, max_size=k - 1, unique=True))
+    X = SparseSet(np.asarray(sorted(inner) + [last]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    D = blocks.dim
+    m = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    kind = draw(st.sampled_from(["zero", "banded", "sparse", "dense"]))
+    if kind == "zero":
+        m[:] = 0.0
+    elif kind == "banded":
+        m[np.abs(np.subtract.outer(np.arange(D), np.arange(D))) > draw(st.integers(1, 6))] = 0.0
+    elif kind == "sparse":
+        m[rng.random((D, D)) < 0.8] = 0.0
+    return m / max(op_norm(m), 1.0), X, blocks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_stratify_cases())
+def test_tail_bounds_are_the_full_tail_norms(case):
+    m, X, blocks = case
+    w = stratify_against(m, X, blocks)
+    off, nb = blocks.offsets, blocks.num_blocks
+    assert len(w.tail_bounds) == X.num_points
+    full = []
+    for n_i, b in zip(X.enumeration, w.tail_bounds):
+        tail = w.a[off[min(int(n_i), nb)]:, :]
+        full.append(op_norm(tail))
+        assert (b == 0.0) == (not np.any(tail))
+        assert b == pytest.approx(full[-1], rel=1e-13, abs=0.0)
+    assert w.tail_bound_ok() == all(b <= 2.0 ** (-i + 4) for i, b in enumerate(full))
 
 
 def _linear_scan_X(m, blocks):
