@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
@@ -131,7 +132,21 @@ def _emit(doc: dict, out: str | None) -> None:
         with open(out, "w") as fh:
             fh.writelines(pieces)
     else:
+        _to_stdout(pieces)
+
+
+def _to_stdout(pieces) -> None:
+    """Write text pieces to stdout.  A reader that leaves early
+    (``corona-lab tree | head -1``) ends the output, not the command: the
+    rest goes to the null device, so the flush at exit raises nothing and
+    the command returns its own exit code."""
+    try:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _config_echo(args) -> dict:
@@ -238,15 +253,15 @@ def cmd_sandwich(args) -> int:
         if not ok:
             violations += 1
         rows.append([delta, lower, sampled, 2 * delta, int(ok)])
-    target = args.out or None
-    fh = open(target, "w", newline="") if target else sys.stdout
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["delta", "lower", "sampled", "two_delta", "ok"])
-        writer.writerows(rows)
-    finally:
-        if target:
-            fh.close()
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["delta", "lower", "sampled", "two_delta", "ok"])
+    writer.writerows(rows)
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text.getvalue())
+    else:
+        _to_stdout([text.getvalue()])
     return 0 if violations == 0 else 1
 
 
@@ -358,6 +373,15 @@ def cmd_verify(args) -> int:
     return 0 if not failures else 1
 
 
+_FLAGS = {
+    "seed": {"type": int, "default": 0},
+    "horizon": {"type": int, "default": 100_000},
+    "depth": {"type": int, "default": 3},
+    "epsilon": {"type": float, "default": 0.1},
+    "j0": {"type": int, "default": 10},
+}
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared after it."""
@@ -368,16 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--horizon", type=int, default=100_000)
-        sp.add_argument("--depth", type=int, default=3)
-        sp.add_argument("--epsilon", type=float, default=0.1)
-        sp.add_argument("--j0", type=int, default=10)
+    def common(sp, *names):
+        # --out, and of the shared flags only those the subcommand reads
+        for name in names:
+            sp.add_argument(f"--{name}", **_FLAGS[name])
         sp.add_argument("--out", type=str, default=None)
 
     sp = sub.add_parser("tree", help="build the coherent binary tree with certificates")
-    common(sp)
+    common(sp, "horizon", "depth", "epsilon", "j0")
     sp.add_argument("--z-variant", action="store_true", dest="z_variant")
     sp.set_defaults(fn=cmd_tree)
 
@@ -387,20 +409,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_stratify)
 
     sp = sub.add_parser("sandwich", help="fuzz sweep of the conjugation norm sandwich")
-    common(sp)
+    common(sp, "seed")
     sp.add_argument("--model", choices=("blocks", "tent"), default="blocks")
     sp.add_argument("--samples", type=int, default=100)
     sp.add_argument("--self-test", action="store_true", dest="self_test")
     sp.set_defaults(fn=cmd_sandwich)
 
     sp = sub.add_parser("limits", help="inverse and first derived limits of towers")
-    common(sp)
+    common(sp, "depth")
     sp.add_argument("tower", nargs="?", default=None, help="tower JSON file")
     sp.add_argument("--paper-model", action="store_true", dest="paper_model")
     sp.set_defaults(fn=cmd_limits)
 
     sp = sub.add_parser("verify", help="run the cross-module invariant suites")
-    common(sp)
+    common(sp, "seed", "epsilon", "j0")
     sp.add_argument("--fast", action="store_true")
     sp.set_defaults(fn=cmd_verify)
 
@@ -409,16 +431,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    env_seed = os.environ.get("CORONA_LAB_SEED")
-    if env_seed is not None:
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print(f"bad CORONA_LAB_SEED: {env_seed!r}", file=sys.stderr)
+    if hasattr(args, "seed"):
+        env_seed = os.environ.get("CORONA_LAB_SEED")
+        if env_seed is not None:
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                print(f"bad CORONA_LAB_SEED: {env_seed!r}", file=sys.stderr)
+                return 2
+        if args.seed < 0:
+            print(f"seed must be >= 0, got {args.seed}", file=sys.stderr)
             return 2
-    if args.seed < 0:
-        print(f"seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except CoronaLabError as exc:

@@ -256,8 +256,12 @@ def lij_bound_check(
 def fuzz_lij(n: int, seed: int = 0, horizon: int = 16, set_size: int = 3) -> int:
     """Vectorized fuzz of the union bound; returns the number of violations.
 
-    Duplicated indices in the concatenation of I and J do not change maxima,
-    so the union distance is computed over the raw concatenation.
+    The four distances of a case are diameters of windows nested in the one
+    sequence gamma = pa - pb at I followed by J (duplicated indices do not
+    change maxima), so each case takes one table of |v_i - v_j| over those
+    points and reads them off it: the whole table, its I and J blocks, and
+    the entry at (i0, j0).  The table holds the same distances that
+    :func:`circle_diameters` computes for each window.
     """
     rng = np.random.default_rng(seed)
     pa = rng.uniform(0.0, TWO_PI, size=(n, horizon))
@@ -266,14 +270,13 @@ def fuzz_lij(n: int, seed: int = 0, horizon: int = 16, set_size: int = 3) -> int
     I = np.argsort(rng.random((n, horizon)), axis=1)[:, :set_size]
     J = np.argsort(rng.random((n, horizon)), axis=1)[:, :set_size]
     gamma = pa - pb
-    rows = np.arange(n)[:, None]
-
-    def delta(idx):
-        # per row, the distance over the indices idx[row]
-        k = idx.shape[1]
-        starts = np.arange(n) * k
-        return circle_diameters(gamma[rows, idx].ravel(), starts, starts + k)[0]
-
-    lhs = delta(np.concatenate([I, J], axis=1))
-    rhs = delta(I) + delta(J) + delta(np.stack([I[:, 0], J[:, 0]], axis=1))
+    v = np.exp(1j * gamma[np.arange(n)[:, None], np.concatenate([I, J], axis=1)])
+    dist = np.abs(v[:, :, None] - v[:, None, :])
+    k = set_size
+    lhs = dist.max(axis=(1, 2))
+    rhs = (
+        dist[:, :k, :k].max(axis=(1, 2))
+        + dist[:, k:, k:].max(axis=(1, 2))
+        + dist[:, 0, k]
+    )
     return int(np.sum(lhs > rhs + SLACK))

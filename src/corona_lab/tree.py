@@ -226,10 +226,12 @@ def sparsify_limit(
     K = len(alphas)
     if K != len(Xs) or K == 0:
         raise PreconditionViolation("need matching nonempty alphas and levels")
-    # coherence precondition between all pairs
+    # coherence precondition between all pairs, on the split profiles that
+    # the blocks below use too
+    profiles = {}
     for n in range(K):
         for k in range(n + 1, K):
-            prof = fx_profile(alphas[k].mul(alphas[n].inverse()), Xs[n])
+            prof = profiles[(n, k)] = _pair_profiles(alphas[k], alphas[n], Xs[n])
             if not prof.in_fx(eps, j0):
                 raise PreconditionViolation(
                     f"inputs {n} and {k} not coherent at eps={eps}, j0={j0}"
@@ -238,11 +240,8 @@ def sparsify_limit(
     if K == 1:
         x_inf = Xs[0]
         return LimitSparsification(x_inf=x_inf, checks=(), max_ratio=0.0)
-
-    profiles = {}
     for k in range(K):
-        for n in range(k + 1):
-            profiles[(n, k)] = _pair_profiles(alphas[k], alphas[n], Xs[n])
+        profiles[(k, k)] = _pair_profiles(alphas[k], alphas[k], Xs[k])
 
     bounds = []
     prev = 0
@@ -372,7 +371,15 @@ def build_tree(
     j0: int = 10,
 ) -> CoherenceTree:
     """Grow the full binary tree of the given depth over the chain and verify
-    every certificate; any failure aborts with the failing pair identified."""
+    every certificate; any failure aborts with the failing pair identified.
+
+    The coherence difference of an ancestor pair (s, t), with s = t[:cut],
+    is the product of the witnesses w_k at the positions k >= cut where t
+    has a 1, so it depends only on (cut, t[cut:] without trailing zeros).
+    Each such key is profiled once, from the first pair that has it, and
+    every later pair with that key reuses the profile: 2^(depth+1) - 2
+    profiles for the 2^(depth+1)(depth-1) + 2 certificates.
+    """
     check_tolerance(eps, j0)
     if depth > chain.depth:
         raise PreconditionViolation(
@@ -397,15 +404,21 @@ def build_tree(
             )
 
     certs = []
-    # ancestor coherence, profiled against the ancestor's own level
+    # ancestor coherence, profiled against the ancestor's own level, once
+    # per distinct difference
+    verdicts = {}
     for label_t, node_t in nodes.items():
         for cut in range(len(label_t)):
             label_s = label_t[:cut]
-            node_s = nodes[label_s]
-            diff = node_s.alpha.mul(node_t.alpha.inverse())
-            prof = fx_profile(diff, chain.levels[cut])
-            holds = prof.in_fx(eps, j0)
-            tail_max = float(prof.d[j0:].max()) if prof.d.size > j0 else 0.0
+            key = (cut, label_t[cut:].rstrip("0"))
+            if key not in verdicts:
+                diff = nodes[label_s].alpha.mul(node_t.alpha.inverse())
+                prof = fx_profile(diff, chain.levels[cut])
+                verdicts[key] = (
+                    prof.in_fx(eps, j0),
+                    float(prof.d[j0:].max()) if prof.d.size > j0 else 0.0,
+                )
+            holds, tail_max = verdicts[key]
             certs.append(
                 Certificate(
                     kind="coherence",

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from corona_lab import cli
 from corona_lab.cli import main
 from corona_lab.limits import constant_tower, free_group, tower_to_json
 from corona_lab.operators import save_matrix
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -90,10 +96,57 @@ def test_invalid_input_exits_2(tmp_path, command, text, flags):
     assert run([command, *inputs, *flags, "--out", str(tmp_path / "out")]) == 2
 
 
+# each subcommand takes only the flags it reads; the rest are usage errors
+_DROPPED = {
+    "tree": ["--seed"],
+    "stratify": ["--seed", "--horizon", "--depth", "--epsilon", "--j0"],
+    "sandwich": ["--horizon", "--depth", "--epsilon", "--j0"],
+    "limits": ["--seed", "--horizon", "--epsilon", "--j0"],
+    "verify": ["--horizon", "--depth"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, flags in _DROPPED.items() for f in flags]
+)
+def test_unread_flags_exit_2(tmp_path, command, flag):
+    inputs = [str(tmp_path / "m.txt")] if command == "stratify" else []
+    with pytest.raises(SystemExit) as exc:
+        run([command, *inputs, flag, "1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tree", "--depth", "1", "--horizon", "3000"],
+        ["sandwich", "--samples", "2"],
+        ["limits", "--paper-model"],
+    ],
+    ids=["tree", "sandwich", "limits"],
+)
+def test_closed_stdout_keeps_exit_code(argv):
+    # `corona-lab tree | head -1`: the reader is gone before the output ends
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "corona_lab.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
 def test_tree_determinism(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    run(["tree", "--depth", "1", "--horizon", "3000", "--seed", "7", "--out", str(a)])
-    run(["tree", "--depth", "1", "--horizon", "3000", "--seed", "7", "--out", str(b)])
+    run(["tree", "--depth", "1", "--horizon", "3000", "--out", str(a)])
+    run(["tree", "--depth", "1", "--horizon", "3000", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
 
 

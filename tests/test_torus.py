@@ -130,6 +130,38 @@ def test_lij_fuzz_small():
     assert fuzz_lij(5000, seed=11) == 0
 
 
+def _fuzz_lij_reference(n, seed, slack, horizon=16, set_size=3):
+    # the same draws, each distance from its own circle_diameters call
+    rng = np.random.default_rng(seed)
+    pa = rng.uniform(0.0, 2 * np.pi, size=(n, horizon))
+    pb = rng.uniform(0.0, 2 * np.pi, size=(n, horizon))
+    I = np.argsort(rng.random((n, horizon)), axis=1)[:, :set_size]
+    J = np.argsort(rng.random((n, horizon)), axis=1)[:, :set_size]
+    gamma = pa - pb
+    rows = np.arange(n)[:, None]
+
+    def delta(idx):
+        k = idx.shape[1]
+        starts = np.arange(n) * k
+        return circle_diameters(gamma[rows, idx].ravel(), starts, starts + k)[0]
+
+    lhs = delta(np.concatenate([I, J], axis=1))
+    rhs = delta(I) + delta(J) + delta(np.stack([I[:, 0], J[:, 0]], axis=1))
+    return int(np.sum(lhs > rhs + slack))
+
+
+@pytest.mark.parametrize("slack", [SLACK, -0.25, -0.5, -1.0])
+@pytest.mark.parametrize("seed, horizon, set_size", [(0, 16, 3), (7, 8, 4), (3, 6, 2)])
+def test_lij_fuzz_matches_four_diameter_reference(monkeypatch, slack, seed, horizon, set_size):
+    # a negative slack counts near-tight cases, so the counts are not all 0
+    from corona_lab import torus
+
+    monkeypatch.setattr(torus, "SLACK", slack)
+    want = _fuzz_lij_reference(3000, seed, slack, horizon, set_size)
+    assert fuzz_lij(3000, seed=seed, horizon=horizon, set_size=set_size) == want
+    assert want > 0 or slack > 0
+
+
 def test_index_set_invariants():
     s = IndexSet((3, 1, 2))
     assert list(s) == [1, 2, 3]

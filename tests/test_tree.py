@@ -19,6 +19,7 @@ from corona_lab import (
     sparsify_limit,
     successor_witness,
 )
+from corona_lab import tree as tree_mod
 from corona_lab.partitions import interval, n_of
 from corona_lab.tree import ScheduleEntry
 
@@ -175,6 +176,27 @@ def test_sparsify_limit_branch_recheck():
                 assert delta_one(diff, [a, b]) < 1.0 / k
 
 
+def _count_fx_profile(monkeypatch):
+    calls = []
+    profile = tree_mod.fx_profile
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return profile(*args, **kw)
+
+    monkeypatch.setattr(tree_mod, "fx_profile", counted)
+    return calls
+
+
+def test_sparsify_limit_profiles_each_pair_once(monkeypatch):
+    chain = generate_chain(2, 20000, [32, 36])
+    _, alphas = _branch(chain, 2, eps=0.15, j0=10)
+    calls = _count_fx_profile(monkeypatch)
+    sparsify_limit([constant_one(chain.horizon)] + alphas, list(chain.levels), eps=0.15, j0=10)
+    # the three pairs n < k and the three diagonal pairs, once each
+    assert len(calls) == 6
+
+
 def test_sparsify_limit_incoherent_rejected():
     X0 = SparseSet(np.arange(1, 40))
     X1 = SparseSet(np.arange(2, 40, 2))
@@ -255,6 +277,39 @@ def test_tree_coherence_transport():
     p01 = fx_profile(a0.mul(a1.inverse()), X).d
     p12 = fx_profile(a1.mul(a2.inverse()), X).d
     assert np.all(p02 <= p01 + p12 + 1e-12)
+
+
+_TREE_CONFIGS = [(d, z) for d in (2, 3, 4) for z in (False, True)]
+
+
+@pytest.mark.parametrize("tail", ["j0-10", "past-w0"])
+@pytest.mark.parametrize("depth, z_variant", _TREE_CONFIGS)
+def test_coherence_certificates_match_their_own_pairs(depth, z_variant, tail):
+    # each certificate against the profile of its own pair's difference
+    chain = generate_chain(depth, 5000, [32, 36, 40, 48][:depth])
+    tree = build_tree(chain, depth, z_variant=z_variant)
+    j0 = 10
+    if tail == "past-w0":
+        # the tail of level 0 starts past the jumps of the level-0 witness,
+        # while later witnesses still jump inside the tails of their levels
+        j0 = int(np.nonzero(fx_profile(tree.nodes["1"].alpha, chain.levels[0]).d)[0].max()) + 1
+        tree = build_tree(chain, depth, z_variant=z_variant, j0=j0)
+    coh = [c.payload for c in tree.certificates if c.kind == "coherence"]
+    assert len(coh) == (depth - 1) * 2 ** (depth + 1) + 2
+    for c in coh:
+        diff = tree.nodes[c["s"]].alpha.mul(tree.nodes[c["t"]].alpha.inverse())
+        d = fx_profile(diff, chain.levels[len(c["s"])]).d[j0:]
+        assert abs(c["tail_max"] - (d.max() if d.size else 0.0)) <= 1e-13
+        assert c["holds"] == bool(np.all(d <= 0.1))
+
+
+@pytest.mark.parametrize("depth, z_variant", [(0, False), (1, False)] + _TREE_CONFIGS)
+def test_build_tree_profiles_each_difference_once(monkeypatch, depth, z_variant):
+    chain = generate_chain(depth, 5000, [32, 36, 40, 48][: max(depth, 1)])
+    calls = _count_fx_profile(monkeypatch)
+    build_tree(chain, depth, z_variant=z_variant)
+    # one profile per (cut, t[cut:] without trailing zeros)
+    assert len(calls) == 2 ** (depth + 1) - 2
 
 
 def test_tree_depth_exceeds_chain():
