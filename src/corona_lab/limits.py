@@ -4,7 +4,8 @@ All computation is exact over arbitrary-precision integers.  Groups are
 presented as Z^rank modulo the column span of a relation matrix.  Hermite
 normal form, a canonical lattice basis whose entries stay small, answers
 every kernel, image, membership and image-stabilization question; Smith
-normal form is used only where invariant factors are the answer.
+normal form, reached by alternating row and column Hermite forms, is used
+only where invariant factors are the answer.
 
 Groups and towers are frozen dataclasses of integer tuples, so each one
 computes an exact verdict about itself (invariants, validity, flasqueness,
@@ -47,7 +48,7 @@ def mat_zero(m, n):
 
 def mat_mul(A, B):
     if not A or not B:
-        return []
+        return [[] for _ in A]
     ma, na = len(A), len(A[0])
     nb = len(B[0]) if B else 0
     if na != len(B):
@@ -111,96 +112,51 @@ def det_int(A):
 def smith_normal_form(M):
     """U, S, V with U M V = S diagonal, d_1 | d_2 | ...; U, V unimodular.
 
+    Hermite forms alternate on the columns and on the rows until S is
+    diagonal; where some d_t does not divide d_(t+1), row t+1 is added to
+    row t and the forms resume.  The loop ends.  Each Hermite form replaces
+    the leading entry of the block not yet diagonal by the gcd of its row
+    (or column), a divisor of itself; when the gcd is the entry itself, the
+    form clears that row and column, and the block shrinks.  A repair lowers
+    d_t to gcd(d_t, d_(t+1)) < d_t and keeps d_1 .. d_(t-1).  So the diagonal
+    falls in the lexicographic order of positive integers.
+
     The postcondition (product identity and |det| = 1) is re-verified before
     returning.
     """
     A = _as_mat(M)
     m = len(A)
     n = len(A[0]) if A else 0
-    U = mat_id(m)
-    V = mat_id(n)
-    t = 0
-    while t < min(m, n):
-        # locate a pivot of minimal absolute value
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] != 0 and (piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != t:
-            A[t], A[i0] = A[i0], A[t]
-            U[t], U[i0] = U[i0], U[t]
-        if j0 != t:
-            for row in A:
-                row[t], row[j0] = row[j0], row[t]
-            for row in V:
-                row[t], row[j0] = row[j0], row[t]
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    for j in range(n):
-                        A[i][j] -= q * A[t][j]
-                    for j in range(m):
-                        U[i][j] -= q * U[t][j]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        U[t], U[i] = U[i], U[t]
-                        dirty = True
-            # clear row t
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    for i in range(m):
-                        A[i][j] -= q * A[i][t]
-                    for i in range(n):
-                        V[i][j] -= q * V[i][t]
-                    if A[t][j]:
-                        for i in range(m):
-                            A[i][t], A[i][j] = A[i][j], A[i][t]
-                        for i in range(n):
-                            V[i][t], V[i][j] = V[i][j], V[i][t]
-                        dirty = True
-            if not dirty and all(A[i][t] == 0 for i in range(t + 1, m)):
+    # rows of S are replaced, never changed in place, so A stays M for the check
+    U, S, V = mat_id(m), A[:], mat_id(n)
+    while True:
+        d = [row[i] for i, row in enumerate(S) if i < len(row)]
+        if min(d, default=0) >= 0 and sum(d) == sum(abs(x) for row in S for x in row):
+            # S is diagonal: repair the first d_t that does not divide d_(t+1)
+            bad = (t for t in range(len(d) - 1) if (d[t + 1] % d[t] if d[t] else d[t + 1]))
+            t = next(bad, None)
+            if t is None:
                 break
-        # divisibility: fold any non-multiple into the pivot and redo
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            for j in range(n):
-                A[t][j] += A[bad][j]
-            for j in range(m):
-                U[t][j] += U[bad][j]
-            continue
-        if A[t][t] < 0:
-            for j in range(n):
-                A[t][j] = -A[t][j]
-            for j in range(m):
-                U[t][j] = -U[t][j]
-        t += 1
-    S = A
+            S[t] = [a + b for a, b in zip(S[t], S[t + 1])]
+            U[t] = [a + b for a, b in zip(U[t], U[t + 1])]
+        St, Vt = _hermite_step(mat_t(S), mat_t(V))
+        S, V = mat_t(St), mat_t(Vt)
+        S, U = _hermite_step(S, U)
     # verify the postcondition exactly
-    if mat_mul(mat_mul(U, _as_mat(M)), V) != S:
+    if mat_mul(mat_mul(U, A), V) != S:
         raise PreconditionViolation("normal form verification failed")
     if abs(det_int(U)) != 1 or abs(det_int(V)) != 1:
         raise PreconditionViolation("transform matrices are not unimodular")
     return U, S, V
 
 
-def snf_diagonal(M):
-    _, S, _ = smith_normal_form(M)
-    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
+def _hermite_step(S, U):
+    """(H, W U): the row Hermite form H of S with all its rows kept, and U
+    moved by the unimodular W with W S = H.  Both are read off the Hermite
+    form of [S | U], which keeps every row because U is unimodular."""
+    n = len(S[0])
+    HU = row_hermite(mat_hstack(S, U))
+    return [row[:n] for row in HU], [row[n:] for row in HU]
 
 
 def row_hermite(M):
@@ -304,15 +260,9 @@ class AbGroupPresentation:
 
     @cached_property
     def _invariants(self):
-        if self.rank == 0:
-            return (0, ())
-        if not self.relations or not self.relations[0]:
-            return (self.rank, ())
-        diag = snf_diagonal(self.rel_mat)
-        nonzero = [d for d in diag if d != 0]
-        free = self.rank - len(nonzero)
-        torsion = tuple(d for d in nonzero if d > 1)
-        return (free, torsion)
+        _, S, _ = smith_normal_form(self.rel_mat)
+        nonzero = [x for row in S for x in row if x]  # S is diagonal
+        return (self.rank - len(nonzero), tuple(d for d in nonzero if d > 1))
 
     def canonical(self) -> "AbGroupPresentation":
         free, torsion = self.invariants()
@@ -483,10 +433,7 @@ def _tail_is_free_injective(T: Tower):
     if lv.relations and any(any(row) for row in lv.relations):
         return None
     M = [list(r) for r in T.tail_bond]
-    diag = snf_diagonal(M) if lv.rank else []
-    if len(diag) < lv.rank or any(d == 0 for d in diag):
-        return None
-    return M
+    return None if det_int(M) == 0 else M
 
 
 def _image_chain(M, rank: int, depth: int):
@@ -647,8 +594,7 @@ def _bond_surjective(bond, src: AbGroupPresentation, dst: AbGroupPresentation) -
     bond's columns and the relations span all of Z^r_dst."""
     if dst.rank == 0:
         return True
-    span = mat_hstack(bond, dst.rel_mat) if dst.relations and dst.relations[0] else bond
-    return col_hermite(span) == mat_id(dst.rank)
+    return col_hermite(mat_hstack(bond, dst.rel_mat)) == mat_id(dst.rank)
 
 
 def _bond_injective(bond, src: AbGroupPresentation, dst: AbGroupPresentation) -> bool:
@@ -656,11 +602,10 @@ def _bond_injective(bond, src: AbGroupPresentation, dst: AbGroupPresentation) ->
     in src relations."""
     if src.rank == 0:
         return True
-    aug = mat_hstack(bond, dst.rel_mat) if dst.relations and dst.relations[0] else bond
-    K = kernel_basis(aug)
+    K = kernel_basis(mat_hstack(bond, dst.rel_mat))
     # the src-coordinate projection of the kernel
     proj = [K[i] for i in range(src.rank)] if K else mat_zero(src.rank, 0)
-    return lattice_leq(proj, src.rel_mat if src.relations and src.relations[0] else mat_zero(src.rank, 0))
+    return lattice_leq(proj, src.rel_mat)
 
 
 def flasque_check(T: Tower) -> bool:
@@ -729,22 +674,18 @@ class SesTower:
         fn, tn, gn = self.F.levels[n], self.T.levels[n], self.G.levels[n]
         iota = [list(r) for r in self.iotas[n]]
         sigma = [list(r) for r in self.sigmas[n]]
-        t_rel = tn.rel_mat if tn.relations and tn.relations[0] else mat_zero(tn.rank, 0)
-        image = mat_hstack(iota, t_rel)
-        aug = mat_hstack(sigma, gn.rel_mat) if gn.relations and gn.relations[0] else sigma
-        K = kernel_basis(aug)
+        image = mat_hstack(iota, tn.rel_mat)
+        K = kernel_basis(mat_hstack(sigma, gn.rel_mat))
         kproj = [K[i] for i in range(tn.rank)] if K else mat_zero(tn.rank, 0)
-        kernel = mat_hstack(kproj, t_rel)
+        kernel = mat_hstack(kproj, tn.rel_mat)
         return lattice_equal(image, kernel)
 
     def _check_square(self, n: int) -> None:
         bf = [list(r) for r in self.F.bonds[n]]
         bt = [list(r) for r in self.T.bonds[n]]
         bg = [list(r) for r in self.G.bonds[n]]
-        tn = self.T.levels[n]
-        gn = self.G.levels[n]
-        t_rel = tn.rel_mat if tn.relations and tn.relations[0] else mat_zero(tn.rank, 0)
-        g_rel = gn.rel_mat if gn.relations and gn.relations[0] else mat_zero(gn.rank, 0)
+        t_rel = self.T.levels[n].rel_mat
+        g_rel = self.G.levels[n].rel_mat
         left = mat_mul([list(r) for r in self.iotas[n]], bf)
         right = mat_mul(bt, [list(r) for r in self.iotas[n + 1]])
         diff = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(left, right)]

@@ -240,15 +240,13 @@ def sparsify_limit(
     if K == 1:
         x_inf = Xs[0]
         return LimitSparsification(x_inf=x_inf, checks=(), max_ratio=0.0)
-    for k in range(K):
-        profiles[(k, k)] = _pair_profiles(alphas[k], alphas[k], Xs[k])
 
     bounds = []
     prev = 0
     for k in range(1, K):
         th = 1.0 / k
         last_bad = 0
-        for n in range(k + 1):
+        for n in range(k):
             prof = profiles[(n, k)]
             pts = Xs[n].enumeration
             bad = np.nonzero(
@@ -276,7 +274,7 @@ def sparsify_limit(
     for k in range(1, K):
         lo, hi = int(inf_pts[k]), int(inf_pts[k + 1])
         th = 1.0 / k
-        for n in range(k + 1):
+        for n in range(k):
             prof = profiles[(n, k)]
             pts = Xs[n].enumeration
             inside = np.nonzero((pts[:-2] >= lo) & (pts[1:-1] <= hi))[0]

@@ -193,8 +193,17 @@ def test_sparsify_limit_profiles_each_pair_once(monkeypatch):
     _, alphas = _branch(chain, 2, eps=0.15, j0=10)
     calls = _count_fx_profile(monkeypatch)
     sparsify_limit([constant_one(chain.horizon)] + alphas, list(chain.levels), eps=0.15, j0=10)
-    # the three pairs n < k and the three diagonal pairs, once each
-    assert len(calls) == 6
+    # the three pairs n < k, once each
+    assert len(calls) == 3
+
+
+def test_sparsify_limit_checks_only_earlier_levels():
+    # (k, k) compares an element with itself; no check is made of it
+    chain = generate_chain(3, 20000, [32, 36, 40])
+    _, alphas = _branch(chain, 3, eps=0.15, j0=10)
+    alphas = [constant_one(chain.horizon)] + alphas
+    out = sparsify_limit(alphas, list(chain.levels), eps=0.15, j0=10)
+    assert out.checks and all(c["n"] < c["k"] for c in out.checks)
 
 
 def test_sparsify_limit_incoherent_rejected():
