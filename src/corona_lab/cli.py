@@ -30,7 +30,7 @@ from .operators import (
     stratify,
 )
 from .partitions import check_tolerance
-from .torus import TorusElement, fuzz_lij
+from .torus import RunList, TorusElement, fuzz_lij
 from .tree import build_tree, generate_chain
 from .weak_units import (
     build_tent_unit,
@@ -41,10 +41,6 @@ from .weak_units import (
 )
 
 DEFAULT_SCHEDULE = (32, 36, 40, 48)
-
-#: shortest float list that :func:`_emit` formats by runs; on shorter lists
-#: finding the runs costs more than formatting every item
-RUN_LIST_MIN = 64
 
 
 def _float(x: float) -> str:
@@ -74,26 +70,10 @@ def _scalar(x) -> str | None:
     return None
 
 
-def _leaf_texts(xs) -> list | None:
-    """JSON texts of the items of a list of ints or of floats; None for any
-    other list.  A long list of floats is formatted once per run of
-    bitwise-equal values (so -0.0 and 0.0 stay apart), then expanded."""
-    kinds = set(map(type, xs))
-    if kinds == {int}:
-        return list(map(int.__repr__, xs))
-    if kinds != {float}:
-        return None
-    if len(xs) < RUN_LIST_MIN:
-        return list(map(_float, xs))
-    bits = np.array(xs).view(np.int64)
-    firsts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    texts = np.array([_float(xs[k]) for k in firsts], dtype=object)
-    return np.repeat(texts, np.diff(firsts, append=len(xs))).tolist()
-
-
-def _encode(x, level: int, out: list) -> None:
+def _encode(x, level: int, out: list, texts: dict) -> None:
     """Append the text of ``json.dumps(x, indent=2, sort_keys=True)``, nested
-    ``level`` deep, to ``out`` in pieces."""
+    ``level`` deep, to ``out`` in pieces.  ``texts`` maps the run values of
+    :class:`RunList` items formatted so far to their texts."""
     text = _scalar(x)
     if text is not None:
         out.append(text)
@@ -108,25 +88,43 @@ def _encode(x, level: int, out: list) -> None:
         for k, (key, value) in enumerate(sorted(x.items())):
             key = encode_basestring_ascii(key if isinstance(key, str) else _scalar(key))
             out.append(("," if k else "{") + pad + key + ": ")
-            _encode(value, level + 1, out)
+            _encode(value, level + 1, out, texts)
         out.append("\n" + "  " * level + "}")
         return
-    texts = _leaf_texts(x)
-    if texts is not None:
-        out += ["[" + pad, ("," + pad).join(texts)]
+    sep = "," + pad
+    out.append("[" + pad)
+    if isinstance(x, RunList):
+        # one piece per run; the last item takes no separator
+        values, counts = x.runs
+        for value, count in zip(values, counts):
+            text = texts.get(value)
+            if text is None:
+                text = _float(value)
+                if value:  # 0.0 and -0.0 are one key with two texts
+                    texts[value] = text
+            out.append((text + sep) * count)
+        out[-1] = out[-1][: -len(sep)]
     else:
-        for k, value in enumerate(x):
-            out.append(("," if k else "[") + pad)
-            _encode(value, level + 1, out)
+        # int lists, such as the points of a tree level (up to one per
+        # sample), skip the type tests of _scalar
+        fmt = int.__repr__ if set(map(type, x)) == {int} else _scalar
+        items = list(map(fmt, x))
+        if None not in items:
+            out.append(sep.join(items))
+        else:
+            for k, value in enumerate(x):
+                if k:
+                    out.append(sep)
+                _encode(value, level + 1, out, texts)
     out.append("\n" + "  " * level + "]")
 
 
 def _emit(doc: dict, out: str | None) -> None:
     """Write ``doc`` as ``json.dumps(doc, indent=2, sort_keys=True)`` would,
-    byte for byte, at a cost that follows the runs of equal floats in its
-    lists rather than their length."""
+    byte for byte.  A :class:`RunList` costs one formatted text per run,
+    not per item."""
     pieces = []
-    _encode(doc, 0, pieces)
+    _encode(doc, 0, pieces, {})
     pieces.append("\n")
     if out:
         with open(out, "w") as fh:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HorizonTooSmall, PreconditionViolation, TruncationExceeded
-from .torus import TorusElement, circle_diameters
+from .torus import TorusElement
 
 
 @dataclass(frozen=True)
@@ -190,19 +190,20 @@ class FxProfile:
 
 
 def fx_profile(alpha: TorusElement, X: SparseSet, split: bool = False) -> FxProfile:
-    """All double-interval distances of ``alpha`` to one, computable at horizon."""
+    """All double-interval distances of ``alpha`` to one, computable at horizon.
+
+    Each window's distance is the diameter of the runs of ``alpha`` that it
+    meets, so the cost follows the points of ``X`` and the runs, not the
+    samples."""
     pts = X.enumeration
     if int(pts[-1]) > alpha.horizon:
         raise HorizonTooSmall(
             f"sparse set ends at {int(pts[-1])} past horizon {alpha.horizon}",
             min_horizon=int(pts[-1]),
         )
-    phases = alpha.phases
-    d = circle_diameters(phases, pts[:-2], pts[2:])[0]
+    d = alpha.window_diameters(pts[:-2], pts[2:])
     if not split:
         return FxProfile(d=d)
-    d_single = circle_diameters(phases, pts[:-1], pts[1:])[0]
-    d_end = np.abs(
-        np.exp(1j * phases[pts[:-2]]) - np.exp(1j * phases[pts[1:-1]])
-    )
-    return FxProfile(d=d, d_single=d_single, d_endpoints=d_end)
+    d_single = alpha.window_diameters(pts[:-1], pts[1:])
+    v = alpha.values(pts[:-1])
+    return FxProfile(d=d, d_single=d_single, d_endpoints=np.abs(v[:-1] - v[1:]))

@@ -1,16 +1,18 @@
 """Pseudometric calculus on finite-horizon unimodular sequences.
 
-A sequence is stored as an array of phases, so every represented value has
-modulus one by construction.  The distance between two sequences over a finite
-index set is the largest deviation of their relative phases over pairs of
-indices; against the constant-one sequence it is the diameter of the value set
-on those indices.
+A sequence is stored as phases, one per run of equal values, so every
+represented value has modulus one by construction.  The distance between two
+sequences over a finite index set is the largest deviation of their relative
+phases over pairs of indices; against the constant-one sequence it is the
+diameter of the value set on those indices.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable
 
 import numpy as np
@@ -29,52 +31,116 @@ TAIL_CONSTANT = "constant"
 TAIL_NONE = "none"
 
 
-@dataclass(frozen=True)
-class TorusElement:
-    """Finite-horizon sequence of points on the unit circle, stored as phases.
+class RunList(list):
+    """A list of floats that also carries its runs: ``runs`` is the pair
+    (values, counts) of lists, and the list holds each value ``count`` times
+    in turn.  ``json.dumps``, ``==`` and readers see the plain list, while
+    the CLI's emitter formats each run once.  ``runs`` is a snapshot: it does
+    not follow later changes to the list."""
 
+    def __init__(self, values: np.ndarray, counts: np.ndarray):
+        self.runs = (values.tolist(), counts.tolist())
+        super().__init__(chain.from_iterable(map(repeat, *self.runs)))
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class TorusElement:
+    """Finite-horizon sequence of points on the unit circle, stored as a step
+    function: run k holds the phase ``run_phases[k]``, reduced mod 2π, from
+    index ``starts[k]`` up to the next start (the last run up to
+    ``horizon``).  ``starts[0]`` is 0, and neighbouring runs differ bitwise.
+
+    ``TorusElement(phases, tail=...)`` takes one phase per index and
+    :meth:`from_runs` takes runs; both give the same phase per index.
     ``tail`` controls queries past the horizon: ``"constant"`` repeats the
     last phase, ``"none"`` raises :class:`IndexOutOfRange`.
     """
 
-    phases: np.ndarray
-    tail: str = TAIL_CONSTANT
+    starts: np.ndarray
+    run_phases: np.ndarray
+    horizon: int
+    tail: str
 
-    def __post_init__(self):
-        ph = np.asarray(self.phases, dtype=float)
+    def __init__(self, phases, tail: str = TAIL_CONSTANT):
+        ph = np.asarray(phases, dtype=float)
         if ph.ndim != 1 or ph.size < 1:
             raise PreconditionViolation("phases must be a 1-D array of length >= 1")
+        self._assign(np.arange(ph.size), ph, ph.size, tail)
+
+    @classmethod
+    def from_runs(
+        cls, starts, phases, horizon: int, tail: str = TAIL_CONSTANT
+    ) -> "TorusElement":
+        """The element with phase ``phases[k]`` from index ``starts[k]`` up to
+        the next start; ``starts`` increases strictly from 0 and stays below
+        ``horizon``."""
+        element = cls.__new__(cls)
+        element._assign(starts, phases, horizon, tail)
+        return element
+
+    def _assign(self, starts, phases, horizon, tail) -> None:
+        object.__setattr__(self, "starts", np.asarray(starts, dtype=np.int64))
+        object.__setattr__(self, "run_phases", np.asarray(phases, dtype=float))
+        object.__setattr__(self, "horizon", int(horizon))
+        object.__setattr__(self, "tail", tail)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the runs, reduce their phases mod 2π and merge neighbouring
+        runs that became bitwise equal."""
         if self.tail not in (TAIL_CONSTANT, TAIL_NONE):
             raise PreconditionViolation(f"unknown tail convention {self.tail!r}")
-        ph = np.mod(ph, TWO_PI)
+        starts = self.starts
+        if (
+            starts.ndim != 1
+            or starts.shape != self.run_phases.shape
+            or starts.size < 1
+            or starts[0] != 0
+            or starts[-1] >= self.horizon
+            or np.any(starts[1:] <= starts[:-1])
+        ):
+            raise PreconditionViolation(
+                "runs must start at 0 and increase strictly below the horizon"
+            )
+        ph = np.mod(self.run_phases, TWO_PI)
+        bits = ph.view(np.int64)
+        keep = np.concatenate(([True], bits[1:] != bits[:-1]))
+        starts, ph = starts[keep], ph[keep]
+        starts.setflags(write=False)
         ph.setflags(write=False)
-        object.__setattr__(self, "phases", ph)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "run_phases", ph)
 
-    @property
-    def horizon(self) -> int:
-        return int(self.phases.size)
+    @cached_property
+    def phases(self) -> np.ndarray:
+        """One phase per index below the horizon, read-only; built on the
+        first request."""
+        ph = np.repeat(self.run_phases, np.diff(self.starts, append=self.horizon))
+        ph.setflags(write=False)
+        return ph
+
+    def run_index(self, indices) -> np.ndarray:
+        """The run holding each index: the last run past the horizon, and -1
+        below 0."""
+        return np.searchsorted(self.starts, indices, side="right") - 1
 
     def phase(self, i: int) -> float:
         if i < 0:
             raise IndexOutOfRange(f"negative index {i}")
-        if i >= self.horizon:
-            if self.tail == TAIL_CONSTANT:
-                return float(self.phases[-1])
+        if i >= self.horizon and self.tail != TAIL_CONSTANT:
             raise IndexOutOfRange(f"index {i} beyond horizon {self.horizon}")
-        return float(self.phases[i])
+        return float(self.run_phases[self.run_index(i)])
 
     def phase_at(self, indices) -> np.ndarray:
         """Phases at the given indices, honoring the tail convention."""
         idx = np.asarray(indices, dtype=int)
         if idx.size and idx.min() < 0:
             raise IndexOutOfRange("negative index")
-        if idx.size and idx.max() >= self.horizon:
-            if self.tail != TAIL_CONSTANT:
-                raise IndexOutOfRange(
-                    f"index {int(idx.max())} beyond horizon {self.horizon}"
-                )
-            idx = np.minimum(idx, self.horizon - 1)
-        return self.phases[idx]
+        if idx.size and idx.max() >= self.horizon and self.tail != TAIL_CONSTANT:
+            raise IndexOutOfRange(
+                f"index {int(idx.max())} beyond horizon {self.horizon}"
+            )
+        return self.run_phases[self.run_index(idx)]
 
     def value(self, i: int) -> complex:
         return complex(np.exp(1j * self.phase(i)))
@@ -82,27 +148,46 @@ class TorusElement:
     def values(self, indices) -> np.ndarray:
         return np.exp(1j * self.phase_at(indices))
 
+    def window_diameters(self, starts, ends) -> np.ndarray:
+        """Diameter of the value set on every window [s, e) of indices, with
+        s < e <= horizon: the diameter of the run phases the window meets."""
+        first = self.run_index(starts)
+        stop = self.run_index(np.asarray(ends) - 1) + 1
+        # most windows lie within one run, where the diameter is 0
+        d = np.zeros(first.size)
+        meets = stop - first > 1
+        d[meets] = circle_diameters(self.run_phases, first[meets], stop[meets])[0]
+        return d
+
     # --- group structure (pointwise multiplication on the circle) ---
 
     def mul(self, other: "TorusElement") -> "TorusElement":
         h = max(self.horizon, other.horizon)
-        a = self.phase_at(np.arange(h))
-        b = other.phase_at(np.arange(h))
-        return TorusElement(a + b, tail=self.tail)
+        for element in (self, other):
+            element.phase_at([h - 1])  # raises past a horizon without a tail
+        starts = np.union1d(self.starts, other.starts)
+        return TorusElement.from_runs(
+            starts, self.phase_at(starts) + other.phase_at(starts), h, self.tail
+        )
 
     def inverse(self) -> "TorusElement":
-        return TorusElement(-self.phases, tail=self.tail)
+        return TorusElement.from_runs(
+            self.starts, -self.run_phases, self.horizon, self.tail
+        )
 
     def scaled(self, c: float) -> "TorusElement":
         """Multiply by the unimodular constant with phase ``c``."""
-        return TorusElement(self.phases + c, tail=self.tail)
+        return TorusElement.from_runs(
+            self.starts, self.run_phases + c, self.horizon, self.tail
+        )
 
     # --- serialization ---
 
     def to_json(self) -> dict:
+        counts = np.diff(self.starts, append=self.horizon)
         return {
             "horizon": self.horizon,
-            "phases": self.phases.tolist(),
+            "phases": RunList(self.run_phases, counts),
             "tail": self.tail,
         }
 
@@ -120,7 +205,7 @@ class TorusElement:
 
 def constant_one(horizon: int) -> TorusElement:
     """The zero-phase sequence of the given horizon."""
-    return TorusElement(np.zeros(horizon))
+    return TorusElement.from_runs([0], [0.0], horizon)
 
 
 @dataclass(frozen=True)

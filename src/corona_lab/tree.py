@@ -23,7 +23,7 @@ from .errors import (
     PreconditionViolation,
 )
 from .partitions import SparseSet, check_tolerance, fx_profile, n_of
-from .torus import TorusElement, circle_diameters, constant_one
+from .torus import TorusElement, constant_one
 
 DIVERGENCE_TOL = 1e-9
 
@@ -122,24 +122,31 @@ def _try_build_chain(depth, horizon, m_schedule):
 
 
 def min_sufficient_horizon(depth: int, m_schedule) -> int:
-    """Smallest horizon for which the chain construction succeeds."""
-    lo, hi = 4, 8
-    while True:
-        try:
-            _try_build_chain(depth, hi, m_schedule)
-            break
-        except HorizonTooSmall:
-            lo, hi = hi, hi * 2
-            if hi > 1 << 30:
-                raise
-    while lo < hi:
-        mid = (lo + hi) // 2
-        try:
-            _try_build_chain(depth, mid, m_schedule)
-            hi = mid
-        except HorizonTooSmall:
-            lo = mid + 1
-    return hi
+    """Smallest horizon for which the chain construction succeeds, worked out
+    from point counts alone, so that finding it allocates no horizon.
+
+    Transition t of :func:`_try_build_chain` starts its scheduled region at
+    index c_t of a level enumeration of n_t points and needs
+    e_t = c_t + sum(m + 1) < n_t.  It keeps the pair-merged head of
+    (c_t - 1) // 2 + 1 points, one point per block and the pair-merged tail
+    of (n_t - e_t) // 2 points, at least two points in all.  The points
+    below the next region are 0, the head and the block points, so c_t does
+    not depend on the horizon, and the least n_t follows from the least
+    n_{t+1}, backwards from the last transition; n_0 is the horizon.
+    """
+    if depth > 0 and any(m < 1 for m in m_schedule):
+        raise PreconditionViolation("schedule entries must be >= 1")
+    span = sum(int(m) + 1 for m in m_schedule)
+    transitions, cur = [], 1
+    for _ in range(depth):
+        kept = (cur - 1) // 2 + 1 + len(m_schedule)
+        transitions.append((cur + span, kept))
+        cur = 1 + kept
+    need = 0  # least point count after the last transition
+    for end, kept in reversed(transitions):
+        tail = max(need - 1 - kept, 2 - kept, 0)
+        need = end + max(1, 2 * tail)
+    return max(4, need)
 
 
 def generate_chain(depth: int, horizon: int, m_schedule) -> Chain:
@@ -180,8 +187,8 @@ def successor_witness(
             raise PreconditionViolation(
                 "z-variant requires a nondecreasing jump schedule"
             )
-    jumps = np.zeros(horizon)
     lo_pts = X_lo.enumeration
+    interiors = []
     for entry in schedule:
         a = n_of(X_hi, entry.block)
         b = n_of(X_hi, entry.block + 1)
@@ -191,8 +198,16 @@ def successor_witness(
                 f"block {entry.block} has {interior.size} interior boundaries, "
                 f"need {entry.m}"
             )
-        jumps[interior] += np.pi / entry.m
-    return TorusElement(np.cumsum(jumps))
+        interiors.append(interior)
+    # the phase is the running sum of the jumps in index order; the samples
+    # between jumps would only add 0.0, which changes no sum
+    points = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *interiors]))
+    jumps = np.zeros(points.size)
+    for entry, interior in zip(schedule, interiors):
+        jumps[np.searchsorted(points, interior)] += np.pi / entry.m
+    return TorusElement.from_runs(
+        np.append(0, points), np.append(0.0, np.cumsum(jumps)), horizon
+    )
 
 
 @dataclass(frozen=True)
@@ -306,17 +321,21 @@ def merge_limit(alphas, x_inf: SparseSet, horizon: int | None = None) -> TorusEl
         raise PreconditionViolation("fewer blocks than elements to merge")
     if horizon is None:
         horizon = max(a.horizon for a in alphas)
-    out = np.zeros(horizon)
+    starts, phases = [], []
     gamma = 0.0
     for n in range(K):
         lo = int(pts[n])
-        hi = int(pts[n + 1]) if n < K - 1 else horizon
-        idx = np.arange(lo, min(hi, horizon))
-        out[idx] = gamma + alphas[n].phase_at(idx)
+        hi = min(int(pts[n + 1]) if n < K - 1 else horizon, horizon)
+        if lo < hi:
+            # the runs of alphas[n] that meet [lo, hi), shifted by gamma
+            alphas[n].phase_at([hi - 1])  # raises past a horizon without tail
+            r0, r1 = alphas[n].run_index([lo, hi - 1])
+            starts += [[lo], alphas[n].starts[r0 + 1 : r1 + 1]]
+            phases.append(gamma + alphas[n].run_phases[r0 : r1 + 1])
         if n < K - 1:
             p = int(pts[n + 1])
             gamma = gamma + alphas[n].phase(p) - alphas[n + 1].phase(p)
-    return TorusElement(out)
+    return TorusElement.from_runs(np.concatenate(starts), np.concatenate(phases), horizon)
 
 
 @dataclass(frozen=True)
@@ -347,13 +366,17 @@ class CoherenceTree:
     z_variant: bool
 
     def to_json(self) -> dict:
+        """The tree as a JSON document.  A node ``s + "0"`` holds the element
+        of ``s``, and nodes that hold one element share one document."""
+        docs = {}
+        for node in self.nodes.values():
+            if id(node.alpha) not in docs:
+                docs[id(node.alpha)] = node.alpha.to_json()
         return {
             "eps": self.eps,
             "j0": self.j0,
             "z_variant": self.z_variant,
-            "nodes": {
-                label: node.alpha.to_json() for label, node in self.nodes.items()
-            },
+            "nodes": {label: docs[id(node.alpha)] for label, node in self.nodes.items()},
             "certificates": [c.to_json() for c in self.certificates],
         }
 
@@ -442,7 +465,7 @@ def build_tree(
         pts = chain.levels[lvl + 1].enumeration
         sched = chain.schedules[lvl]
         at = np.asarray([entry.block for entry in sched], dtype=np.int64)
-        deltas = circle_diameters(witnesses[lvl].phases, pts[at], pts[at + 1])[0]
+        deltas = witnesses[lvl].window_diameters(pts[at], pts[at + 1])
         level_blocks.append([
             {"block": entry.block, "m": entry.m, "delta": float(d)}
             for entry, d in zip(sched, deltas)
@@ -471,7 +494,8 @@ def build_tree(
     if z_variant:
         bound = 2.0 * float(np.sin(np.pi / (2.0 * chain.min_jump_m())))
         for label, node in nodes.items():
-            v = np.exp(1j * np.asarray(node.alpha.phases))
+            # neighbouring samples differ only where a run ends
+            v = np.exp(1j * node.alpha.run_phases)
             max_jump = float(np.abs(np.diff(v)).max()) if v.size > 1 else 0.0
             certs.append(
                 Certificate(

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +15,8 @@ from corona_lab import cli
 from corona_lab.cli import main
 from corona_lab.limits import constant_tower, free_group, tower_to_json
 from corona_lab.operators import save_matrix
+from corona_lab.torus import RunList
+from corona_lab.tree import min_sufficient_horizon
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -127,20 +131,63 @@ def test_unread_flags_exit_2(tmp_path, command, flag):
 )
 def test_closed_stdout_keeps_exit_code(argv):
     # `corona-lab tree | head -1`: the reader is gone before the output ends
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "corona_lab.cli", *argv],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+            stdout=write_end, stderr=subprocess.PIPE, env=_subprocess_env(), text=True,
+            timeout=120,
         )
     finally:
         os.close(write_end)
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def _subprocess_env():
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+def _address_space_2gb():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("depth", [21, 40])
+def test_deep_tree_reports_min_horizon_within_2gb(depth):
+    # from depth 21 on, a doubling search for the minimal horizon would build
+    # chains of 2^29 samples or more; the search must allocate no horizon
+    proc = subprocess.run(
+        [sys.executable, "-m", "corona_lab.cli", "tree", "--depth", str(depth),
+         "--horizon", "3000"],
+        capture_output=True, env=_subprocess_env(), text=True, timeout=60,
+        preexec_fn=_address_space_2gb,
+    )
+    assert proc.returncode == 2, proc.stderr
+    doc = json.loads(proc.stdout)
+    need = min_sufficient_horizon(depth, list(cli.DEFAULT_SCHEDULE))
+    assert doc["error"] == "HorizonTooSmall" and doc["min_horizon"] == need > 2**28
+
+
+# sha256 of format-1 tree documents, as written before tree elements were
+# stored as runs; the run form must not change a byte
+_TREE_SHA256 = {
+    ("--depth", "3", "--horizon", "100000"):
+        "f666168cf05c7106714d98258be1b6b115c1709266bf0407306f0adade04f4df",
+    ("--depth", "4", "--horizon", "5000", "--z-variant"):
+        "361b5f7f0e230efff54a693f433255d15ac0abbdd4411fbda3f930cf41f157bd",
+    ("--depth", "2", "--horizon", "20000"):
+        "2e775d98f71615fa2c1cd92e229b77c935ceb0361f8066030d995f387a59740d",
+}
+
+
+@pytest.mark.parametrize("flags", list(_TREE_SHA256), ids=["d3-1e5", "d4-5000-z", "d2-20000"])
+def test_tree_format_1_bytes_pinned(tmp_path, flags):
+    out = tmp_path / "tree.json"
+    assert run(["tree", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _TREE_SHA256[flags]
 
 
 def test_tree_determinism(tmp_path):
@@ -347,10 +394,14 @@ _STRINGS = st.text(max_size=5) | st.sampled_from(['"q"', "back\\slash", "\n\t\x0
 _FLOATS = st.floats() | st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), float("-inf")])
 _FLOAT_RUNS = st.lists(st.tuples(_FLOATS, st.integers(1, 40)), min_size=1, max_size=6).map(
     lambda runs: [x for x, count in runs for _ in range(count)])
+# as tree elements carry them: single runs, runs of one item, NaN, ±inf, and
+# -0.0 next to 0.0
+_RUN_LISTS = st.lists(st.tuples(_FLOATS, st.integers(1, 40)), min_size=1, max_size=6).map(
+    lambda runs: RunList(np.array([x for x, _ in runs]), np.array([n for _, n in runs])))
 _MIXED = st.lists(st.sampled_from([True, False, 1, 0, 1.0, 0.0, -0.0, None]), max_size=8)
 _EMIT_DOCS = st.recursive(
     st.none() | st.booleans() | st.integers() | _FLOATS | _STRINGS
-    | _FLOAT_RUNS | _MIXED | st.lists(st.integers(), max_size=5),
+    | _FLOAT_RUNS | _RUN_LISTS | _MIXED | st.lists(st.integers(), max_size=5),
     lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
     | st.dictionaries(_STRINGS, kids, max_size=4),
     max_leaves=12,
@@ -360,6 +411,9 @@ _EMIT_DOCS = st.recursive(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(doc=_EMIT_DOCS)
 @example(doc={"runs": [0.0] * 40 + [-0.0] * 40 + [0.0, float("nan")] * 20})
+@example(doc={"runs": RunList(np.array([0.0, -0.0, 0.0, float("nan"), float("inf"), -np.inf]),
+                              np.array([1, 3, 1, 2, 1, 1]))})
+@example(doc=[RunList(np.array([1.5]), np.array([7])), RunList(np.array([1.5]), np.array([1]))])
 def test_emit_matches_json_dumps(tmp_path_factory, doc):
     out = tmp_path_factory.mktemp("emit") / "doc.json"
     cli._emit(doc, str(out))

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corona_lab import (
@@ -16,7 +16,8 @@ from corona_lab import (
     delta_set,
     lij_bound_check,
 )
-from corona_lab.torus import DIAMETER_CHUNK, circle_diameters, fuzz_lij
+from corona_lab.partitions import SparseSet, fx_profile
+from corona_lab.torus import DIAMETER_CHUNK, TWO_PI, circle_diameters, fuzz_lij
 
 SLACK = 1e-12
 
@@ -266,3 +267,92 @@ def test_circle_diameters_on_step_functions():
             assert (d, tuple(pair)) == (0.0, (s, s))
     assert (diam[windows.index((505, 585))], tuple(pairs[windows.index((505, 585))])) == (
         0.0, (505, 505))
+
+
+# The run form against dense references: one phase per sample, each
+# operation written as the per-sample float operations it stands for.
+
+_PHASES = st.floats(-20, 20) | st.sampled_from([0.0, -0.0, np.pi, -np.pi, TWO_PI, 1.0])
+
+
+@st.composite
+def _step_functions(draw):
+    """(dense phases, run starts, run phases, tail) of a random step function."""
+    horizon = draw(st.integers(1, 500))
+    cuts = draw(st.sets(st.integers(1, max(1, horizon - 1)), max_size=39))
+    starts = [0, *sorted(c for c in cuts if c < horizon)]
+    phases = draw(st.lists(_PHASES, min_size=len(starts), max_size=len(starts)))
+    dense = np.repeat(np.array(phases), np.diff(starts, append=horizon))
+    return dense, starts, phases, draw(st.sampled_from(["constant", "none"]))
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a, dtype=float), np.ascontiguousarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _dense_at(dense, tail, idx):
+    if idx.size and idx.max() >= dense.size and tail != "constant":
+        return None
+    return dense[np.minimum(idx, dense.size - 1)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    f=_step_functions(),
+    g=_step_functions(),
+    c=_PHASES,
+    picks=st.lists(st.integers(0, 505), max_size=20),
+    points=st.sets(st.integers(0, 500), max_size=30),
+)
+@example(
+    f=(np.array([0.0, -0.0, -0.0, 1.0]), [0, 1, 3], [0.0, -0.0, 1.0], "constant"),
+    g=(np.array([-0.0, 0.0, 2.0]), [0, 1, 2], [-0.0, 0.0, 2.0], "none"),
+    c=-0.0,
+    picks=[0, 1, 2, 3, 4, 5],
+    points={1, 2},
+)
+def test_run_form_is_bitwise_the_dense_form(f, g, c, picks, points):
+    dense_f, starts, phases, tail = f
+    ref = np.mod(dense_f, TWO_PI)
+    a = TorusElement.from_runs(starts, phases, dense_f.size, tail)
+    for elem in (a, TorusElement(dense_f, tail=tail)):
+        assert _same_bits(elem.phases, ref)
+        # the phases the tracer reads: read-only, one per index
+        assert elem.phases.ndim == 1 and elem.phases.size == elem.horizon == ref.size
+        with pytest.raises(ValueError):
+            elem.phases[0] = 1.0
+    assert callable(TorusElement.__post_init__)
+    assert np.all(np.diff(a.starts) > 0)
+    assert not np.any(a.run_phases[1:] == a.run_phases[:-1])
+
+    b = TorusElement(g[0], tail=g[3])
+    ref_b = np.mod(g[0], TWO_PI)
+    h = np.arange(max(a.horizon, b.horizon))
+    want, other = _dense_at(ref, tail, h), _dense_at(ref_b, b.tail, h)
+    if want is None or other is None:
+        with pytest.raises(IndexOutOfRange):
+            a.mul(b)
+    else:
+        assert _same_bits(a.mul(b).phases, np.mod(want + other, TWO_PI))
+    assert _same_bits(a.inverse().phases, np.mod(-ref, TWO_PI))
+    assert _same_bits(a.scaled(c).phases, np.mod(ref + c, TWO_PI))
+
+    idx = np.array(picks, dtype=int)
+    want = _dense_at(ref, tail, idx)
+    if want is None:
+        with pytest.raises(IndexOutOfRange):
+            a.phase_at(idx)
+    else:
+        assert _same_bits(a.phase_at(idx), want)
+
+    # windows up to the horizon, which is always a point
+    X = SparseSet(np.array(sorted({p % (a.horizon + 1) for p in points} | {0, a.horizon})))
+    pts = X.enumeration
+    prof = fx_profile(a, X, split=True)
+    assert _same_bits(prof.d, circle_diameters(ref, pts[:-2], pts[2:])[0])
+    assert _same_bits(prof.d_single, circle_diameters(ref, pts[:-1], pts[1:])[0])
+    assert _same_bits(
+        prof.d_endpoints,
+        np.abs(np.exp(1j * ref[pts[:-2]]) - np.exp(1j * ref[pts[1:-1]])),
+    )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corona_lab import (
     Chain,
@@ -20,7 +22,9 @@ from corona_lab import (
     successor_witness,
 )
 from corona_lab import tree as tree_mod
+from corona_lab.cli import DEFAULT_SCHEDULE
 from corona_lab.partitions import interval, n_of
+from corona_lab.torus import TWO_PI
 from corona_lab.tree import ScheduleEntry
 
 
@@ -74,6 +78,54 @@ def test_chain_horizon_too_small():
     with pytest.raises(HorizonTooSmall):
         generate_chain(3, need - 1, [4, 5])
     assert min_sufficient_horizon(3, [4, 5]) == need
+
+
+# the minimal horizons of the CLI's schedules (32, 36, 40, 48)[:depth]
+_CLI_MIN_HORIZONS = [35, 213, 782, 2409, 4977, 10113, 20385, 40929, 82017, 164193,
+                     328545, 657249, 1314657, 2629473]
+
+
+@pytest.mark.parametrize("depth, need", enumerate(_CLI_MIN_HORIZONS, start=1))
+def test_min_sufficient_horizon_cli_schedule(depth, need):
+    assert min_sufficient_horizon(depth, list(DEFAULT_SCHEDULE[:depth])) == need
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(depth=st.integers(0, 4), schedule=st.lists(st.integers(1, 6), min_size=1, max_size=3))
+def test_min_sufficient_horizon_is_least(depth, schedule):
+    need = min_sufficient_horizon(depth, schedule)
+    tree_mod._try_build_chain(depth, need, schedule).check_invariants()
+    for h in {need - 1, need // 2, 3}:
+        if h < need:
+            with pytest.raises(HorizonTooSmall):
+                tree_mod._try_build_chain(depth, h, schedule)
+
+
+def test_min_sufficient_horizon_rejects_bad_schedule():
+    with pytest.raises(PreconditionViolation):
+        min_sufficient_horizon(2, [3, 0])
+
+
+def _dense_witness(X_lo, X_hi, schedule):
+    # one jump entry per sample, summed in index order
+    jumps = np.zeros(X_lo.last + 1)
+    lo_pts = X_lo.enumeration
+    for entry in schedule:
+        a, b = n_of(X_hi, entry.block), n_of(X_hi, entry.block + 1)
+        jumps[lo_pts[(lo_pts > a) & (lo_pts < b)]] += np.pi / entry.m
+    return np.mod(np.cumsum(jumps), TWO_PI)
+
+
+@pytest.mark.parametrize("depth, horizon, schedule", [(1, 200, [1]), (3, 5000, [32, 36, 40]),
+                                                      (2, 3000, [2, 7, 7])])
+def test_successor_witness_matches_dense_cumsum(depth, horizon, schedule):
+    chain = generate_chain(depth, horizon, schedule)
+    for t in range(depth):
+        lo, hi, sched = chain.levels[t], chain.levels[t + 1], chain.schedules[t]
+        w = successor_witness(lo, hi, sched)
+        want = _dense_witness(lo, hi, sched)
+        assert np.array_equal(w.phases.view(np.int64), want.view(np.int64))
+        assert w.run_phases.size == sum(e.m for e in sched) + 1
 
 
 def test_successor_witness_single_jump():
@@ -244,6 +296,48 @@ def test_merge_limit_block_proportionality():
             assert np.allclose(ratio, 1.0, atol=1e-12)
 
 
+def _dense_merge_limit(alphas, x_inf, horizon):
+    # the blocks filled one sample at a time
+    pts = x_inf.enumeration
+    K = len(alphas)
+    out = np.zeros(horizon)
+    gamma = 0.0
+    for n in range(K):
+        lo = int(pts[n])
+        hi = int(pts[n + 1]) if n < K - 1 else horizon
+        idx = np.arange(lo, min(hi, horizon))
+        out[idx] = gamma + alphas[n].phase_at(idx)
+        if n < K - 1:
+            p = int(pts[n + 1])
+            gamma = gamma + alphas[n].phase(p) - alphas[n + 1].phase(p)
+    return np.mod(out, TWO_PI)
+
+
+def _merge_inputs(case):
+    rng = np.random.default_rng(2 if case.startswith("trivial") else 3)
+    if case == "trivial-one":
+        return [TorusElement(rng.uniform(0, 2 * np.pi, 40))], SparseSet([10, 20, 39]), 40
+    if case == "trivial-three":
+        return [TorusElement(rng.uniform(0, 2 * np.pi, 40))] * 3, SparseSet([10, 20, 39]), 40
+    if case == "proportional":
+        alphas = [TorusElement(rng.uniform(0, 2 * np.pi, 32)) for _ in range(3)]
+        return alphas, SparseSet([8, 16, 31]), 32
+    chain = generate_chain(3, 20000, [32, 36, 40])
+    _, alphas = _branch(chain, 3, eps=0.15, j0=10)
+    alphas = [constant_one(chain.horizon)] + alphas
+    x_inf = sparsify_limit(alphas, list(chain.levels), eps=0.15, j0=10).x_inf
+    return alphas, x_inf, chain.horizon
+
+
+@pytest.mark.parametrize("case", ["trivial-one", "trivial-three", "proportional", "tree-branch"])
+def test_merge_limit_matches_dense_construction(case):
+    alphas, x_inf, horizon = _merge_inputs(case)
+    merged = merge_limit(alphas, x_inf, horizon=horizon)
+    want = _dense_merge_limit(alphas, x_inf, horizon)
+    assert np.array_equal(merged.phases.view(np.int64), want.view(np.int64))
+    assert merged.run_phases.size <= sum(a.run_phases.size for a in alphas) + len(alphas)
+
+
 def test_tree_depth1():
     chain = generate_chain(1, 3000, [32])
     tree = build_tree(chain, 1)
@@ -319,6 +413,19 @@ def test_build_tree_profiles_each_difference_once(monkeypatch, depth, z_variant)
     build_tree(chain, depth, z_variant=z_variant)
     # one profile per (cut, t[cut:] without trailing zeros)
     assert len(calls) == 2 ** (depth + 1) - 2
+
+
+def test_tree_reads_no_dense_phases(monkeypatch):
+    # nodes, witnesses and their products stay runs from construction to JSON
+    def dense(element):
+        raise AssertionError("dense phases built")
+
+    monkeypatch.setattr(TorusElement, "phases", property(dense))
+    chain = generate_chain(3, 5000, [32, 36, 40])
+    tree = build_tree(chain, 3, z_variant=True)
+    tree.to_json()
+    diff = tree.nodes["101"].alpha.mul(tree.nodes["1"].alpha.inverse())
+    fx_profile(diff, chain.levels[1], split=True)
 
 
 def test_tree_depth_exceeds_chain():
