@@ -9,7 +9,6 @@ from .errors import (
     IndexOutOfRange,
     InsufficientBlock,
     InvalidSes,
-    NoStratification,
     PreconditionViolation,
     TruncationExceeded,
     WitnessNotFound,
@@ -33,9 +32,7 @@ from .operators import (
     DDWitness,
     DiagonalUnitary,
     ad_sandwich,
-    apply_thread,
     dd_check,
-    kernel_test,
     load_matrix,
     op_norm,
     save_matrix,
@@ -44,23 +41,16 @@ from .operators import (
 )
 from .partitions import (
     FxProfile,
-    IntervalPartition,
     SparseSet,
-    almost_subset,
-    coarsen_map,
     fx_profile,
-    interval,
     n_of,
 )
 from .torus import (
-    IndexSet,
     TorusElement,
     constant_one,
     delta_one,
-    delta_pair,
     delta_set,
     fuzz_lij,
-    lij_bound_check,
 )
 from .tree import (
     Certificate,
@@ -68,16 +58,14 @@ from .tree import (
     CoherenceTree,
     build_tree,
     generate_chain,
-    merge_limit,
+    limit_stage,
     min_sufficient_horizon,
-    sparsify_limit,
     successor_witness,
 )
 from .weak_units import (
     PositiveUnit,
     TentModel,
     build_tent_unit,
-    degenerate_sum_unit,
     epsilon_witness,
     hyp_check,
     power_gap,

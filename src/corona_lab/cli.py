@@ -31,7 +31,7 @@ from .operators import (
 )
 from .partitions import check_tolerance
 from .torus import RunList, TorusElement, fuzz_lij
-from .tree import build_tree, generate_chain
+from .tree import build_tree, generate_chain, limit_stage
 from .weak_units import (
     build_tent_unit,
     hyp_check,
@@ -328,9 +328,16 @@ def cmd_verify(args) -> int:
 
     try:
         chain = generate_chain(2, horizon, [32, 36, 40])
-        build_tree(chain, 2, z_variant=True, eps=args.epsilon, j0=args.j0)
+        tree = build_tree(chain, 2, z_variant=True, eps=args.epsilon, j0=args.j0)
     except CoronaLabError as exc:
         failures.append(f"tree: {exc}")
+    else:
+        # the element above the all-ones branch, as at a limit stage
+        branch = [tree.nodes[label].alpha for label in ("", "1", "11")]
+        try:
+            limit_stage(branch, chain.levels, eps=args.epsilon, j0=args.j0)
+        except CoronaLabError as exc:
+            failures.append(f"limit stage: {exc}")
 
     rng = np.random.default_rng(args.seed)
     D = 32 if args.fast else 128
@@ -444,6 +451,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except CoronaLabError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # a configuration too large for this machine, such as a huge horizon
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -36,10 +36,6 @@ class WitnessNotFound(CoronaLabError):
     """A norm-witness search failed; the model violates its hypothesis."""
 
 
-class NoStratification(CoronaLabError):
-    """No chain level admits a certified near-block-diagonal decomposition."""
-
-
 class ConstructionError(CoronaLabError):
     """A constructed object failed its own invariants."""
 

@@ -212,11 +212,6 @@ def kernel_basis(M):
     return mat_t(cols) if cols else mat_zero(n, 0)
 
 
-def lattice_contains(L, x):
-    """Is the integer vector x in the column span of L?"""
-    return lattice_leq([[int(v)] for v in x], L)
-
-
 def lattice_leq(A, B):
     """Column lattice of A contained in that of B?  Then adding A's columns
     leaves B's canonical basis unchanged."""
@@ -271,9 +266,6 @@ class AbGroupPresentation:
         for j, d in enumerate(torsion):
             rel[j][j] = d
         return AbGroupPresentation(rank=r, relations=tuple(tuple(x) for x in rel))
-
-    def is_trivial(self) -> bool:
-        return self.invariants() == (0, ())
 
     def is_finite(self) -> bool:
         return self.invariants()[0] == 0
@@ -758,10 +750,6 @@ def build_paper_model(depth: int = 8) -> SesTower:
     ses = SesTower(F=F, T=T, G=G, iotas=iotas, sigmas=sigmas)
     ses.check_invariants()
     return ses
-
-
-def tower_to_json(T: Tower) -> str:
-    return json.dumps(T.to_json())
 
 
 def tower_from_json(text: str) -> Tower:

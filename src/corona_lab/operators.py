@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoStratification, PreconditionViolation
-from .partitions import SparseSet, fx_profile
-from .torus import TorusElement, circle_diameters, delta_one
+from .errors import PreconditionViolation
+from .partitions import SparseSet
+from .torus import TorusElement, delta_one
 
 # unused here; perfbench/tracing.py splits its op_norm counters at this size
 DENSE_NORM_DIM = 512
@@ -53,12 +53,6 @@ class BlockStructure:
     def offsets(self) -> np.ndarray:
         return np.concatenate([[0], np.cumsum(self.sizes)])
 
-    def coords(self, block_indices) -> np.ndarray:
-        """Coordinate indices of the union of the given blocks."""
-        off = self.offsets
-        parts = [np.arange(off[i], off[i + 1]) for i in block_indices]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=int)
-
     def block_of_coord(self) -> np.ndarray:
         """Length-D array mapping each coordinate to its block index."""
         return np.repeat(np.arange(self.num_blocks), self.sizes)
@@ -83,11 +77,6 @@ class DiagonalUnitary:
     def conjugate(self, m: np.ndarray) -> np.ndarray:
         d = self.diagonal
         return (d[:, None] * m) * d.conj()[None, :]
-
-    def schur_coeff(self) -> np.ndarray:
-        """(d_k conj(d_l) - 1); Ad u - id acts entrywise by this matrix."""
-        d = self.diagonal
-        return d[:, None] * d.conj()[None, :] - 1.0
 
 
 def save_matrix(path, m: np.ndarray) -> None:
@@ -291,69 +280,3 @@ def ad_sandwich(
         "lower_witness": lower_witness,
         "sampled_max": sampled,
     }
-
-
-def kernel_test(
-    alpha: TorusElement,
-    X: SparseSet,
-    blocks: BlockStructure,
-    eps: float = 0.1,
-    j0: int = 10,
-    seed: int = 0,
-) -> dict:
-    """Decide, at tolerance (eps, j0), whether conjugation by the diagonal
-    unitary acts trivially on the near-block-diagonal fragment; if not,
-    produce a one-parity block-diagonal witness with conjugation defect at
-    least eps."""
-    prof = fx_profile(alpha, X)
-    u = DiagonalUnitary(alpha, blocks)
-    pts = X.enumeration
-    off = blocks.offsets
-    rng = np.random.default_rng(seed)
-    if prof.in_fx(eps, j0):
-        checks = []
-        for j in range(j0, min(len(prof.d), j0 + 16)):
-            lo, hi = off[int(pts[j])], off[int(pts[j + 2])]
-            a = np.zeros((blocks.dim, blocks.dim), dtype=complex)
-            block = rng.standard_normal((hi - lo, hi - lo)) + 1j * rng.standard_normal(
-                (hi - lo, hi - lo)
-            )
-            a[lo:hi, lo:hi] = block / op_norm(block)
-            dev = op_norm(u.conjugate(a) - a)
-            checks.append(dev)
-            if dev > 2.0 * eps + 1e-9:
-                return {"trivial_on_CX": False, "witness": a, "ratio": dev}
-        return {"trivial_on_CX": True, "witness": None, "checks": checks}
-    # build the violating witness over one parity class
-    bad = [j for j in range(j0, len(prof.d)) if prof.d[j] > eps]
-    evens = [j for j in bad if j % 2 == 0]
-    odds = [j for j in bad if j % 2 == 1]
-    chosen = np.asarray(evens if len(evens) >= len(odds) else odds)
-    # one matrix unit per window, between two blocks that attain its diameter
-    pairs = circle_diameters(alpha.phases, pts[chosen], pts[chosen + 2])[1]
-    a = np.zeros((blocks.dim, blocks.dim), dtype=complex)
-    a[off[pairs[:, 0]], off[pairs[:, 1]]] = 1.0
-    ratio = op_norm(u.conjugate(a) - a) / op_norm(a)
-    return {"trivial_on_CX": False, "witness": a, "ratio": float(ratio)}
-
-
-def apply_thread(
-    m: np.ndarray,
-    tree_path,
-    chain,
-    blocks: BlockStructure,
-) -> dict:
-    """Transport m through the thread of partial conjugations: stratify at the
-    coarsest admissible level, conjugate the captured part, carry the residual
-    untouched."""
-    for level in range(len(tree_path) - 1, -1, -1):
-        X = chain.levels[level]
-        if X.enumeration[-1] > blocks.num_blocks:
-            continue
-        w = stratify_against(m, X, blocks)
-        if not w.tail_bound_ok():
-            continue
-        u = DiagonalUnitary(tree_path[level], blocks)
-        out = u.conjugate(w.m_e + w.m_o) + w.a
-        return {"result": out, "level": level, "witness": w}
-    raise NoStratification("no chain level admits a certified decomposition")

@@ -9,7 +9,7 @@ evidence for the subgroup of sequences that flatten out along X.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,69 +84,6 @@ def n_of(X: SparseSet, j: int) -> int:
     return int(pts[j])
 
 
-def interval(X: SparseSet, j: int) -> range:
-    """The j-th interval [n(X,j), n(X,j+1)) of the induced partition."""
-    pts = X.enumeration
-    if j < 0 or j + 1 >= pts.size:
-        raise TruncationExceeded(f"interval {j} beyond truncation")
-    return range(int(pts[j]), int(pts[j + 1]))
-
-
-@dataclass(frozen=True)
-class IntervalPartition:
-    """Read-only view of all intervals induced by a sparse set."""
-
-    X: SparseSet
-
-    def __len__(self):
-        return self.X.num_intervals
-
-    def __getitem__(self, j) -> range:
-        return interval(self.X, j)
-
-    def __iter__(self):
-        for j in range(len(self)):
-            yield interval(self.X, j)
-
-
-def almost_subset(Y: SparseSet, X: SparseSet, cutoff: int | None = None) -> dict:
-    """Almost-inclusion diagnostic at truncation.
-
-    ``exceptions`` is Y∖X within the common horizon; ``holds`` means all
-    exceptions lie below ``cutoff`` (default: half the common horizon), i.e.
-    they are plausibly a finite head rather than a growing tail.
-    """
-    common = min(Y.last, X.last)
-    if cutoff is None:
-        cutoff = common // 2
-    ys = Y.elements[Y.elements <= common]
-    exceptions = sorted(set(int(y) for y in ys) - set(int(x) for x in X.elements))
-    holds = all(e < cutoff for e in exceptions)
-    return {"holds": holds, "exceptions": exceptions, "cutoff": int(cutoff)}
-
-
-def coarsen_map(Y: SparseSet, X: SparseSet) -> dict:
-    """For Y ⊆ X, write each Y-interval as a union of consecutive X-intervals.
-
-    Returns a map j -> sorted list of X-interval indices k with
-    I(Y, j) = ∪ I(X, k).
-    """
-    ypts = Y.enumeration
-    xpts = X.enumeration
-    if ypts[-1] > xpts[-1]:
-        raise PreconditionViolation("Y extends beyond the truncation of X")
-    xset = set(int(x) for x in xpts)
-    missing = [int(y) for y in ypts if int(y) not in xset]
-    if missing:
-        raise PreconditionViolation(f"Y not contained in X: {missing[:5]}")
-    pos = {int(x): k for k, x in enumerate(xpts)}
-    out = {}
-    for j in range(ypts.size - 1):
-        lo, hi = pos[int(ypts[j])], pos[int(ypts[j + 1])]
-        out[j] = list(range(lo, hi))
-    return out
-
-
 def check_tolerance(eps: float, j0: int) -> None:
     """Reject a tolerance (eps, j0) unless j0 is natural and eps is finite
     and >= 0 (a negative j0 would count from the end of a profile)."""
@@ -205,5 +142,6 @@ def fx_profile(alpha: TorusElement, X: SparseSet, split: bool = False) -> FxProf
     if not split:
         return FxProfile(d=d)
     d_single = alpha.window_diameters(pts[:-1], pts[1:])
-    v = alpha.values(pts[:-1])
+    # one exp per run, not per point
+    v = np.exp(1j * alpha.run_phases)[alpha.run_index(pts[:-1])]
     return FxProfile(d=d, d_single=d_single, d_endpoints=np.abs(v[:-1] - v[1:]))

@@ -10,10 +10,9 @@ diameter of the value set on those indices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Iterable
 
 import numpy as np
 
@@ -142,9 +141,6 @@ class TorusElement:
             )
         return self.run_phases[self.run_index(idx)]
 
-    def value(self, i: int) -> complex:
-        return complex(np.exp(1j * self.phase(i)))
-
     def values(self, indices) -> np.ndarray:
         return np.exp(1j * self.phase_at(indices))
 
@@ -156,7 +152,7 @@ class TorusElement:
         # most windows lie within one run, where the diameter is 0
         d = np.zeros(first.size)
         meets = stop - first > 1
-        d[meets] = circle_diameters(self.run_phases, first[meets], stop[meets])[0]
+        d[meets] = circle_diameters(self.run_phases, first[meets], stop[meets])
         return d
 
     # --- group structure (pointwise multiplication on the circle) ---
@@ -173,12 +169,6 @@ class TorusElement:
     def inverse(self) -> "TorusElement":
         return TorusElement.from_runs(
             self.starts, -self.run_phases, self.horizon, self.tail
-        )
-
-    def scaled(self, c: float) -> "TorusElement":
-        """Multiply by the unimodular constant with phase ``c``."""
-        return TorusElement.from_runs(
-            self.starts, self.run_phases + c, self.horizon, self.tail
         )
 
     # --- serialization ---
@@ -208,52 +198,17 @@ def constant_one(horizon: int) -> TorusElement:
     return TorusElement.from_runs([0], [0.0], horizon)
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """Nonempty finite set of naturals, kept sorted and duplicate-free."""
-
-    indices: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.indices))
-        if not idx:
-            raise PreconditionViolation("index set must be nonempty")
-        if any(i < 0 for i in idx):
-            raise PreconditionViolation("indices must be naturals")
-        if len(set(idx)) != len(idx):
-            raise PreconditionViolation("duplicate indices forbidden")
-        object.__setattr__(self, "indices", idx)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self):
-        return len(self.indices)
-
-    def __contains__(self, i):
-        return int(i) in self.indices
-
-    def union(self, other: "IndexSet") -> "IndexSet":
-        return IndexSet(tuple(set(self.indices) | set(other.indices)))
-
-
 def _as_indices(I) -> np.ndarray:
-    if isinstance(I, IndexSet):
-        return np.asarray(I.indices, dtype=int)
     return np.asarray(sorted(set(int(i) for i in I)), dtype=int)
 
 
-def delta_pair(alpha: TorusElement, beta: TorusElement, i: int, j: int) -> float:
-    """|alpha(i) conj(alpha(j)) - beta(i) conj(beta(j))|."""
-    return delta_set(alpha, beta, (i, j))
-
-
 def delta_set(alpha: TorusElement, beta: TorusElement, I) -> float:
-    """Max of :func:`delta_pair` over all pairs drawn from ``I``: the diameter
-    of gamma = alpha * conj(beta) on ``I``."""
+    """Max of |alpha(i) conj(alpha(j)) - beta(i) conj(beta(j))| over all pairs
+    drawn from the indices ``I``: the diameter of gamma = alpha * conj(beta)
+    on ``I``."""
     idx = _as_indices(I)
     gamma = alpha.phase_at(idx) - beta.phase_at(idx)
-    return float(circle_diameters(gamma, [0], [gamma.size])[0][0])
+    return float(circle_diameters(gamma, [0], [gamma.size])[0])
 
 
 def delta_one(alpha: TorusElement, I) -> float:
@@ -261,10 +216,8 @@ def delta_one(alpha: TorusElement, I) -> float:
     return delta_set(alpha, constant_one(1), I)
 
 
-def circle_diameters(phases, starts, ends) -> tuple[np.ndarray, np.ndarray]:
-    """Diameter of {exp(i*phases[k]) : s <= k < e} for every window [s, e),
-    and a pair (i, j) in the window that attains it: the first in row-major
-    order, or (s, s) for a window of fewer than two samples.
+def circle_diameters(phases, starts, ends) -> np.ndarray:
+    """Diameter of {exp(i*phases[k]) : s <= k < e} for every window [s, e).
 
     Every distance Delta_I of the package is such a diameter, because
     |alpha(i) conj(alpha(j)) - beta(i) conj(beta(j))| = |gamma(i) - gamma(j)|
@@ -272,17 +225,16 @@ def circle_diameters(phases, starts, ends) -> tuple[np.ndarray, np.ndarray]:
 
     Step functions leave most windows constant: one O(n) pass over the
     phases finds the windows whose phases are all equal, and they keep
-    diameter 0.0 and pair (s, s) without computing a distance.  The other
-    windows are short, so distances are computed pairwise, grouped by window
-    length, in batches of at most :data:`DIAMETER_CHUNK` entries (or one
-    row, where a row is longer).
+    diameter 0.0 without computing a distance.  The other windows are short,
+    so distances are computed pairwise, grouped by window length, in batches
+    of at most :data:`DIAMETER_CHUNK` entries (or one row, where a row is
+    longer).
     """
     phases = np.asarray(phases, dtype=float)
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
     lengths = ends - starts
     diam = np.zeros(starts.size)
-    best = np.zeros(starts.size, dtype=np.int64)  # row-major i * L + j
     # steps[k]: how many k' < k have phases[k'] != phases[k' + 1]
     steps = np.concatenate(([0], np.cumsum(phases[1:] != phases[:-1])))
     varies = lengths > 1
@@ -297,45 +249,8 @@ def circle_diameters(phases, starts, ends) -> tuple[np.ndarray, np.ndarray]:
             sel, vw = win[w0 : w0 + per], v[w0 : w0 + per]
             for r0 in range(0, L, rows):
                 dist = np.abs(vw[:, r0 : r0 + rows, None] - vw[:, None, :])
-                dist = dist.reshape(sel.size, -1)
-                flat = dist.argmax(axis=1)
-                d = dist[np.arange(sel.size), flat]
-                # a later slice of rows moves the pair only when strictly
-                # farther, so the pair stays the first in row-major order
-                up = d > diam[sel]
-                diam[sel[up]] = d[up]
-                best[sel[up]] = r0 * L + flat[up]
-    i, j = np.divmod(best, np.maximum(lengths, 1))
-    return diam, np.stack([starts + i, starts + j], axis=1)
-
-
-def lij_bound_check(
-    alpha: TorusElement,
-    beta: TorusElement,
-    I,
-    J,
-    i0: int,
-    j0: int,
-    slack: float = SLACK,
-) -> dict:
-    """Check the union bound relating distances over I, J, and I ∪ J.
-
-    Returns both sides and a ``holds`` verdict; ``holds`` is expected to be
-    true always, up to the floating slack.
-    """
-    Iset = I if isinstance(I, IndexSet) else IndexSet(tuple(I))
-    Jset = J if isinstance(J, IndexSet) else IndexSet(tuple(J))
-    if i0 not in Iset:
-        raise PreconditionViolation(f"i0={i0} not in I")
-    if j0 not in Jset:
-        raise PreconditionViolation(f"j0={j0} not in J")
-    lhs = delta_set(alpha, beta, Iset.union(Jset))
-    rhs = (
-        delta_set(alpha, beta, Iset)
-        + delta_set(alpha, beta, Jset)
-        + delta_pair(alpha, beta, i0, j0)
-    )
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs + slack}
+                diam[sel] = np.maximum(diam[sel], dist.max(axis=(1, 2)))
+    return diam
 
 
 def fuzz_lij(n: int, seed: int = 0, horizon: int = 16, set_size: int = 3) -> int:

@@ -6,13 +6,14 @@ rotate slowly across those blocks: each one flattens out against the finer
 level while swinging through antipodal values inside every scheduled block of
 the coarser level.  The tree multiplies witnesses along branches; every
 ancestor pair carries a coherence certificate, every sibling pair a
-divergence certificate.
+divergence certificate.  :func:`limit_stage` glues a coherent branch into
+one element above all of it, the step the construction takes at a limit.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,7 +172,6 @@ def successor_witness(
     X_hi: SparseSet,
     schedule,
     z_variant: bool = False,
-    horizon: int | None = None,
 ) -> TorusElement:
     """Element constant on the fine intervals, rotating by pi/m across each
     scheduled coarse block; constant elsewhere.
@@ -179,8 +179,6 @@ def successor_witness(
     With ``z_variant`` the schedule must have nondecreasing m, so consecutive
     jump sizes shrink along the construction.
     """
-    if horizon is None:
-        horizon = X_lo.last + 1
     if z_variant:
         ms = [e.m for e in schedule]
         if any(b < a for a, b in zip(ms, ms[1:])):
@@ -206,69 +204,88 @@ def successor_witness(
     for entry, interior in zip(schedule, interiors):
         jumps[np.searchsorted(points, interior)] += np.pi / entry.m
     return TorusElement.from_runs(
-        np.append(0, points), np.append(0.0, np.cumsum(jumps)), horizon
+        np.append(0, points), np.append(0.0, np.cumsum(jumps)), X_lo.last + 1
     )
 
 
-@dataclass(frozen=True)
-class LimitSparsification:
-    """Output of :func:`sparsify_limit`: the sparse set plus the exhaustive
-    per-block verification of both closeness conditions."""
+def limit_stage(alphas, levels, eps: float = 0.1, j0: int = 10):
+    """One element above a coherent branch: the step of the construction at
+    a limit stage.
 
-    x_inf: SparseSet
-    checks: tuple
-    max_ratio: float  # largest observed (distance * k); must be < 1
+    ``alphas[n]`` is the branch's element at level ``levels[n]``, the levels
+    nested and ending at one point.  Returns ``(beta, x_inf, worst)``:
 
+    1. Block boundaries, chosen greedily left to right from the last level,
+       so sparse that inside block k every fine interval and endpoint pair
+       of every earlier level is (1/k)-close between the k-th and the
+       earlier element.
+    2. ``beta``, which on block k is the k-th element times a unimodular
+       constant fixed by agreement with the previous block's element at the
+       block's left boundary; the first constant is one.
+    3. An exhaustive recheck of ``beta`` itself: for every n, every interval
+       and endpoint pair of level n from the pair crossing into block n+1
+       on, short of the last (which ends at the truncation), is closer than
+       1/k between ``beta`` and ``alphas[n]``, k being the pair's block.
+       ``worst`` is the largest distance times k.
 
-def _pair_profiles(alpha_k, alpha_n, X_n):
-    diff = alpha_k.mul(alpha_n.inverse())
-    return fx_profile(diff, X_n, split=True)
-
-
-def sparsify_limit(
-    alphas,
-    Xs,
-    eps: float = 0.1,
-    j0: int = 10,
-) -> LimitSparsification:
-    """Pick block boundaries so sparse that inside block k, every fine
-    interval of every earlier level is (1/k)-close between the k-th and the
-    earlier element, in both the interval and endpoint-pair senses.
-
-    Boundaries are chosen greedily left to right; both conditions are then
-    re-verified exhaustively and attached.
+    The coherence of each pair n < k at (eps, j0) is checked first, on the
+    difference ``alphas[n] * alphas[k]^-1`` that :func:`build_tree`
+    certifies.  A failed recheck raises :class:`ConstructionError` naming
+    the element and the block.
     """
     K = len(alphas)
-    if K != len(Xs) or K == 0:
-        raise PreconditionViolation("need matching nonempty alphas and levels")
-    # coherence precondition between all pairs, on the split profiles that
-    # the blocks below use too
+    if K < 2 or K != len(levels):
+        raise PreconditionViolation("need at least two elements, one per level")
+    # one split profile per pair n < k, in the direction the tree certifies
     profiles = {}
-    for n in range(K):
-        for k in range(n + 1, K):
-            prof = profiles[(n, k)] = _pair_profiles(alphas[k], alphas[n], Xs[n])
+    for k in range(1, K):
+        for n in range(k):
+            diff = alphas[n].mul(alphas[k].inverse())
+            prof = profiles[n, k] = fx_profile(diff, levels[n], split=True)
             if not prof.in_fx(eps, j0):
                 raise PreconditionViolation(
                     f"inputs {n} and {k} not coherent at eps={eps}, j0={j0}"
                 )
-    last_pts = Xs[-1].elements
-    if K == 1:
-        x_inf = Xs[0]
-        return LimitSparsification(x_inf=x_inf, checks=(), max_ratio=0.0)
+    x_inf = _sparsify_limit(profiles, levels)
+    beta = _merge_limit(alphas, x_inf)
+    bounds = x_inf.enumeration
+    worst = 0.0
+    for n in range(K - 1):
+        prof = fx_profile(beta.mul(alphas[n].inverse()), levels[n], split=True)
+        pts = levels[n].enumeration
+        # pairs j (and intervals j) from the one crossing into block n+1 on,
+        # each in the block of its left point, the crossing pair in n+1
+        j = np.arange(np.searchsorted(pts, bounds[n + 1]) - 1, pts.size - 2)
+        k = np.maximum(np.searchsorted(bounds, pts[j], side="right") - 1, n + 1)
+        d = np.maximum(prof.d_single[j], prof.d_endpoints[j])
+        bad = np.nonzero(d >= 1.0 / k)[0]
+        if bad.size:
+            at = bad[0]
+            raise ConstructionError(
+                f"limit stage failed for element {n} in block {int(k[at])}: "
+                f"distance {float(d[at])} >= 1/{int(k[at])} at point {int(pts[j[at]])}"
+            )
+        worst = max(worst, float((d * k).max(initial=0.0)))
+    return beta, x_inf, worst
 
+
+def _sparsify_limit(profiles, levels) -> SparseSet:
+    """Greedy block boundaries b_1 < ... < b_{K-1} from the last level: b_k
+    lies past every interval and endpoint pair of an earlier level n that is
+    not (1/k)-close in ``profiles[n, k]``.  The last point closes the last
+    block."""
+    K = len(levels)
+    last_pts = levels[-1].elements
     bounds = []
     prev = 0
     for k in range(1, K):
         th = 1.0 / k
         last_bad = 0
         for n in range(k):
-            prof = profiles[(n, k)]
-            pts = Xs[n].enumeration
-            bad = np.nonzero(
-                (prof.d_single[:-1] >= th) | (prof.d_endpoints >= th)
-            )[0]
+            prof = profiles[n, k]
+            bad = np.nonzero((prof.d_single[:-1] >= th) | (prof.d_endpoints >= th))[0]
             if bad.size:
-                last_bad = max(last_bad, int(pts[bad.max() + 1]))
+                last_bad = max(last_bad, int(levels[n].enumeration[bad.max() + 1]))
         cands = last_pts[(last_pts > prev) & (last_pts > last_bad)]
         if cands.size == 0:
             raise HorizonTooSmall(
@@ -280,47 +297,17 @@ def sparsify_limit(
     if final <= prev:
         raise HorizonTooSmall("horizon exhausted before the final block")
     bounds.append(final)
-    x_inf = SparseSet(np.asarray(bounds, dtype=np.int64))
-
-    # exhaustive recheck of both conditions
-    checks = []
-    worst = 0.0
-    inf_pts = x_inf.enumeration
-    for k in range(1, K):
-        lo, hi = int(inf_pts[k]), int(inf_pts[k + 1])
-        th = 1.0 / k
-        for n in range(k):
-            prof = profiles[(n, k)]
-            pts = Xs[n].enumeration
-            inside = np.nonzero((pts[:-2] >= lo) & (pts[1:-1] <= hi))[0]
-            if inside.size == 0:
-                continue
-            worst_d = float(prof.d_single[inside].max())
-            worst_e = float(prof.d_endpoints[inside].max())
-            checks.append(
-                {"k": k, "n": n, "max_interval": worst_d, "max_endpoint": worst_e}
-            )
-            worst = max(worst, worst_d * k, worst_e * k)
-            if worst_d >= th or worst_e >= th:
-                raise HorizonTooSmall(
-                    f"conditions unattainable in block {k} for level {n}"
-                )
-    return LimitSparsification(x_inf=x_inf, checks=tuple(checks), max_ratio=worst)
+    return SparseSet(np.asarray(bounds, dtype=np.int64))
 
 
-def merge_limit(alphas, x_inf: SparseSet, horizon: int | None = None) -> TorusElement:
-    """Glue the sequence of elements along the blocks of ``x_inf``.
-
-    Block n copies the n-th element up to a unimodular constant fixed by
-    agreement at the block's left boundary with the previous block's right
-    extension; the first constant is one.
-    """
+def _merge_limit(alphas, x_inf: SparseSet) -> TorusElement:
+    """Block n of ``x_inf`` copies ``alphas[n]`` (the last block up to the
+    horizon) up to a unimodular constant fixed by agreement, at the block's
+    left boundary, with the previous block's element; the first constant is
+    one."""
     K = len(alphas)
     pts = x_inf.enumeration
-    if pts.size - 1 < K:
-        raise PreconditionViolation("fewer blocks than elements to merge")
-    if horizon is None:
-        horizon = max(a.horizon for a in alphas)
+    horizon = max(a.horizon for a in alphas)
     starts, phases = [], []
     gamma = 0.0
     for n in range(K):

@@ -5,8 +5,7 @@ p_n satisfy p_{n+1} p_n = p_n; consequently r_i r_j = 0 once |i - j| >= 2.
 Two realizations are provided: diagonal units (sampled nonnegative functions
 on a grid, including the piecewise-linear tent model) and dense positive
 semidefinite matrix units.  In both cases the ambient algebra is the full
-matrix algebra on the underlying coordinates, optionally restricted to a
-direct sum of corners to model the degenerate case.
+matrix algebra on the underlying coordinates.
 """
 
 from __future__ import annotations
@@ -32,13 +31,11 @@ class PositiveUnit:
     """Sequence of positive contractions with interlocking partial sums.
 
     ``rs`` has shape (count, D) for diagonal units and (count, D, D) for
-    matrix units.  ``ambient`` optionally lists coordinate groups; when set,
-    the ambient algebra is the direct sum of the corresponding corners.
+    matrix units.
     """
 
     rs: np.ndarray
     diagonal: bool = True
-    ambient: tuple | None = None
 
     def __post_init__(self):
         rs = np.asarray(self.rs)
@@ -56,12 +53,6 @@ class PositiveUnit:
     @property
     def dim(self) -> int:
         return int(self.rs.shape[1])
-
-    def r(self, i: int) -> np.ndarray:
-        """r_i as a dense matrix."""
-        if self.diagonal:
-            return np.diag(self.rs[i]).astype(complex)
-        return np.asarray(self.rs[i], dtype=complex)
 
     def spectrum(self, i: int) -> np.ndarray:
         if self.diagonal:
@@ -170,17 +161,6 @@ def projection_unit(blocks: BlockStructure) -> PositiveUnit:
     return PositiveUnit(rs=rs, diagonal=True)
 
 
-def degenerate_sum_unit(blocks: BlockStructure) -> PositiveUnit:
-    """Projection unit whose ambient algebra is the direct sum of its own
-    corners, so every off-diagonal corner of the ambient algebra vanishes."""
-    base = projection_unit(blocks)
-    off = blocks.offsets
-    ambient = tuple(
-        tuple(range(off[i], off[i + 1])) for i in range(blocks.num_blocks)
-    )
-    return PositiveUnit(rs=base.rs, diagonal=True, ambient=ambient)
-
-
 def power_gap(r, k: int, continuous_range: tuple | None = None) -> float:
     """Norm of r^{k+1} - r^k for a positive contraction r.
 
@@ -206,11 +186,6 @@ def power_gap(r, k: int, continuous_range: tuple | None = None) -> float:
         raise PreconditionViolation("r is not a positive contraction")
     spec = np.clip(spec, 0.0, 1.0)
     return float((spec**k * (1.0 - spec)).max())
-
-
-def tent_power_gap(model: TentModel, i: int, k: int) -> float:
-    """Gap for tent i using its full continuous range [0, 1]."""
-    return power_gap(model.unit.rs[i], k, continuous_range=(0.0, 1.0))
 
 
 def _rank_one(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -388,24 +363,10 @@ def hyp_check(
 def _corner_sup(unit: PositiveUnit, i: int, j: int, k: int) -> float:
     """sup over unit-norm ambient a of the norm of r_i^k a r_j^k."""
     if unit.diagonal:
-        ri = unit.rs[i] ** k
-        rj = unit.rs[j] ** k
-        if unit.ambient is None:
-            return float(ri.max() * rj.max())
-        best = 0.0
-        for block in unit.ambient:
-            b = np.asarray(block, dtype=int)
-            best = max(best, float(ri[b].max() * rj[b].max()))
-        return best
+        return float((unit.rs[i] ** k).max() * (unit.rs[j] ** k).max())
     ri = np.linalg.matrix_power(unit.rs[i], k)
     rj = np.linalg.matrix_power(unit.rs[j], k)
-    if unit.ambient is None:
-        return op_norm(ri) * op_norm(rj)
-    best = 0.0
-    for block in unit.ambient:
-        b = np.ix_(block, block)
-        best = max(best, op_norm(ri[b]) * op_norm(rj[b]))
-    return best
+    return op_norm(ri) * op_norm(rj)
 
 
 def tensor_unit(unitA: PositiveUnit, qs) -> PositiveUnit:

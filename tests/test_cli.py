@@ -12,10 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corona_lab import cli
+from corona_lab import tree as tree_mod
 from corona_lab.cli import main
-from corona_lab.limits import constant_tower, free_group, tower_to_json
+from corona_lab.limits import constant_tower, free_group
 from corona_lab.operators import save_matrix
-from corona_lab.torus import RunList
+from corona_lab.torus import RunList, TorusElement
 from corona_lab.tree import min_sufficient_horizon
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -171,6 +172,19 @@ def test_deep_tree_reports_min_horizon_within_2gb(depth):
     assert doc["error"] == "HorizonTooSmall" and doc["min_horizon"] == need > 2**28
 
 
+def test_huge_horizon_exits_2_within_2gb():
+    # a feasible horizon too large for memory: one line on stderr, exit 2
+    proc = subprocess.run(
+        [sys.executable, "-m", "corona_lab.cli", "tree", "--depth", "2",
+         "--horizon", "10000000000"],
+        capture_output=True, env=_subprocess_env(), text=True, timeout=60,
+        preexec_fn=_address_space_2gb,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("out of memory: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
 # sha256 of format-1 tree documents, as written before tree elements were
 # stored as runs; the run form must not change a byte
 _TREE_SHA256 = {
@@ -255,7 +269,7 @@ def test_limits_paper_model(tmp_path, capsys):
 
 def test_limits_tower_file(tmp_path):
     path = tmp_path / "t.json"
-    path.write_text(tower_to_json(constant_tower(free_group(1), 4)))
+    path.write_text(json.dumps(constant_tower(free_group(1), 4).to_json()))
     out = tmp_path / "l.json"
     assert run(["limits", str(path), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -287,6 +301,62 @@ def test_verify_fast(tmp_path):
     assert run(["verify", "--fast", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["ok"] and doc["failures"] == []
+
+
+# sha256 of passing verify documents, as written before verify ran the limit
+# stage; a passing verify writes the same bytes
+_VERIFY_SHA256 = {
+    ("--seed", "0"): "88823e18d76374ea8977face617bfef60ab6271cd3d4e172416a41db5bf0d8d7",
+    ("--seed", "7"): "30298cfcd64d047eef75f8c068a1406a9052a835eab8eb37ecfbc128152aa1d3",
+    ("--fast",): "88823e18d76374ea8977face617bfef60ab6271cd3d4e172416a41db5bf0d8d7",
+}
+
+
+@pytest.mark.parametrize("flags", list(_VERIFY_SHA256), ids=["seed-0", "seed-7", "fast"])
+def test_verify_bytes_pinned(tmp_path, flags):
+    out = tmp_path / "v.json"
+    assert run(["verify", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _VERIFY_SHA256[flags]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--j0", "0"], ["--j0", "1"], ["--epsilon", "1.5", "--j0", "2"],
+     ["--epsilon", "0.09813534865483663"]],
+    ids=["j0-0", "j0-1", "eps-1.5-j0-2", "tightest-tail-max"],
+)
+def test_verify_limit_stage_passes_at_any_tolerance(tmp_path, flags):
+    # the limit stage's thresholds are 1/k per block, not (eps, j0)
+    out = tmp_path / "v.json"
+    assert run(["verify", "--fast", *flags, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["failures"] == []
+
+
+def _unglued(alphas, x_inf):
+    # each block copies its element as it is: the gluing constants dropped
+    pts = x_inf.enumeration
+    ends = [*pts[1 : len(alphas)], alphas[0].horizon]
+    return TorusElement(np.concatenate(
+        [a.phase_at(np.arange(lo, hi)) for a, lo, hi in zip(alphas, pts, ends)]
+    ))
+
+
+def _shifted(alphas, x_inf, merge=tree_mod._merge_limit):
+    # each element glued one block to the right of its own
+    return merge([alphas[0], *alphas[:-1]], x_inf)
+
+
+@pytest.mark.parametrize(
+    "mutant, failure",
+    [(_unglued, "element 0 in block 1"), (_shifted, "element 1 in block 2")],
+    ids=["dropped-constant", "shifted-blocks"],
+)
+def test_verify_fails_on_a_wrong_limit_stage(tmp_path, monkeypatch, mutant, failure):
+    monkeypatch.setattr(tree_mod, "_merge_limit", mutant)
+    out = tmp_path / "v.json"
+    assert run(["verify", "--fast", "--out", str(out)]) == 1
+    (message,) = json.loads(out.read_text())["failures"]
+    assert message.startswith("limit stage: ") and failure in message
 
 
 # Exit-code contract: every input ends in 0, 1 or 2, never in a traceback.

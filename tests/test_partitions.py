@@ -3,19 +3,20 @@ import pytest
 
 from corona_lab import (
     HorizonTooSmall,
-    IntervalPartition,
     PreconditionViolation,
     SparseSet,
     TorusElement,
     TruncationExceeded,
-    almost_subset,
-    coarsen_map,
     constant_one,
     delta_one,
     fx_profile,
-    interval,
     n_of,
 )
+
+
+def interval(X, j):
+    """The j-th interval [n(X, j), n(X, j+1)) of the partition of X."""
+    return range(n_of(X, j), n_of(X, j + 1))
 
 
 def test_sparse_set_validation():
@@ -45,8 +46,7 @@ def test_intervals():
     assert interval(X, 1) == range(2, 5)
     assert interval(X, 2) == range(5, 9)
     # adjacency and covering
-    part = IntervalPartition(X)
-    ivs = list(part)
+    ivs = [interval(X, j) for j in range(X.num_intervals)]
     for a, b in zip(ivs, ivs[1:]):
         assert a.stop == b.start
     covered = [i for iv in ivs for i in iv]
@@ -58,34 +58,7 @@ def test_truncation_errors():
     with pytest.raises(TruncationExceeded):
         n_of(X, 3)
     with pytest.raises(TruncationExceeded):
-        interval(X, 2)
-
-
-def test_almost_subset():
-    X = SparseSet(np.arange(2, 100, 2))
-    rep = almost_subset(X, X)
-    assert rep["holds"] and rep["exceptions"] == []
-    Y = SparseSet(np.sort(np.append(np.arange(2, 100, 2), 3)))
-    rep = almost_subset(Y, X)
-    assert rep["holds"] and rep["exceptions"] == [3]
-    odds = SparseSet(np.arange(1, 100, 2))
-    rep = almost_subset(odds, X)
-    assert not rep["holds"] and len(rep["exceptions"]) > 20
-
-
-def test_coarsen_map():
-    X = SparseSet(np.arange(1, 20))
-    Y = SparseSet(np.arange(2, 20, 2))
-    m = coarsen_map(Y, Y)
-    assert all(v == [k] for k, v in m.items())
-    m = coarsen_map(Y, X)
-    for j, ks in m.items():
-        assert len(ks) == 2
-        lo = min(interval(X, ks[0]))
-        hi = max(interval(X, ks[-1]))
-        assert range(lo, hi + 1) == interval(Y, j)
-    with pytest.raises(PreconditionViolation):
-        coarsen_map(SparseSet(np.array([3, 7])), SparseSet(np.array([2, 8])))
+        n_of(X, -1)
 
 
 def test_coarsen_delta_domination_fuzz():
@@ -97,10 +70,14 @@ def test_coarsen_delta_domination_fuzz():
         keep = np.sort(rng.permutation(xs.size)[: xs.size // 2])
         Y = SparseSet(xs[keep]) if keep.size >= 2 else X
         alpha = TorusElement(rng.uniform(0, 2 * np.pi, 64))
-        for j, ks in coarsen_map(Y, X).items():
-            dj = delta_one(alpha, interval(Y, j))
+        xpts = X.enumeration
+        for j in range(Y.num_intervals):
+            coarse = interval(Y, j)
+            # the X-intervals that make up the Y-interval
+            ks = np.nonzero((xpts[:-1] >= coarse.start) & (xpts[1:] <= coarse.stop))[0]
+            assert xpts[ks[0]] == coarse.start and xpts[ks[-1] + 1] == coarse.stop
             for k in ks:
-                assert dj >= delta_one(alpha, interval(X, k)) - 1e-12
+                assert delta_one(alpha, coarse) >= delta_one(alpha, interval(X, k)) - 1e-12
 
 
 def test_fx_profile_constant():

@@ -1,0 +1,89 @@
+"""Every function, class and method of the package has a caller outside the
+tests: the package itself, a demo or the benchmark.
+
+A top-level definition counts as used when its name appears, outside its
+own definition, as a name, an attribute, an imported name or a string
+constant (the benchmark's tracer patches functions by name).  Uses inside a
+definition count only once that definition is itself used, so a helper
+reached only from unused code is unused too.  A method (dunder methods
+aside, which Python calls) counts as used when its name appears as an
+attribute outside its own definition; methods are told apart by name only.
+``__init__.py`` only re-exports, so it is not read, and neither are the
+tests.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted(p for p in (ROOT / "src" / "corona_lab").glob("*.py") if p.name != "__init__.py")
+CALLERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _parsed() -> dict:
+    return {path: ast.parse(path.read_text()) for path in PACKAGE + CALLERS}
+
+
+def _names(node) -> set:
+    """Every identifier that ``node`` mentions."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rsplit(".", 1)[-1])
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out.add(sub.value)
+    return out
+
+
+def _attributes(node) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def unreached() -> list:
+    """Top-level definitions of the package that nothing outside the tests
+    reaches, as ``module.name``."""
+    defs = {}  # name -> (module, names used in its body)
+    used = set()
+    for path, tree in _parsed().items():
+        for node in tree.body:
+            if isinstance(node, DEFINITION) and path in PACKAGE:
+                defs[node.name] = (path.stem, _names(node) - {node.name})
+            else:
+                used |= _names(node)
+    reached, frontier = set(), used & defs.keys()
+    while frontier:
+        reached |= frontier
+        frontier = set().union(*(defs[n][1] for n in frontier)) & defs.keys() - reached
+    return sorted(f"{defs[n][0]}.{n}" for n in defs.keys() - reached)
+
+
+def unused_methods() -> list:
+    """Methods of the package's classes that no attribute outside their own
+    definition names, as ``module.Class.method``."""
+    trees = _parsed()
+    attributes = sum((_attributes(tree) for tree in trees.values()), Counter())
+    out = []
+    for path in PACKAGE:
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, DEFINITION) or method.name.startswith("__"):
+                    continue
+                if attributes[method.name] == _attributes(method)[method.name]:
+                    out.append(f"{path.stem}.{cls.name}.{method.name}")
+    return out
+
+
+def test_every_package_definition_has_a_caller_outside_the_tests():
+    assert unreached() == []
+
+
+def test_every_method_has_a_caller_outside_the_tests():
+    assert unused_methods() == []

@@ -16,16 +16,20 @@ from corona_lab import (
     delta_one,
     fx_profile,
     generate_chain,
-    merge_limit,
+    limit_stage,
     min_sufficient_horizon,
-    sparsify_limit,
     successor_witness,
 )
 from corona_lab import tree as tree_mod
 from corona_lab.cli import DEFAULT_SCHEDULE
-from corona_lab.partitions import interval, n_of
+from corona_lab.partitions import n_of
 from corona_lab.torus import TWO_PI
 from corona_lab.tree import ScheduleEntry
+
+
+def _interval(X, j):
+    """The j-th interval [n(X, j), n(X, j+1)) of the partition of X."""
+    return range(n_of(X, j), n_of(X, j + 1))
 
 
 def test_chain_minimal():
@@ -132,7 +136,7 @@ def test_successor_witness_single_jump():
     chain = generate_chain(1, 200, [1])
     w = successor_witness(chain.levels[0], chain.levels[1], chain.schedules[0])
     entry = chain.schedules[0][0]
-    blk = interval(chain.levels[1], entry.block)
+    blk = _interval(chain.levels[1], entry.block)
     assert delta_one(w, blk) == pytest.approx(2.0, abs=1e-12)
     # exactly one jump of -1 inside the block
     vals = w.values(np.arange(blk.start, blk.stop))
@@ -146,7 +150,7 @@ def test_successor_witness_m4():
     chain = generate_chain(1, 400, [4])
     w = successor_witness(chain.levels[0], chain.levels[1], chain.schedules[0])
     entry = chain.schedules[0][0]
-    blk = interval(chain.levels[1], entry.block)
+    blk = _interval(chain.levels[1], entry.block)
     vals = w.values(np.arange(blk.start, blk.stop))
     jumps = vals[1:] / vals[:-1]
     nontrivial = np.abs(jumps - 1.0) > 1e-9
@@ -190,42 +194,47 @@ def _branch(chain, depth, eps=1.5, j0=2):
     return tree, [tree.nodes[l].alpha for l in labels]
 
 
+# The limit stage: sparsify_limit chooses the blocks, merge_limit glues the
+# branch's elements along them, and limit_stage rechecks the glued element.
+
+
 def test_sparsify_limit_single_input():
     X = SparseSet(np.arange(2, 40, 2))
-    rng = np.random.default_rng(0)
-    alpha = TorusElement(rng.uniform(0, 2 * np.pi, 40))
-    out = sparsify_limit([alpha], [X])
-    assert out.x_inf is X and out.max_ratio == 0.0
+    alpha = TorusElement(np.random.default_rng(0).uniform(0, 2 * np.pi, 40))
+    with pytest.raises(PreconditionViolation, match="at least two elements"):
+        limit_stage([alpha], [X])
 
 
 def test_sparsify_limit_two_equal_levels():
     X0 = SparseSet(np.arange(1, 60))
     X1 = SparseSet(np.arange(2, 60, 2))
     alpha = constant_one(60)
-    out = sparsify_limit([alpha, alpha], [X0, X1])
-    assert out.max_ratio == 0.0
+    beta, x_inf, worst = limit_stage([alpha, alpha], [X0, X1])
+    # nothing to wait for: the first point of X1 opens block 1
+    assert x_inf.elements.tolist() == [2, 58] and worst == 0.0
+    assert np.all(beta.phases == 0.0)
 
 
 def test_sparsify_limit_branch_recheck():
     chain = generate_chain(3, 20000, [32, 36, 40])
     tree, alphas = _branch(chain, 3, eps=0.15, j0=10)
     alphas = [constant_one(chain.horizon)] + alphas
-    out = sparsify_limit(alphas, list(chain.levels), eps=0.15, j0=10)
-    assert out.max_ratio < 1.0
-    # independent brute-force recheck of both closeness conditions
-    pts = out.x_inf.enumeration
+    beta, x_inf, worst = limit_stage(alphas, list(chain.levels), eps=0.15, j0=10)
+    assert worst < 1.0
+    # independent brute-force recheck of both closeness conditions on beta,
+    # from the pair of each level that crosses into the element's next block
+    pts = x_inf.enumeration
     K = len(alphas)
-    for k in range(1, K):
-        lo, hi = int(pts[k]), int(pts[k + 1])
-        for n in range(k + 1):
-            npts = chain.levels[n].enumeration
-            diff = alphas[k].mul(alphas[n].inverse())
-            for j in range(npts.size - 1):
-                a, b = int(npts[j]), int(npts[j + 1])
-                if a < lo or b > hi:
-                    continue
-                assert delta_one(diff, range(a, b)) < 1.0 / k
-                assert delta_one(diff, [a, b]) < 1.0 / k
+    for n in range(K - 1):
+        npts = chain.levels[n].enumeration
+        diff = beta.mul(alphas[n].inverse())
+        for j in range(npts.size - 2):
+            a, b = int(npts[j]), int(npts[j + 1])
+            if b < pts[n + 1]:
+                continue
+            k = max(n + 1, int(np.searchsorted(pts, a, side="right")) - 1)
+            assert delta_one(diff, range(a, b)) < 1.0 / k
+            assert delta_one(diff, [a, b]) < 1.0 / k
 
 
 def _count_fx_profile(monkeypatch):
@@ -244,18 +253,31 @@ def test_sparsify_limit_profiles_each_pair_once(monkeypatch):
     chain = generate_chain(2, 20000, [32, 36])
     _, alphas = _branch(chain, 2, eps=0.15, j0=10)
     calls = _count_fx_profile(monkeypatch)
-    sparsify_limit([constant_one(chain.horizon)] + alphas, list(chain.levels), eps=0.15, j0=10)
-    # the three pairs n < k, once each
-    assert len(calls) == 3
+    limit_stage([constant_one(chain.horizon)] + alphas, list(chain.levels), eps=0.15, j0=10)
+    # the three pairs n < k once each, then beta against the first two elements
+    assert len(calls) == 3 + 2
 
 
-def test_sparsify_limit_checks_only_earlier_levels():
-    # (k, k) compares an element with itself; no check is made of it
-    chain = generate_chain(3, 20000, [32, 36, 40])
-    _, alphas = _branch(chain, 3, eps=0.15, j0=10)
+def _unglued(alphas, x_inf):
+    # each block copies its element as it is: the gluing constants dropped
+    pts = x_inf.enumeration
+    ends = [*pts[1 : len(alphas)], alphas[0].horizon]
+    return TorusElement(np.concatenate(
+        [a.phase_at(np.arange(lo, hi)) for a, lo, hi in zip(alphas, pts, ends)]
+    ))
+
+
+def test_sparsify_limit_checks_only_earlier_levels(monkeypatch):
+    # beta is rechecked against element n from the pair of level n that
+    # crosses into block n+1 on, so a wrong gluing constant is caught there
+    chain = generate_chain(2, 2000, [32, 36, 40])
+    _, alphas = _branch(chain, 2, eps=0.1, j0=10)
     alphas = [constant_one(chain.horizon)] + alphas
-    out = sparsify_limit(alphas, list(chain.levels), eps=0.15, j0=10)
-    assert out.checks and all(c["n"] < c["k"] for c in out.checks)
+    _, x_inf, _ = limit_stage(alphas, list(chain.levels))
+    b1 = int(x_inf.elements[0])
+    monkeypatch.setattr(tree_mod, "_merge_limit", _unglued)
+    with pytest.raises(ConstructionError, match=f"element 0 in block 1: .* at point {b1 - 1}$"):
+        limit_stage(alphas, list(chain.levels))
 
 
 def test_sparsify_limit_incoherent_rejected():
@@ -265,16 +287,41 @@ def test_sparsify_limit_incoherent_rejected():
     a0 = constant_one(40)
     a1 = TorusElement(rng.uniform(0, 2 * np.pi, 40))
     with pytest.raises(PreconditionViolation):
-        sparsify_limit([a0, a1], [X0, X1], eps=0.1, j0=2)
+        limit_stage([a0, a1], [X0, X1], eps=0.1, j0=2)
+
+
+@pytest.mark.parametrize("horizon", [2000, 20000])
+def test_limit_stage_at_the_tightest_coherence_tolerance(horizon):
+    # eps is the tree's own tightest tail_max; the pairs are profiled in the
+    # direction the tree certifies, so a tree that passes passes the stage
+    eps = 0.09813534865483663
+    chain = generate_chain(2, horizon, [32, 36, 40])
+    tree = build_tree(chain, 2, z_variant=True, eps=eps, j0=10)
+    assert max(c.payload["tail_max"] for c in tree.certificates if c.kind == "coherence") == eps
+    branch = [tree.nodes[l].alpha for l in ("", "1", "11")]
+    _, _, worst = limit_stage(branch, chain.levels, eps=eps, j0=10)
+    assert worst == pytest.approx(0.1963, abs=1e-4)
+
+
+def test_limit_stage_ignores_the_tolerance():
+    # the thresholds are 1/k per block, whatever (eps, j0) the tree used
+    chain = generate_chain(2, 2000, [32, 36, 40])
+    results = set()
+    for eps, j0 in [(0.1, 10), (0.1, 0), (0.1, 1), (0.3, 3), (1.5, 2), (0.1, 10**5)]:
+        tree = build_tree(chain, 2, eps=eps, j0=j0)
+        branch = [tree.nodes[l].alpha for l in ("", "1", "11")]
+        beta, x_inf, worst = limit_stage(branch, chain.levels, eps=eps, j0=j0)
+        results.add((tuple(x_inf.elements.tolist()), worst, beta.run_phases.tobytes()))
+    assert len(results) == 1
 
 
 def test_merge_limit_trivial_cases():
     X = SparseSet(np.array([10, 20, 39]))
     rng = np.random.default_rng(2)
     alpha = TorusElement(rng.uniform(0, 2 * np.pi, 40))
-    merged = merge_limit([alpha], X, horizon=40)
+    merged = tree_mod._merge_limit([alpha], X)
     assert np.allclose(merged.values(np.arange(40)), alpha.values(np.arange(40)))
-    merged = merge_limit([alpha, alpha, alpha], X, horizon=40)
+    merged = tree_mod._merge_limit([alpha, alpha, alpha], X)
     assert np.allclose(merged.values(np.arange(40)), alpha.values(np.arange(40)))
 
 
@@ -282,7 +329,7 @@ def test_merge_limit_block_proportionality():
     X = SparseSet(np.array([8, 16, 31]))
     rng = np.random.default_rng(3)
     alphas = [TorusElement(rng.uniform(0, 2 * np.pi, 32)) for _ in range(3)]
-    merged = merge_limit(alphas, X, horizon=32)
+    merged = tree_mod._merge_limit(alphas, X)
     pts = X.enumeration
     for n in range(3):
         lo = int(pts[n])
@@ -325,14 +372,14 @@ def _merge_inputs(case):
     chain = generate_chain(3, 20000, [32, 36, 40])
     _, alphas = _branch(chain, 3, eps=0.15, j0=10)
     alphas = [constant_one(chain.horizon)] + alphas
-    x_inf = sparsify_limit(alphas, list(chain.levels), eps=0.15, j0=10).x_inf
+    x_inf = limit_stage(alphas, list(chain.levels), eps=0.15, j0=10)[1]
     return alphas, x_inf, chain.horizon
 
 
 @pytest.mark.parametrize("case", ["trivial-one", "trivial-three", "proportional", "tree-branch"])
 def test_merge_limit_matches_dense_construction(case):
     alphas, x_inf, horizon = _merge_inputs(case)
-    merged = merge_limit(alphas, x_inf, horizon=horizon)
+    merged = tree_mod._merge_limit(alphas, x_inf)
     want = _dense_merge_limit(alphas, x_inf, horizon)
     assert np.array_equal(merged.phases.view(np.int64), want.view(np.int64))
     assert merged.run_phases.size <= sum(a.run_phases.size for a in alphas) + len(alphas)
@@ -363,8 +410,8 @@ def test_tree_depth2_certificates():
     s1 = tree.nodes[c.payload["s1"]].alpha
     diff = s0.mul(s1.inverse())
     blk = c.payload["blocks"][0]["block"]
-    iv0 = interval(chain.levels[lvl + 1], blk)
-    iv1 = interval(chain.levels[lvl + 1], blk + 1)
+    iv0 = _interval(chain.levels[lvl + 1], blk)
+    iv1 = _interval(chain.levels[lvl + 1], blk + 1)
     d = delta_one(diff, list(iv0) + [iv1.start])
     assert d >= 2.0 - 1e-9
 

@@ -12,7 +12,6 @@ from corona_lab import (
     ad_sandwich,
     build_tent_unit,
     constant_one,
-    degenerate_sum_unit,
     epsilon_witness,
     hyp_check,
     power_gap,
@@ -22,7 +21,7 @@ from corona_lab import (
     tensor_unit,
     weak_sandwich,
 )
-from corona_lab.weak_units import PositiveUnit, tent_power_gap
+from corona_lab.weak_units import PositiveUnit
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +76,8 @@ def test_power_gap_full_interval_analytic():
 
 
 def test_power_gap_monotone_in_k(tent12):
-    gaps = [tent_power_gap(tent12, 3, k) for k in range(1, 12)]
+    # tent 3 ramps through all of [0, 1]
+    gaps = [power_gap(tent12.unit.rs[3], k, continuous_range=(0.0, 1.0)) for k in range(1, 12)]
     assert all(a >= b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < gaps[0]
 
@@ -176,9 +176,13 @@ def test_hyp_check_modes(tent12):
     blocks = BlockStructure((2, 2, 2, 2))
     assert hyp_check(projection_unit(blocks), "HypA")["holds"]
     assert hyp_check(tent12.unit, "HypWeak", eps=0.1, k_max=6)["holds"]
-    rep = hyp_check(degenerate_sum_unit(blocks), "HypA")
+    # a zero r_i is a projection, but every corner r_i A r_j with it is zero
+    rs = projection_unit(blocks).rs.copy()
+    rs[1] = 0.0
+    rep = hyp_check(PositiveUnit(rs=rs), "HypA")
     assert not rep["holds"]
-    assert rep["failures"][0]["kind"] == "zero_corner"
+    assert rep["failures"][0] == {"kind": "zero_corner", "i": 0, "j": 1}
+    assert all(f["kind"] == "zero_corner" and 1 in (f["i"], f["j"]) for f in rep["failures"])
     # tents are not projections
     rep = hyp_check(tent12.unit, "HypA")
     assert not rep["holds"]
@@ -200,7 +204,7 @@ def test_tensor_unit_identity_qs():
     qs = [np.eye(2)] * proj.count
     out = tensor_unit(proj, qs)
     for i in range(proj.count):
-        assert np.allclose(out.rs[i], np.kron(proj.r(i), np.eye(2)), atol=1e-12)
+        assert np.allclose(out.rs[i], np.kron(np.diag(proj.rs[i]), np.eye(2)), atol=1e-12)
 
 
 def test_tensor_unit_invariants():
