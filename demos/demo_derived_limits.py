@@ -7,10 +7,16 @@ towers whose left term has nonvanishing lim^1 while the middle term is
 flasque, so the six-term sequence picks up a defect that the script reports
 with explicit evidence (a strictly descending chain of image lattices).
 
+A periodic tail decides its tower: its image chain is walked until it
+repeats (lim^1 = 0) or passes a bound set by the tail level's free rank and
+torsion order (lim^1 nonzero).  lim is printed as "exact" or as "a
+truncation" when only the tail level itself can be given.
+
 Run: python3 demos/demo_derived_limits.py
 """
 
 from corona_lab import (
+    AbGroupPresentation,
     Tower,
     build_paper_model,
     constant_tower,
@@ -26,7 +32,8 @@ def show_tower(name, t):
     rep = lim_tower(t)
     l1 = lim1_tower(t)
     inv = rep["truncated_lim"].invariants()
-    print(f"{name}: truncated lim invariants {inv}, stabilized={rep['stabilized']}")
+    kind = "exact" if rep["stabilized"] else "a truncation"
+    print(f"{name}: lim invariants {inv} ({kind})")
     print(f"  lim^1 verdict: {l1['verdict']} ({l1['reason']})")
     print(f"  flasque: {flasque_check(t)}")
 
@@ -41,6 +48,14 @@ def main():
     show_tower("\ndoubling tower Z <-2- Z <-2- ...", doubling)
     chain = lim1_tower(doubling)["evidence"]["tail_image_chain"]
     print(f"  descending image lattices (evidence): {chain}")
+
+    # Z/8 + Z, doubling: the Z/8 images shrink three times, then stop
+    g = AbGroupPresentation(rank=2, relations=((8,), (0,)))
+    bond = ((2, 0), (0, 1))
+    show_tower(
+        "\nZ/8 + Z <-diag(2,1)- Z/8 + Z <- ...",
+        Tower(levels=(g,) * 3, bonds=(bond,) * 2, tail_level=g, tail_bond=bond),
+    )
 
     ses = build_paper_model(8)
     rep = six_term_check(ses)

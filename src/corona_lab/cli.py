@@ -41,6 +41,7 @@ from .weak_units import (
 )
 
 DEFAULT_SCHEDULE = (32, 36, 40, 48)
+PAPER_MODEL_DEPTH = 3
 
 
 def _float(x: float) -> str:
@@ -246,8 +247,6 @@ def cmd_sandwich(args) -> int:
         delta = rep["delta"]
         sampled = rep["sampled_max"]
         ok = (lower >= delta - slack - 1e-9) and (sampled <= 2 * delta + 1e-9)
-        if args.self_test and run == 0:
-            ok = False
         if not ok:
             violations += 1
         rows.append([delta, lower, sampled, 2 * delta, int(ok)])
@@ -265,16 +264,21 @@ def cmd_sandwich(args) -> int:
 
 def cmd_limits(args) -> int:
     if args.paper_model:
-        ses = dl.build_paper_model(depth=args.depth)
+        if args.tower:
+            raise PreconditionViolation("give a tower file or --paper-model, not both")
+        depth = PAPER_MODEL_DEPTH if args.depth is None else args.depth
+        ses = dl.build_paper_model(depth=depth)
         report = dl.six_term_check(ses)
         doc = {
-            "config": _config_echo(args),
+            "config": {"depth": depth},
             "paper_model": True,
             "six_term": _jsonable(report),
             "flasque_T": dl.flasque_check(ses.T),
         }
         _emit(doc, args.out)
         return 0
+    if args.depth is not None:
+        raise PreconditionViolation("--depth sizes the paper model; a tower file takes none")
     if not args.tower:
         _emit({"error": "config", "message": "need a tower file or --paper-model"}, args.out)
         return 2
@@ -285,10 +289,10 @@ def cmd_limits(args) -> int:
     except (OSError, ValueError, KeyError, CoronaLabError) as exc:
         _emit({"error": "invalid tower", "message": str(exc)}, args.out)
         return 2
-    lim = dl.lim_tower(tower, args.depth)
-    lim1 = dl.lim1_tower(tower, args.depth)
+    lim = dl.lim_tower(tower)
+    lim1 = dl.lim1_tower(tower)
     doc = {
-        "config": _config_echo(args),
+        "config": {},
         "flasque": dl.flasque_check(tower),
         "lim": {
             "invariants": _inv_doc(lim["truncated_lim"]),
@@ -417,11 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, "seed")
     sp.add_argument("--model", choices=("blocks", "tent"), default="blocks")
     sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--self-test", action="store_true", dest="self_test")
     sp.set_defaults(fn=cmd_sandwich)
 
     sp = sub.add_parser("limits", help="inverse and first derived limits of towers")
-    common(sp, "depth")
+    common(sp)
+    sp.add_argument(
+        "--depth", type=int, default=None,
+        help=f"levels of the paper model (default {PAPER_MODEL_DEPTH}); a tower file takes none",
+    )
     sp.add_argument("tower", nargs="?", default=None, help="tower JSON file")
     sp.add_argument("--paper-model", action="store_true", dest="paper_model")
     sp.set_defaults(fn=cmd_limits)

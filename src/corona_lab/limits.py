@@ -12,10 +12,18 @@ computes an exact verdict about itself (invariants, validity, flasqueness,
 its tail's image chain) once and remembers it.
 
 The first derived limit is decided through the Mittag-Leffler criterion for
-towers indexed by the naturals: descending image stabilization forces it to
-vanish, certified strict descent on a periodic tail forces it not to.  It is
+towers indexed by the naturals: it vanishes iff the images stabilize.  It is
 reported as a verdict, never as a presented group: when stabilization fails
 the group is uncountable and has no finite presentation.
+
+A tower with a periodic tail is decided by its tail alone, which is cofinal.
+The tail's image chain is walked to the first repeat, within a bound worked
+out from the tail level's free rank and torsion order; a repeat gives
+lim¹ = 0 and the exact lim, no repeat gives lim¹ nonzero.  A tower without
+a tail has two readings.  Over its finite index set, lim is the top level
+and lim¹ = 0 exactly.  As the truncation of an unknown longer tower, lim is
+only the top level's truncation and lim¹ is "Undetermined" unless the tower
+is flasque or its levels are finite.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 
 from .errors import InvalidSes, PreconditionViolation
 
@@ -78,10 +86,6 @@ def mat_hstack(A, B):
     if len(A) != len(B):
         raise PreconditionViolation("row count mismatch in hstack")
     return [ra + rb for ra, rb in zip(A, B)]
-
-
-def mat_scale(A, c):
-    return [[c * x for x in row] for row in A]
 
 
 def det_int(A):
@@ -375,9 +379,11 @@ class Tower:
         return surjective
 
     @cached_property
-    def _tails(self) -> dict:
-        """Tail analyses by depth; see :func:`_tail_analysis`."""
-        return {}
+    def _tail(self):
+        """The tail's analysis, see :func:`_tail_analysis`; None without one."""
+        if self.tail_level is None:
+            return None
+        return _tail_analysis(self.tail_level, self.tail_bond)
 
     def to_json(self) -> dict:
         doc = {
@@ -418,81 +424,59 @@ def constant_tower(group: AbGroupPresentation, depth: int) -> Tower:
     )
 
 
-def _tail_is_free_injective(T: Tower):
-    if T.tail_level is None:
-        return None
-    lv = T.tail_level
-    if lv.relations and any(any(row) for row in lv.relations):
-        return None
-    M = [list(r) for r in T.tail_bond]
-    return None if det_int(M) == 0 else M
+def _quotient(H, R) -> AbGroupPresentation:
+    """span(H) / span(R), presented on the column Hermite basis H of a lattice
+    that holds R's columns.  Later basis columns vanish in each column's pivot
+    row, so R's coordinates follow one basis column at a time."""
+    basis = mat_t(H)
+    coords = []
+    for v in mat_t(R):
+        c = []
+        for b in basis:
+            p = next(i for i, x in enumerate(b) if x)
+            q = v[p] // b[p]
+            v = [x - q * y for x, y in zip(v, b)]
+            c.append(q)
+        coords.append(c)
+    rel = mat_t(coords) if coords else mat_zero(len(basis), 0)
+    return AbGroupPresentation(rank=len(basis), relations=tuple(map(tuple, rel)))
 
 
-def _image_chain(M, rank: int, depth: int):
-    """Iterated column lattices of M^t, canonical bases, up to stabilization."""
-    chain = [col_hermite(mat_id(rank))]
-    L = mat_id(rank)
-    for _ in range(depth):
-        L = mat_mul(M, L)
-        H = col_hermite(L)
-        chain.append(H)
-        if H == chain[-2]:
-            return chain, True
-        L = H if H else mat_zero(rank, 0)
-    return chain, False
+def _tail_analysis(level: AbGroupPresentation, bond) -> tuple:
+    """(image chain, Mittag-Leffler?, lim, lim exact?) of a periodic tail: the
+    level G = Z^r / R repeated with the constant bond M.
 
+    The images M^s G lift to the lattices L_0 = Z^r and L_(s+1) = span of
+    M L_s and R, in canonical bases.  A step that does not fall is final.
+    Past step f, the free rank of G, each image has the constant index
+    |det| of M on the eventual image in the one before, on the free
+    quotient; once that stops falling, the torsion part can fall at most
+    log2 t more times, t the torsion order of G.  So images that stabilize
+    repeat by step B = f + bit_length(t), and the walk stops at the first
+    repeat or at B.
 
-def _strict_scaled_descent(chain) -> bool:
-    """Is each step of the (non-stabilized) chain a proper scaled copy of the
-    previous lattice?  Certifies descent forever for a period-1 tail; a
-    chain with no step certifies nothing."""
-    if len(chain) < 2:
-        return False
-    for A, B in zip(chain, chain[1:]):
-        if not A or not B:
-            return False
-        # smallest nonzero entry ratio as candidate scale
-        flat_a = [x for row in A for x in row if x != 0]
-        flat_b = [x for row in B for x in row if x != 0]
-        if not flat_a or not flat_b:
-            return False
-        g_a = 0
-        for x in flat_a:
-            g_a = gcd(g_a, x)
-        g_b = 0
-        for x in flat_b:
-            g_b = gcd(g_b, x)
-        if g_b % g_a != 0:
-            return False
-        d = g_b // g_a
-        if d <= 1:
-            return False
-        # both are Hermite bases, and so is a positive multiple of one
-        if B != mat_scale(A, d):
-            return False
-    return True
-
-
-def _tail_analysis(T: Tower, depth: int):
-    """For a free injective period-1 tail: (image chain up to ``depth`` as
-    nested tuples, stabilized?, certified strict descent?); None for any
-    other tower.  Computed once per (tower, depth)."""
-    if depth not in T._tails:
-        M = _tail_is_free_injective(T)
-        if M is None:
-            T._tails[depth] = None
-        else:
-            chain, stab = _image_chain(M, T.tail_level.rank, depth)
-            descent = not stab and _strict_scaled_descent(chain[1:])
-            T._tails[depth] = (tuple(tuple(map(tuple, H)) for H in chain), stab, descent)
-    return T._tails[depth]
-
-
-def _check_depth(depth: int) -> None:
-    """A period-1 tail is decided by the step from its first to its second
-    image, so the chain needs depth >= 2."""
-    if depth < 2:
-        raise PreconditionViolation("need depth >= 2")
+    Stable images: lim¹ = 0 and lim = L_s / R, exact (a surjective
+    endomorphism of a finitely generated group is bijective).  Otherwise
+    lim¹ is nonzero.  Then if G is torsion-free and a prime p divides every
+    entry of L_f, R is 0 (nonzero relations in p Z^r would leave torsion),
+    M^f = 0 mod p, the images meet in 0 and lim = 0, exact.  Any other lim
+    is reported as G itself, not exact.
+    """
+    free, torsion = level.invariants()
+    bound = free + prod(torsion).bit_length()
+    M, R = [list(r) for r in bond], level.rel_mat
+    chain = [mat_id(level.rank)]
+    stable = False
+    while len(chain) <= bound and not stable:
+        chain.append(col_hermite(mat_hstack(mat_mul(M, chain[-1]), R)))
+        stable = chain[-1] == chain[-2]
+    if stable:
+        lim, exact = _quotient(chain[-1], R).canonical(), True
+    elif not torsion and gcd(*(x for row in chain[free] for x in row)) > 1:
+        lim, exact = free_group(0), True
+    else:
+        lim, exact = level.canonical(), False
+    return tuple(tuple(map(tuple, H)) for H in chain), stable, lim, exact
 
 
 def _chain_lists(chain) -> list:
@@ -500,59 +484,38 @@ def _chain_lists(chain) -> list:
     return [[list(r) for r in H] for H in chain]
 
 
-def lim_tower(T: Tower, depth: int = 16) -> dict:
-    """Inverse limit over the truncation.
+def lim_tower(T: Tower) -> dict:
+    """Inverse limit of the tower.
 
-    A finite tower's threads are determined by the top level.  A free
-    injective period-1 tail admits a genuine answer through the stable image
-    lattice; a certified strictly scaled descent gives limit zero.
+    A tail is cofinal, so it decides: see :func:`_tail_analysis`.  A tower
+    without a tail gives its top level, ``stabilized`` when the last bond is
+    an isomorphism; that is exact for the finite index set and a truncation
+    for an unknown longer tower.
     """
-    _check_depth(depth)
     T.check_invariants()
     if not T.levels and T.tail_level is None:
         raise PreconditionViolation("empty tower")
-    top = T.levels[-1] if T.levels else T.tail_level
-    tail = _tail_analysis(T, depth)
-    if tail is None:
-        truncated = top.canonical()
-        stabilized = False
-        if len(T.levels) >= 2 and T.tail_level is None:
-            stabilized = (
-                T.levels[-1].invariants() == T.levels[-2].invariants()
-                and _bond_surjective(
-                    [list(r) for r in T.bonds[-1]], T.levels[-1], T.levels[-2]
-                )
-                and _bond_injective(
-                    [list(r) for r in T.bonds[-1]], T.levels[-1], T.levels[-2]
-                )
-            )
-        return {"truncated_lim": truncated, "stabilized": stabilized, "evidence": None}
-    chain, stab, descent = tail
-    if stab:
-        ncols = len(chain[-1][0]) if chain[-1] else 0
-        return {
-            "truncated_lim": free_group(ncols).canonical(),
-            "stabilized": True,
-            "evidence": _chain_lists(chain),
-        }
-    if descent:
-        return {
-            "truncated_lim": free_group(0),
-            "stabilized": True,
-            "evidence": _chain_lists(chain),
-        }
-    return {
-        "truncated_lim": free_group(T.tail_level.rank).canonical(),
-        "stabilized": False,
-        "evidence": _chain_lists(chain),
-    }
+    if T._tail is not None:
+        chain, _, lim, exact = T._tail
+        return {"truncated_lim": lim, "stabilized": exact, "evidence": _chain_lists(chain)}
+    stabilized = len(T.levels) >= 2 and (
+        T.levels[-1].invariants() == T.levels[-2].invariants()
+        and _bond_surjective([list(r) for r in T.bonds[-1]], T.levels[-1], T.levels[-2])
+        and _bond_injective([list(r) for r in T.bonds[-1]], T.levels[-1], T.levels[-2])
+    )
+    return {"truncated_lim": T.levels[-1].canonical(), "stabilized": stabilized, "evidence": None}
 
 
-def lim1_tower(T: Tower, depth: int = 16) -> dict:
-    """First derived limit verdict via Mittag-Leffler image stabilization."""
-    _check_depth(depth)
+def lim1_tower(T: Tower) -> dict:
+    """First derived limit verdict by the Mittag-Leffler criterion: for a
+    tower of countable groups lim¹ = 0 iff the images stabilize, and
+    otherwise it has the cardinality of the continuum (B. Gray, Topology 5,
+    1966).  Every tower with a tail is decided.  "Undetermined" is left for
+    a tower without a tail, neither flasque nor finite, read as the
+    truncation of an unknown longer tower; over its finite index set alone
+    lim¹ = 0.
+    """
     T.check_invariants()
-    evidence = {}
     if flasque_check(T):
         return {"verdict": "Zero", "reason": "flasque", "evidence": None}
     all_levels = list(T.levels) + ([T.tail_level] if T.tail_level else [])
@@ -562,23 +525,17 @@ def lim1_tower(T: Tower, depth: int = 16) -> dict:
             "reason": "finite levels force image stabilization",
             "evidence": None,
         }
-    tail = _tail_analysis(T, depth)
-    if tail is not None:
-        chain, stab, descent = tail
-        evidence["tail_image_chain"] = _chain_lists(chain)
-        if stab:
-            return {
-                "verdict": "Zero",
-                "reason": "tail images stabilize",
-                "evidence": evidence,
-            }
-        if descent:
-            return {
-                "verdict": "Nonzero",
-                "reason": "certified strict image descent on the tail",
-                "evidence": evidence,
-            }
-    return {"verdict": "Undetermined", "reason": "no decisive tail", "evidence": evidence}
+    if T._tail is None:
+        return {"verdict": "Undetermined", "reason": "no tail", "evidence": None}
+    chain, stable, _, _ = T._tail
+    evidence = {"tail_image_chain": _chain_lists(chain)}
+    if stable:
+        return {"verdict": "Zero", "reason": "tail images stabilize", "evidence": evidence}
+    return {
+        "verdict": "Nonzero",
+        "reason": "certified strict image descent on the tail",
+        "evidence": evidence,
+    }
 
 
 def _bond_surjective(bond, src: AbGroupPresentation, dst: AbGroupPresentation) -> bool:
@@ -690,7 +647,7 @@ class SesTower:
             raise InvalidSes(f"sigma square at level {n} does not commute")
 
 
-def six_term_check(S: SesTower, depth: int = 16) -> dict:
+def six_term_check(S: SesTower) -> dict:
     """Exactness consequences of the level-exact tower sequence.
 
     When the first derived limit of F vanishes, the limit sequence is exact at
@@ -698,13 +655,12 @@ def six_term_check(S: SesTower, depth: int = 16) -> dict:
     of T to the limit of G cannot be surjective in the stabilized sense; the
     non-stabilizing image chain of F is the certificate.
     """
-    _check_depth(depth)
     S.check_invariants()
-    l1F = lim1_tower(S.F, depth)
-    l1T = lim1_tower(S.T, depth)
-    lF = lim_tower(S.F, depth)
-    lT = lim_tower(S.T, depth)
-    lG = lim_tower(S.G, depth)
+    l1F = lim1_tower(S.F)
+    l1T = lim1_tower(S.T)
+    lF = lim_tower(S.F)
+    lT = lim_tower(S.T)
+    lG = lim_tower(S.G)
     report = {
         "lim_F": lF["truncated_lim"].invariants(),
         "lim_T": lT["truncated_lim"].invariants(),

@@ -8,7 +8,6 @@ evidence for the subgroup of sequences that flatten out along X.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,23 +56,8 @@ class SparseSet:
     def __len__(self):
         return int(self.elements.size)
 
-    def __contains__(self, x):
-        i = int(np.searchsorted(self.elements, int(x)))
-        return i < len(self.elements) and int(self.elements[i]) == int(x)
-
     def to_json(self) -> dict:
         return {"elements": self.elements.tolist()}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "SparseSet":
-        return cls(np.asarray(doc["elements"], dtype=np.int64))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, text: str) -> "SparseSet":
-        return cls.from_json(json.loads(text))
 
 
 def n_of(X: SparseSet, j: int) -> int:
@@ -111,19 +95,6 @@ class FxProfile:
         """Whether ``d[j0:] <= eps``, after ``check_tolerance(eps, j0)``."""
         check_tolerance(eps, j0)
         return bool(np.all(self.d[j0:] <= eps))
-
-    def to_json(self, eps: float | None = None, j0: int | None = None) -> dict:
-        doc = {"d": self.d.tolist()}
-        if self.d_single is not None:
-            doc["d_single"] = self.d_single.tolist()
-            doc["d_endpoints"] = self.d_endpoints.tolist()
-        if eps is not None:
-            doc["verdict"] = {
-                "eps": eps,
-                "j0": j0,
-                "in_fx": self.in_fx(eps, j0),
-            }
-        return doc
 
 
 def fx_profile(alpha: TorusElement, X: SparseSet, split: bool = False) -> FxProfile:

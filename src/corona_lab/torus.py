@@ -9,7 +9,6 @@ diameter of the value set on those indices.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -180,17 +179,6 @@ class TorusElement:
             "phases": RunList(self.run_phases, counts),
             "tail": self.tail,
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TorusElement":
-        return cls(np.asarray(doc["phases"], dtype=float), tail=doc["tail"])
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
-
-    @classmethod
-    def loads(cls, text: str) -> "TorusElement":
-        return cls.from_json(json.loads(text))
 
 
 def constant_one(horizon: int) -> TorusElement:

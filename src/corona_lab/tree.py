@@ -12,7 +12,6 @@ one element above all of it, the step the construction takes at a limit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -366,9 +365,6 @@ class CoherenceTree:
             "nodes": {label: docs[id(node.alpha)] for label, node in self.nodes.items()},
             "certificates": [c.to_json() for c in self.certificates],
         }
-
-    def dumps(self, **kw) -> str:
-        return json.dumps(self.to_json(), **kw)
 
 
 def build_tree(

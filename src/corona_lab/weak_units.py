@@ -10,7 +10,6 @@ matrix algebra on the underlying coordinates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,22 +116,6 @@ class TentModel:
 
     grid: np.ndarray
     unit: PositiveUnit
-
-    @property
-    def breakpoints(self) -> list:
-        return [float(2 * n - 1) for n in range(1, self.unit.count + 1)]
-
-    def to_json(self) -> dict:
-        return {
-            "grid_start": float(self.grid[0]),
-            "grid_step": float(self.grid[1] - self.grid[0]),
-            "grid_points": int(self.grid.size),
-            "count": self.unit.count,
-            "breakpoints": self.breakpoints,
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 def _p_profile(x: np.ndarray, n: int) -> np.ndarray:

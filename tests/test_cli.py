@@ -250,10 +250,14 @@ def test_sandwich_blocks(tmp_path):
     assert len(lines) == 16
 
 
-def test_sandwich_tent_and_self_test(tmp_path):
+def test_sandwich_tent_and_self_test(tmp_path, monkeypatch):
     out = tmp_path / "s.csv"
     assert run(["sandwich", "--samples", "4", "--model", "tent", "--out", str(out)]) == 0
-    assert run(["sandwich", "--samples", "2", "--self-test", "--out", str(out)]) == 1
+    # a sampled norm above 2·delta breaks the sandwich: the sweep exits 1
+    broken = {"delta": 0.5, "lower_witness": 0.5, "sampled_max": 1.5}
+    monkeypatch.setattr(cli, "ad_sandwich", lambda *args, **kw: broken)
+    assert run(["sandwich", "--samples", "2", "--out", str(out)]) == 1
+    assert out.read_text().splitlines()[1:] == ["0.5,0.5,1.5,1.0,0"] * 2
 
 
 def test_limits_paper_model(tmp_path, capsys):
@@ -274,6 +278,18 @@ def test_limits_tower_file(tmp_path):
     assert run(["limits", str(path), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["lim1"]["verdict"] == "Zero" and doc["flasque"]
+    assert doc["config"] == {}  # a tower file reads no flag
+
+
+@pytest.mark.parametrize("flags", [["--paper-model"], ["--depth", "3"]], ids=["paper-model", "depth"])
+def test_limits_tower_file_with_paper_model_flags_exits_2(tmp_path, capsys, flags):
+    # both flags describe the paper model, which a tower file replaces
+    path, out = tmp_path / "t.json", tmp_path / "l.json"
+    path.write_text(_FREE_TOWER)
+    assert run(["limits", str(path), *flags, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert not out.exists() and not captured.out
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_limits_invalid_tower(tmp_path):

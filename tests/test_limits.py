@@ -1,5 +1,6 @@
 import json
 import signal
+from math import gcd
 
 import numpy as np
 import pytest
@@ -27,12 +28,12 @@ from corona_lab import (
 from corona_lab.cli import main
 from corona_lab.limits import (
     _bond_surjective,
-    _strict_scaled_descent,
     col_hermite,
     det_int,
     kernel_basis,
     lattice_equal,
     lattice_leq,
+    mat_hstack,
     mat_id,
     mat_mul,
     row_hermite,
@@ -492,21 +493,105 @@ def test_remembered_evidence_is_not_shared_with_documents():
     assert lim_tower(x2)["evidence"] == expected
 
 
-def test_tail_descent_needs_two_steps():
-    # the tail bond doubles one coordinate and fixes the other: the images
-    # descend, but not by a scaling, so nothing is certified
-    z2 = free_group(2)
-    bond = ((2, 0), (0, 1))
-    t = Tower(levels=(z2,) * 3, bonds=(bond,) * 2, tail_level=z2, tail_bond=bond)
-    ses = build_paper_model(3)
-    for depth in (-1, 0, 1):
-        for call in (lambda: lim_tower(t, depth), lambda: lim1_tower(t, depth),
-                     lambda: six_term_check(ses, depth)):
-            with pytest.raises(PreconditionViolation, match="need depth >= 2"):
-                call()
-    for depth in (2, 3, 16):
-        rep = lim_tower(t, depth)
-        free, torsion = rep["truncated_lim"].invariants()
-        assert free == 2 and not torsion and not rep["stabilized"]
-        assert lim1_tower(t, depth)["verdict"] == "Undetermined"
-    assert not _strict_scaled_descent([]) and not _strict_scaled_descent([[[2, 0], [0, 1]]])
+# Tails decided within the bound B = f + bit_length(t): (relations, bond, lim¹
+# verdict, lim invariants, lim exact?, walked image lattices).  The Z/8 + Z
+# tail's images stop falling at step 3, past its free rank f = 1.  Doubling
+# Z/6 + Z keeps the 3-part of Z/6, so lim is not 0 although 2 divides every
+# walked lattice: only a torsion-free tail takes that certificate.
+_TAILS = {
+    "doubles-one-coordinate": (((), ()), ((2, 0), (0, 1)), "Nonzero", (2, ()), False, 4),
+    "triangular": (((), ()), ((2, 1), (0, 3)), "Nonzero", (2, ()), False, 4),
+    "singular": (((), ()), ((2, 0), (0, 0)), "Nonzero", (0, ()), True, 4),
+    "z8-plus-z": (((8,), (0,)), ((2, 0), (0, 1)), "Zero", (1, ()), True, 5),
+    "z-plus-z3": (((0,), (3,)), ((2, 0), (0, 1)), "Nonzero", (1, (3,)), False, 4),
+    "z6-plus-z-doubled": (((6,), (0,)), ((2, 0), (0, 2)), "Nonzero", (1, (6,)), False, 5),
+}
+
+
+@pytest.mark.parametrize("name", list(_TAILS))
+def test_tail_decided_within_its_bound(name):
+    relations, bond, verdict, lim, exact, walked = _TAILS[name]
+    g = AbGroupPresentation(rank=2, relations=relations)
+    t = Tower(levels=(g,) * 3, bonds=(bond,) * 2, tail_level=g, tail_bond=bond)
+    l1 = lim1_tower(t)
+    assert l1["verdict"] == verdict
+    assert len(l1["evidence"]["tail_image_chain"]) == walked
+    rep = lim_tower(t)
+    assert rep["truncated_lim"].invariants() == lim and rep["stabilized"] == exact
+
+
+# The tail oracle: random tails G = Z^r / U·diag(d) with bond U M U^-1, U
+# unimodular, torsion when some d_i > 1.  The verdict must match a 60-step
+# walk of the image chain and, through the free quotient's bond M[F][F], the
+# lowest nonzero coefficient of its characteristic polynomial (|det| of the
+# bond on the eventual image, a unit iff the images stabilize).
+
+
+@st.composite
+def _tails(draw):
+    r = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    M = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=r, max_size=r))
+    torsion = draw(st.booleans())
+    d = draw(st.lists(st.sampled_from((0, 0, 1, 2, 3, 4, 6) if torsion else (0,)),
+                      min_size=r, max_size=r))
+    for i in range(r):
+        for j in range(r):
+            # the bond must map the relations d_j e_j into their span
+            if (M[i][j] * d[j] % d[i]) if d[i] else M[i][j] * d[j]:
+                M[i][j] *= d[i]
+    U, Uinv = mat_id(r), mat_id(r)
+    for _ in range(draw(st.integers(0, 3)) if r > 1 else 0):
+        i, j = draw(st.permutations(range(r)))[:2]
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]  # row i += c row j
+        for row in Uinv:
+            row[j] -= c * row[i]  # column j -= c column i
+    R = mat_mul(U, [[d[i] if i == j else 0 for j in range(r)] for i in range(r)])
+    return M, d, mat_mul(mat_mul(U, M), Uinv), R
+
+
+def _long_walk(M, R, steps=60):
+    """(images stabilize within ``steps``?, the last image lattice)."""
+    L = mat_id(len(M))
+    for _ in range(steps):
+        nxt = col_hermite(mat_hstack(mat_mul(M, L), R))
+        if nxt == L:
+            return True, L
+        L = nxt
+    return False, L
+
+
+@_ORACLE
+@given(tail=_tails())
+def test_tail_against_a_long_walk_and_sympy(tail):
+    M, d, bond, R = tail
+    r = len(M)
+    g = AbGroupPresentation(rank=r, relations=tuple(map(tuple, R)))
+    t = Tower(levels=(g,), bonds=(), tail_level=g, tail_bond=tuple(map(tuple, bond)))
+    verdict, rep = lim1_tower(t)["verdict"], lim_tower(t)
+    stable, L = _long_walk(bond, R)
+    assert verdict == ("Zero" if stable else "Nonzero")
+    free = [i for i in range(r) if d[i] == 0]
+    coeffs = sympy.Matrix([[M[i][j] for j in free] for i in free]).charpoly().all_coeffs()
+    assert stable == (not free or abs([c for c in coeffs if c][-1]) == 1)
+    if stable:
+        # lim is L / R: R's coordinates in L's basis, solved over Q
+        assert rep["stabilized"]
+        k = len(L[0]) if L else 0
+        if k:
+            SL = sympy.Matrix(L)
+            C = (SL.T * SL).inv() * SL.T * sympy.Matrix(R)
+            assert all(x.is_integer for x in C)
+            factors = [abs(int(x)) for x in invariant_factors(C)]
+        else:
+            factors = []
+        want = (k - sum(1 for x in factors if x), tuple(x for x in factors if x > 1))
+        assert rep["truncated_lim"].invariants() == want
+    elif rep["stabilized"]:
+        # lim = 0, certified by a prime p dividing L_r, so M = 0 mod p
+        assert rep["truncated_lim"].invariants() == (0, ()) and not any(d)
+        assert gcd(*coeffs[1:]) > 1
+    else:
+        assert rep["truncated_lim"].invariants() == g.invariants()
+        assert any(d) or gcd(*coeffs[1:]) == 1

