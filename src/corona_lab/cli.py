@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import os
 import sys
@@ -149,16 +150,7 @@ def _to_stdout(pieces) -> None:
 
 
 def _config_echo(args) -> dict:
-    keys = (
-        "seed",
-        "horizon",
-        "depth",
-        "epsilon",
-        "j0",
-        "z_variant",
-        "model",
-        "samples",
-    )
+    keys = ("seed", "horizon", "depth", "epsilon", "j0", "z_variant")
     return {k: getattr(args, k) for k in keys if hasattr(args, k)}
 
 
@@ -280,11 +272,10 @@ def cmd_limits(args) -> int:
     if args.depth is not None:
         raise PreconditionViolation("--depth sizes the paper model; a tower file takes none")
     if not args.tower:
-        _emit({"error": "config", "message": "need a tower file or --paper-model"}, args.out)
-        return 2
+        raise PreconditionViolation("need a tower file or --paper-model")
     try:
         with open(args.tower) as fh:
-            tower = dl.tower_from_json(fh.read())
+            tower = dl.Tower.from_json(json.load(fh))
         tower.check_invariants()
     except (OSError, ValueError, KeyError, CoronaLabError) as exc:
         _emit({"error": "invalid tower", "message": str(exc)}, args.out)

@@ -7,9 +7,14 @@ every kernel, image, membership and image-stabilization question; Smith
 normal form, reached by alternating row and column Hermite forms, is used
 only where invariant factors are the answer.
 
-Groups and towers are frozen dataclasses of integer tuples, so each one
-computes an exact verdict about itself (invariants, validity, flasqueness,
-its tail's image chain) once and remembers it.
+Integer matrices are checked once, where they enter: the constructors of
+groups, towers and sequences of towers (and so ``from_json``), and the
+public :func:`smith_normal_form`.  Each is stored as a tuple of equal-length
+rows of Python ints; a float, a bool or a ragged row is refused, never
+truncated or padded.  The helpers behind them read those rows as they are.
+The invariants of a relation matrix are remembered per matrix; a tower
+computes its other verdicts (validity, flasqueness, its tail's image chain)
+once and remembers them.
 
 The first derived limit is decided through the Mittag-Leffler criterion for
 towers indexed by the naturals: it vanishes iff the images stabilize.  It is
@@ -28,22 +33,32 @@ is flasque or its levels are finite.
 
 from __future__ import annotations
 
-import json
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, prod
 
 from .errors import InvalidSes, PreconditionViolation
 
 # ---------------------------------------------------------------------------
-# exact integer matrices (lists of lists of Python ints)
+# exact integer matrices: sequences of equal-length rows of Python ints
 
 
-def _as_mat(M):
-    out = [[int(x) for x in row] for row in M]
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise PreconditionViolation("ragged integer matrix")
-    return out
+def _int_matrix(M, what: str = "matrix") -> tuple:
+    """M, a list or tuple of list or tuple rows, as a tuple of equal-length
+    rows of Python ints.  Entries go through ``operator.index``, so a float
+    is refused rather than truncated; so is a bool."""
+    rows = None
+    if isinstance(M, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in M):
+        try:
+            rows = tuple(tuple(map(operator.index, r)) for r in M)
+        except TypeError:
+            pass
+    if rows is None or any(type(x) is bool for r in M for x in r):
+        raise PreconditionViolation(f"{what} must be a list of rows of integers")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise PreconditionViolation(f"{what} has ragged rows")
+    return rows
 
 
 def mat_id(n):
@@ -79,13 +94,9 @@ def mat_t(A):
 
 
 def mat_hstack(A, B):
-    if not A:
-        return [row[:] for row in B]
-    if not B:
-        return [row[:] for row in A]
     if len(A) != len(B):
         raise PreconditionViolation("row count mismatch in hstack")
-    return [ra + rb for ra, rb in zip(A, B)]
+    return [[*ra, *rb] for ra, rb in zip(A, B)]
 
 
 def det_int(A):
@@ -93,7 +104,7 @@ def det_int(A):
     n = len(A)
     if n == 0:
         return 1
-    M = [row[:] for row in A]
+    M = [list(row) for row in A]
     sign = 1
     prev = 1
     for t in range(n - 1):
@@ -128,11 +139,10 @@ def smith_normal_form(M):
     The postcondition (product identity and |det| = 1) is re-verified before
     returning.
     """
-    A = _as_mat(M)
+    A = _int_matrix(M)
     m = len(A)
     n = len(A[0]) if A else 0
-    # rows of S are replaced, never changed in place, so A stays M for the check
-    U, S, V = mat_id(m), A[:], mat_id(n)
+    U, S, V = mat_id(m), [list(row) for row in A], mat_id(n)
     while True:
         d = [row[i] for i, row in enumerate(S) if i < len(row)]
         if min(d, default=0) >= 0 and sum(d) == sum(abs(x) for row in S for x in row):
@@ -166,7 +176,7 @@ def _hermite_step(S, U):
 def row_hermite(M):
     """Canonical row echelon form of the row lattice: pivots positive,
     entries above each pivot reduced into [0, pivot)."""
-    A = _as_mat(M)
+    A = [list(row) for row in M]
     if not A:
         return []
     m, n = len(A), len(A[0])
@@ -195,7 +205,7 @@ def row_hermite(M):
                 for j in range(n):
                     A[i][j] -= q * A[r][j]
         r += 1
-    return [row for row in A[:r]]
+    return A[:r]
 
 
 def col_hermite(M):
@@ -206,12 +216,10 @@ def col_hermite(M):
 def kernel_basis(M):
     """Columns spanning {x : M x = 0}, exact and saturated: the rows of the
     Hermite form of [M^T | I] whose M^T part vanishes, cut to their I part."""
-    A = _as_mat(M)
-    if not A or not A[0]:
-        n = len(A[0]) if A else 0
-        return mat_id(n)
-    m, n = len(A), len(A[0])
-    H = row_hermite(mat_hstack(mat_t(A), mat_id(n)))
+    if not M or not M[0]:
+        return mat_id(len(M[0]) if M else 0)
+    m, n = len(M), len(M[0])
+    H = row_hermite(mat_hstack(mat_t(M), mat_id(n)))
     cols = [row[m:] for row in H if not any(row[:m])]
     return mat_t(cols) if cols else mat_zero(n, 0)
 
@@ -219,17 +227,9 @@ def kernel_basis(M):
 def lattice_leq(A, B):
     """Column lattice of A contained in that of B?  Then adding A's columns
     leaves B's canonical basis unchanged."""
-    A = _as_mat(A)
     if not A or not A[0]:
         return True
-    B = _as_mat(B)
     return col_hermite(mat_hstack(B, A)) == col_hermite(B)
-
-
-def lattice_equal(A, B):
-    ha = col_hermite(A)
-    hb = col_hermite(B)
-    return ha == hb
 
 
 # ---------------------------------------------------------------------------
@@ -244,24 +244,14 @@ class AbGroupPresentation:
     relations: tuple  # rows as tuples; rank x s
 
     def __post_init__(self):
-        rel = tuple(tuple(int(x) for x in row) for row in self.relations)
+        rel = _int_matrix(self.relations, "relations")
         if len(rel) != self.rank:
             raise PreconditionViolation("relation matrix must have `rank` rows")
         object.__setattr__(self, "relations", rel)
 
-    @property
-    def rel_mat(self):
-        return [list(r) for r in self.relations]
-
     def invariants(self):
         """(free_rank, torsion coefficients > 1 in divisibility order)."""
-        return self._invariants
-
-    @cached_property
-    def _invariants(self):
-        _, S, _ = smith_normal_form(self.rel_mat)
-        nonzero = [x for row in S for x in row if x]  # S is diagonal
-        return (self.rank - len(nonzero), tuple(d for d in nonzero if d > 1))
+        return _invariants(self.relations)
 
     def canonical(self) -> "AbGroupPresentation":
         free, torsion = self.invariants()
@@ -269,7 +259,7 @@ class AbGroupPresentation:
         rel = mat_zero(r, len(torsion))
         for j, d in enumerate(torsion):
             rel[j][j] = d
-        return AbGroupPresentation(rank=r, relations=tuple(tuple(x) for x in rel))
+        return AbGroupPresentation(rank=r, relations=rel)
 
     def is_finite(self) -> bool:
         return self.invariants()[0] == 0
@@ -281,16 +271,16 @@ class AbGroupPresentation:
     def from_json(cls, doc) -> "AbGroupPresentation":
         if not isinstance(doc, dict) or type(doc.get("rank")) is not int:
             raise PreconditionViolation("a level is an object with an integer rank")
-        return cls(rank=doc["rank"], relations=_int_rows(doc.get("relations"), "relations"))
+        return cls(rank=doc["rank"], relations=doc.get("relations"))
 
 
-def _int_rows(rows, what: str) -> tuple:
-    """A JSON matrix as a tuple of equal-length rows of integers."""
-    if not isinstance(rows, list) or not all(
-        isinstance(r, list) and all(type(x) is int for x in r) for r in rows
-    ):
-        raise PreconditionViolation(f"{what} must be a list of rows of integers")
-    return tuple(tuple(r) for r in _as_mat(rows))
+@lru_cache(maxsize=4096)
+def _invariants(relations: tuple) -> tuple:
+    """(free_rank, torsion coefficients > 1) of Z^r modulo the columns of
+    ``relations``, r its row count: one Smith form per distinct matrix."""
+    _, S, _ = smith_normal_form(relations)
+    nonzero = [x for row in S for x in row if x]  # S is diagonal
+    return (len(relations) - len(nonzero), tuple(d for d in nonzero if d > 1))
 
 
 def free_group(rank: int) -> AbGroupPresentation:
@@ -305,8 +295,7 @@ def _bond_well_defined(bond, src: AbGroupPresentation, dst: AbGroupPresentation)
     """Does the bond map the source relations into the target relation lattice?"""
     if not src.relations or not src.relations[0]:
         return True
-    moved = mat_mul(bond, src.rel_mat)
-    return lattice_leq(moved, dst.rel_mat)
+    return lattice_leq(mat_mul(bond, src.relations), dst.relations)
 
 
 @dataclass(frozen=True)
@@ -326,11 +315,10 @@ class Tower:
         if len(self.bonds) != max(len(self.levels) - 1, 0):
             raise PreconditionViolation("need one bond per adjacent level pair")
         object.__setattr__(self, "levels", tuple(self.levels))
-        bonds = tuple(tuple(tuple(int(x) for x in row) for row in b) for b in self.bonds)
+        bonds = tuple(_int_matrix(b, f"bond {n}") for n, b in enumerate(self.bonds))
         object.__setattr__(self, "bonds", bonds)
         if self.tail_bond is not None:
-            tb = tuple(tuple(int(x) for x in row) for row in self.tail_bond)
-            object.__setattr__(self, "tail_bond", tb)
+            object.__setattr__(self, "tail_bond", _int_matrix(self.tail_bond, "tail bond"))
 
     @property
     def depth(self) -> int:
@@ -345,15 +333,14 @@ class Tower:
     def _well_formed(self) -> bool:
         for n, bond in enumerate(self.bonds):
             src, dst = self.levels[n + 1], self.levels[n]
-            b = [list(r) for r in bond]
-            if len(b) != dst.rank or (b and len(b[0]) != src.rank):
+            if len(bond) != dst.rank or (bond and len(bond[0]) != src.rank):
                 raise PreconditionViolation(f"bond {n} has wrong shape")
-            if not _bond_well_defined(b, src, dst):
+            if not _bond_well_defined(bond, src, dst):
                 raise PreconditionViolation(f"bond {n} does not respect relations")
         if (self.tail_level is None) != (self.tail_bond is None):
             raise PreconditionViolation("tail level and tail bond go together")
         if self.tail_level is not None:
-            b = [list(r) for r in self.tail_bond]
+            b = self.tail_bond
             if len(b) != self.tail_level.rank or (b and len(b[0]) != len(b)):
                 raise PreconditionViolation("tail bond has wrong shape")
             if not _bond_well_defined(b, self.tail_level, self.tail_level):
@@ -368,15 +355,10 @@ class Tower:
 
     @cached_property
     def _flasque(self) -> bool:
-        surjective = all(
-            _bond_surjective([list(r) for r in bond], self.levels[n + 1], self.levels[n])
-            for n, bond in enumerate(self.bonds)
-        )
-        if surjective and self.tail_level is not None:
-            surjective = _bond_surjective(
-                [list(r) for r in self.tail_bond], self.tail_level, self.tail_level
-            )
-        return surjective
+        maps = list(zip(self.bonds, self.levels))
+        if self.tail_level is not None:
+            maps.append((self.tail_bond, self.tail_level))
+        return all(_bond_surjective(bond, dst) for bond, dst in maps)
 
     @cached_property
     def _tail(self):
@@ -408,14 +390,14 @@ class Tower:
             raise PreconditionViolation("a tower's tail is an object")
         return cls(
             levels=tuple(AbGroupPresentation.from_json(lv) for lv in levels),
-            bonds=tuple(_int_rows(b, f"bond {n}") for n, b in enumerate(bonds)),
+            bonds=bonds,
             tail_level=AbGroupPresentation.from_json(tail.get("level")) if tail else None,
-            tail_bond=_int_rows(tail.get("bond"), "tail bond") if tail else None,
+            tail_bond=tail.get("bond") if tail else None,
         )
 
 
 def constant_tower(group: AbGroupPresentation, depth: int) -> Tower:
-    eye = tuple(tuple(r) for r in mat_id(group.rank))
+    eye = mat_id(group.rank)
     return Tower(
         levels=tuple([group] * depth),
         bonds=tuple([eye] * (depth - 1)),
@@ -439,7 +421,7 @@ def _quotient(H, R) -> AbGroupPresentation:
             c.append(q)
         coords.append(c)
     rel = mat_t(coords) if coords else mat_zero(len(basis), 0)
-    return AbGroupPresentation(rank=len(basis), relations=tuple(map(tuple, rel)))
+    return AbGroupPresentation(rank=len(basis), relations=rel)
 
 
 def _tail_analysis(level: AbGroupPresentation, bond) -> tuple:
@@ -464,7 +446,7 @@ def _tail_analysis(level: AbGroupPresentation, bond) -> tuple:
     """
     free, torsion = level.invariants()
     bound = free + prod(torsion).bit_length()
-    M, R = [list(r) for r in bond], level.rel_mat
+    M, R = bond, level.relations
     chain = [mat_id(level.rank)]
     stable = False
     while len(chain) <= bound and not stable:
@@ -477,11 +459,6 @@ def _tail_analysis(level: AbGroupPresentation, bond) -> tuple:
     else:
         lim, exact = level.canonical(), False
     return tuple(tuple(map(tuple, H)) for H in chain), stable, lim, exact
-
-
-def _chain_lists(chain) -> list:
-    """A fresh list-of-lists copy of a remembered image chain."""
-    return [[list(r) for r in H] for H in chain]
 
 
 def lim_tower(T: Tower) -> dict:
@@ -497,11 +474,11 @@ def lim_tower(T: Tower) -> dict:
         raise PreconditionViolation("empty tower")
     if T._tail is not None:
         chain, _, lim, exact = T._tail
-        return {"truncated_lim": lim, "stabilized": exact, "evidence": _chain_lists(chain)}
+        return {"truncated_lim": lim, "stabilized": exact, "evidence": chain}
     stabilized = len(T.levels) >= 2 and (
         T.levels[-1].invariants() == T.levels[-2].invariants()
-        and _bond_surjective([list(r) for r in T.bonds[-1]], T.levels[-1], T.levels[-2])
-        and _bond_injective([list(r) for r in T.bonds[-1]], T.levels[-1], T.levels[-2])
+        and _bond_surjective(T.bonds[-1], T.levels[-2])
+        and _bond_injective(T.bonds[-1], T.levels[-1], T.levels[-2])
     )
     return {"truncated_lim": T.levels[-1].canonical(), "stabilized": stabilized, "evidence": None}
 
@@ -528,7 +505,7 @@ def lim1_tower(T: Tower) -> dict:
     if T._tail is None:
         return {"verdict": "Undetermined", "reason": "no tail", "evidence": None}
     chain, stable, _, _ = T._tail
-    evidence = {"tail_image_chain": _chain_lists(chain)}
+    evidence = {"tail_image_chain": chain}
     if stable:
         return {"verdict": "Zero", "reason": "tail images stabilize", "evidence": evidence}
     return {
@@ -538,12 +515,12 @@ def lim1_tower(T: Tower) -> dict:
     }
 
 
-def _bond_surjective(bond, src: AbGroupPresentation, dst: AbGroupPresentation) -> bool:
+def _bond_surjective(bond, dst: AbGroupPresentation) -> bool:
     """Surjectivity of the induced map onto Z^r_dst modulo relations: the
     bond's columns and the relations span all of Z^r_dst."""
     if dst.rank == 0:
         return True
-    return col_hermite(mat_hstack(bond, dst.rel_mat)) == mat_id(dst.rank)
+    return col_hermite(mat_hstack(bond, dst.relations)) == mat_id(dst.rank)
 
 
 def _bond_injective(bond, src: AbGroupPresentation, dst: AbGroupPresentation) -> bool:
@@ -551,10 +528,10 @@ def _bond_injective(bond, src: AbGroupPresentation, dst: AbGroupPresentation) ->
     in src relations."""
     if src.rank == 0:
         return True
-    K = kernel_basis(mat_hstack(bond, dst.rel_mat))
+    K = kernel_basis(mat_hstack(bond, dst.relations))
     # the src-coordinate projection of the kernel
-    proj = [K[i] for i in range(src.rank)] if K else mat_zero(src.rank, 0)
-    return lattice_leq(proj, src.rel_mat)
+    proj = K[: src.rank] if K else mat_zero(src.rank, 0)
+    return lattice_leq(proj, src.relations)
 
 
 def flasque_check(T: Tower) -> bool:
@@ -580,9 +557,7 @@ class SesTower:
 
     def __post_init__(self):
         for name in ("iotas", "sigmas"):
-            maps = tuple(
-                tuple(tuple(int(x) for x in row) for row in m) for m in getattr(self, name)
-            )
+            maps = tuple(_int_matrix(m, f"{name}[{n}]") for n, m in enumerate(getattr(self, name)))
             object.__setattr__(self, name, maps)
 
     def check_invariants(self) -> None:
@@ -603,15 +578,14 @@ class SesTower:
             raise InvalidSes("need one iota and sigma per level")
         for n in range(depth):
             fn, tn, gn = self.F.levels[n], self.T.levels[n], self.G.levels[n]
-            iota = [list(r) for r in self.iotas[n]]
-            sigma = [list(r) for r in self.sigmas[n]]
+            iota, sigma = self.iotas[n], self.sigmas[n]
             if not _bond_well_defined(iota, fn, tn):
                 raise InvalidSes(f"iota at level {n} not well defined")
             if not _bond_well_defined(sigma, tn, gn):
                 raise InvalidSes(f"sigma at level {n} not well defined")
             if not _bond_injective(iota, fn, tn):
                 raise InvalidSes(f"iota at level {n} not injective")
-            if not _bond_surjective(sigma, tn, gn):
+            if not _bond_surjective(sigma, gn):
                 raise InvalidSes(f"sigma at level {n} not surjective")
             if not self._image_equals_kernel(n):
                 raise InvalidSes(f"im iota != ker sigma at level {n}")
@@ -620,31 +594,20 @@ class SesTower:
         return True
 
     def _image_equals_kernel(self, n: int) -> bool:
-        fn, tn, gn = self.F.levels[n], self.T.levels[n], self.G.levels[n]
-        iota = [list(r) for r in self.iotas[n]]
-        sigma = [list(r) for r in self.sigmas[n]]
-        image = mat_hstack(iota, tn.rel_mat)
-        K = kernel_basis(mat_hstack(sigma, gn.rel_mat))
-        kproj = [K[i] for i in range(tn.rank)] if K else mat_zero(tn.rank, 0)
-        kernel = mat_hstack(kproj, tn.rel_mat)
-        return lattice_equal(image, kernel)
+        t_rel, g_rel = self.T.levels[n].relations, self.G.levels[n].relations
+        K = kernel_basis(mat_hstack(self.sigmas[n], g_rel))
+        kproj = K[: len(t_rel)] if K else mat_zero(len(t_rel), 0)
+        image = col_hermite(mat_hstack(self.iotas[n], t_rel))
+        return image == col_hermite(mat_hstack(kproj, t_rel))
 
     def _check_square(self, n: int) -> None:
-        bf = [list(r) for r in self.F.bonds[n]]
-        bt = [list(r) for r in self.T.bonds[n]]
-        bg = [list(r) for r in self.G.bonds[n]]
-        t_rel = self.T.levels[n].rel_mat
-        g_rel = self.G.levels[n].rel_mat
-        left = mat_mul([list(r) for r in self.iotas[n]], bf)
-        right = mat_mul(bt, [list(r) for r in self.iotas[n + 1]])
-        diff = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(left, right)]
-        if not lattice_leq(diff, t_rel):
-            raise InvalidSes(f"iota square at level {n} does not commute")
-        left = mat_mul([list(r) for r in self.sigmas[n]], bt)
-        right = mat_mul(bg, [list(r) for r in self.sigmas[n + 1]])
-        diff = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(left, right)]
-        if not lattice_leq(diff, g_rel):
-            raise InvalidSes(f"sigma square at level {n} does not commute")
+        squares = (("iota", self.iotas, self.F, self.T), ("sigma", self.sigmas, self.T, self.G))
+        for name, maps, src, dst in squares:
+            left = mat_mul(maps[n], src.bonds[n])
+            right = mat_mul(dst.bonds[n], maps[n + 1])
+            diff = [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(left, right)]
+            if not lattice_leq(diff, dst.levels[n].relations):
+                raise InvalidSes(f"{name} square at level {n} does not commute")
 
 
 def six_term_check(S: SesTower) -> dict:
@@ -706,7 +669,3 @@ def build_paper_model(depth: int = 8) -> SesTower:
     ses = SesTower(F=F, T=T, G=G, iotas=iotas, sigmas=sigmas)
     ses.check_invariants()
     return ses
-
-
-def tower_from_json(text: str) -> Tower:
-    return Tower.from_json(json.loads(text))

@@ -292,12 +292,18 @@ def test_limits_tower_file_with_paper_model_flags_exits_2(tmp_path, capsys, flag
     assert len(captured.err.splitlines()) == 1
 
 
-def test_limits_invalid_tower(tmp_path):
+def test_limits_invalid_tower(tmp_path, capsys):
     path = tmp_path / "t.json"
     path.write_text('{"levels": [{"rank": 1, "relations": [[4]]}, '
                     '{"rank": 1, "relations": [[2]]}], "bonds": [[[1]]]}')
     assert run(["limits", str(path), "--out", str(tmp_path / "l.json")]) == 2
-    assert run(["limits", "--out", str(tmp_path / "l2.json")]) == 2
+    # neither a tower file nor --paper-model: a usage error, like the others
+    capsys.readouterr()
+    out = tmp_path / "l2.json"
+    assert run(["limits", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert not out.exists() and not captured.out
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_env_seed_override(tmp_path, monkeypatch):

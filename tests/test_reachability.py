@@ -1,5 +1,6 @@
 """Every function, class and method of the package has a caller outside the
-tests: the package itself, a demo or the benchmark.
+tests: the package itself, a demo or the benchmark; and every parameter of
+a package function is read by its body.
 
 A top-level definition counts as used when its name appears, outside its
 own definition, as a name, an attribute, an imported name or a string
@@ -104,9 +105,49 @@ def unused_methods() -> list:
     return out
 
 
+def _functions(node, prefix=""):
+    """(qualified name, definition) of every function in ``node``, nested
+    ones and methods included."""
+    for sub in ast.iter_child_nodes(node):
+        if isinstance(sub, DEFINITION):
+            name = f"{prefix}{sub.name}"
+            if not isinstance(sub, ast.ClassDef):
+                yield name, sub
+            yield from _functions(sub, f"{name}.")
+        else:
+            yield from _functions(sub, prefix)
+
+
+def unread_parameters() -> list:
+    """Parameters of package functions that the function's body never reads,
+    as ``module.function(parameter)``; ``self``, ``cls`` and names starting
+    with ``_`` are exempt."""
+    out = []
+    for path in PACKAGE:
+        for name, fn in _functions(ast.parse(path.read_text())):
+            a = fn.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            read = {
+                sub.id
+                for stmt in fn.body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            out += [
+                f"{path.stem}.{name}({p.arg})"
+                for p in params
+                if p and p.arg not in read | {"self", "cls"} and not p.arg.startswith("_")
+            ]
+    return out
+
+
 def test_every_package_definition_has_a_caller_outside_the_tests():
     assert unreached() == []
 
 
 def test_every_method_has_a_caller_outside_the_tests():
     assert unused_methods() == []
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
