@@ -29,8 +29,7 @@ from corona_lab import (
 
 
 def main():
-    model = build_tent_unit(16, 0.25)
-    unit = model.unit
+    unit = build_tent_unit(16, 0.25)
     inv = unit.check_invariants(tol=0.0)
     print(f"tent model: {unit.count} tents on {unit.dim} grid points")
     print(f"  interlock defect {inv['interlock']}, far products {inv['far_products']} (exact)")

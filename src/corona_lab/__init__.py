@@ -64,7 +64,6 @@ from .tree import (
 )
 from .weak_units import (
     PositiveUnit,
-    TentModel,
     build_tent_unit,
     epsilon_witness,
     hyp_check,

@@ -226,7 +226,7 @@ def cmd_sandwich(args) -> int:
         alpha = TorusElement(rng.uniform(0, 2 * np.pi, size=nb))
         I = sorted(rng.permutation(nb)[: int(rng.integers(2, nb + 1))].tolist())
         if args.model == "tent":
-            unit = build_tent_unit(nb, 0.25).unit
+            unit = build_tent_unit(nb, 0.25)
             rep = weak_sandwich(alpha, unit, I, eps_probe=0.05, seed=args.seed + run)
             lower = rep["achieved"]
             slack = rep["lower_slack"]
@@ -346,16 +346,16 @@ def cmd_verify(args) -> int:
         failures.append("dd corners")
 
     tent = build_tent_unit(12, 0.25)
-    inv = tent.unit.check_invariants()
+    inv = tent.check_invariants()
     if not inv["ok"]:
         failures.append("tent invariants")
-    if not hyp_check(tent.unit, "HypWeak", eps=args.epsilon)["holds"]:
+    if not hyp_check(tent, "HypWeak", eps=args.epsilon)["holds"]:
         failures.append("tent HypWeak")
     proj = projection_unit(BlockStructure((2, 2, 2, 2)))
     if not hyp_check(proj, "HypA")["holds"]:
         failures.append("projection HypA")
     alpha = TorusElement(1.0 / (np.arange(12) + 1.0))
-    q = quasi_unitary_residual(alpha, tent.unit, 3)
+    q = quasi_unitary_residual(alpha, tent, 3)
     if q["tail_norm"] > q["bound"] + 1e-12:
         failures.append("quasi-unitary bound")
 

@@ -523,15 +523,23 @@ def _bond_surjective(bond, dst: AbGroupPresentation) -> bool:
     return col_hermite(mat_hstack(bond, dst.relations)) == mat_id(dst.rank)
 
 
+def _preimage(bond, src_rank: int, dst: AbGroupPresentation):
+    """Columns spanning the preimage in Z^src_rank of dst's relation lattice
+    under ``bond``: the src-coordinate projection of the kernel of
+    [bond | dst relations].  A map into rank 0 has no rows, and so no column
+    count to read, but its preimage is all of Z^src_rank."""
+    if dst.rank == 0:
+        return mat_id(src_rank)
+    K = kernel_basis(mat_hstack(bond, dst.relations))
+    return K[:src_rank] if K else mat_zero(src_rank, 0)
+
+
 def _bond_injective(bond, src: AbGroupPresentation, dst: AbGroupPresentation) -> bool:
     """Injectivity of the induced map: preimage of dst relations is contained
     in src relations."""
     if src.rank == 0:
         return True
-    K = kernel_basis(mat_hstack(bond, dst.relations))
-    # the src-coordinate projection of the kernel
-    proj = K[: src.rank] if K else mat_zero(src.rank, 0)
-    return lattice_leq(proj, src.relations)
+    return lattice_leq(_preimage(bond, src.rank, dst), src.relations)
 
 
 def flasque_check(T: Tower) -> bool:
@@ -579,6 +587,9 @@ class SesTower:
         for n in range(depth):
             fn, tn, gn = self.F.levels[n], self.T.levels[n], self.G.levels[n]
             iota, sigma = self.iotas[n], self.sigmas[n]
+            for name, m, src, dst in (("iota", iota, fn, tn), ("sigma", sigma, tn, gn)):
+                if len(m) != dst.rank or (m and len(m[0]) != src.rank):
+                    raise InvalidSes(f"{name} at level {n} has wrong shape")
             if not _bond_well_defined(iota, fn, tn):
                 raise InvalidSes(f"iota at level {n} not well defined")
             if not _bond_well_defined(sigma, tn, gn):
@@ -594,9 +605,8 @@ class SesTower:
         return True
 
     def _image_equals_kernel(self, n: int) -> bool:
-        t_rel, g_rel = self.T.levels[n].relations, self.G.levels[n].relations
-        K = kernel_basis(mat_hstack(self.sigmas[n], g_rel))
-        kproj = K[: len(t_rel)] if K else mat_zero(len(t_rel), 0)
+        t_rel = self.T.levels[n].relations
+        kproj = _preimage(self.sigmas[n], len(t_rel), self.G.levels[n])
         image = col_hermite(mat_hstack(self.iotas[n], t_rel))
         return image == col_hermite(mat_hstack(kproj, t_rel))
 

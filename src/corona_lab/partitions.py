@@ -102,7 +102,8 @@ def fx_profile(alpha: TorusElement, X: SparseSet, split: bool = False) -> FxProf
 
     Each window's distance is the diameter of the runs of ``alpha`` that it
     meets, so the cost follows the points of ``X`` and the runs, not the
-    samples."""
+    samples.  One-sample windows, such as every single interval of a level
+    that holds every sample, take no run search."""
     pts = X.enumeration
     if int(pts[-1]) > alpha.horizon:
         raise HorizonTooSmall(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 
 import numpy as np
 
@@ -145,13 +145,20 @@ class TorusElement:
 
     def window_diameters(self, starts, ends) -> np.ndarray:
         """Diameter of the value set on every window [s, e) of indices, with
-        s < e <= horizon: the diameter of the run phases the window meets."""
-        first = self.run_index(starts)
-        stop = self.run_index(np.asarray(ends) - 1) + 1
+        s < e <= horizon: the diameter of the run phases the window meets.
+        A one-sample window meets one run and has diameter 0, so only wider
+        windows are looked up in the runs."""
+        starts, ends = np.asarray(starts), np.asarray(ends)
+        wide = ends - starts > 1
+        # one past the runs holding s and e - 1
+        lo = np.searchsorted(self.starts, starts[wide], side="right")
+        hi = np.searchsorted(self.starts, ends[wide] - 1, side="right")
         # most windows lie within one run, where the diameter is 0
-        d = np.zeros(first.size)
-        meets = stop - first > 1
-        d[meets] = circle_diameters(self.run_phases, first[meets], stop[meets])
+        meets = hi > lo
+        d_wide = np.zeros(lo.size)
+        d_wide[meets] = circle_diameters(self.run_phases, lo[meets] - 1, hi[meets])
+        d = np.zeros(starts.size)
+        d[wide] = d_wide
         return d
 
     # --- group structure (pointwise multiplication on the circle) ---
@@ -244,13 +251,21 @@ def circle_diameters(phases, starts, ends) -> np.ndarray:
 def fuzz_lij(n: int, seed: int = 0, horizon: int = 16, set_size: int = 3) -> int:
     """Vectorized fuzz of the union bound; returns the number of violations.
 
-    The four distances of a case are diameters of windows nested in the one
-    sequence gamma = pa - pb at I followed by J (duplicated indices do not
-    change maxima), so each case takes one table of |v_i - v_j| over those
-    points and reads them off it: the whole table, its I and J blocks, and
-    the entry at (i0, j0).  The table holds the same distances that
+    Each of the ``n`` cases draws two sequences of length ``horizon`` and two
+    ``set_size``-subsets I, J of their indices.  The four distances of a case
+    are diameters of windows nested in the one sequence gamma = pa - pb at I
+    followed by J (duplicated indices do not change maxima).  Row r of a
+    (2 set_size, n) array holds the value of gamma at point r of every case,
+    and each distinct pair of points a < b gives one row |v_a - v_b|: running
+    maxima over the pairs give Delta_{I u J}, Delta_I and Delta_J, and the
+    pair (0, set_size) gives Delta_{i0 j0}.  These are the distances that
     :func:`circle_diameters` computes for each window.
     """
+    if n < 0 or not 1 <= set_size <= horizon:
+        raise PreconditionViolation(
+            f"need n >= 0 and 1 <= set_size <= horizon, got n={n}, "
+            f"set_size={set_size}, horizon={horizon}"
+        )
     rng = np.random.default_rng(seed)
     pa = rng.uniform(0.0, TWO_PI, size=(n, horizon))
     pb = rng.uniform(0.0, TWO_PI, size=(n, horizon))
@@ -258,13 +273,15 @@ def fuzz_lij(n: int, seed: int = 0, horizon: int = 16, set_size: int = 3) -> int
     I = np.argsort(rng.random((n, horizon)), axis=1)[:, :set_size]
     J = np.argsort(rng.random((n, horizon)), axis=1)[:, :set_size]
     gamma = pa - pb
-    v = np.exp(1j * gamma[np.arange(n)[:, None], np.concatenate([I, J], axis=1)])
-    dist = np.abs(v[:, :, None] - v[:, None, :])
+    v = np.exp(1j * gamma[np.arange(n), np.concatenate([I, J], axis=1).T])
     k = set_size
-    lhs = dist.max(axis=(1, 2))
-    rhs = (
-        dist[:, :k, :k].max(axis=(1, 2))
-        + dist[:, k:, k:].max(axis=(1, 2))
-        + dist[:, 0, k]
-    )
+    lhs, d_i, d_j = np.zeros(n), np.zeros(n), np.zeros(n)
+    for a, b in combinations(range(2 * k), 2):
+        d = np.abs(v[a] - v[b])
+        np.maximum(lhs, d, out=lhs)
+        if b < k:
+            np.maximum(d_i, d, out=d_i)
+        elif a >= k:
+            np.maximum(d_j, d, out=d_j)
+    rhs = d_i + d_j + np.abs(v[0] - v[k])
     return int(np.sum(lhs > rhs + SLACK))

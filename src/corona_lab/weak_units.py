@@ -105,24 +105,17 @@ class PositiveUnit:
         return devs
 
 
-@dataclass(frozen=True)
-class TentModel:
+def _p_profile(x: np.ndarray, n: int) -> np.ndarray:
+    return np.clip(2.0 * n - x, 0.0, 1.0)
+
+
+def build_tent_unit(count: int, grid_step: float) -> PositiveUnit:
     """Piecewise-linear tent unit on a uniform grid over [0, 2*count].
 
     p_n equals 1 on [0, 2n-1], ramps linearly to 0 on [2n-1, 2n]; each tent
     r_i = p_{i+1} - p_i then ramps up exactly where r_{i-1} ramps down, so the
     interlocking identities hold pointwise with no tolerance.
     """
-
-    grid: np.ndarray
-    unit: PositiveUnit
-
-
-def _p_profile(x: np.ndarray, n: int) -> np.ndarray:
-    return np.clip(2.0 * n - x, 0.0, 1.0)
-
-
-def build_tent_unit(count: int, grid_step: float) -> TentModel:
     if count < 2:
         raise PreconditionViolation("need at least 2 tents")
     if grid_step <= 0:
@@ -132,7 +125,7 @@ def build_tent_unit(count: int, grid_step: float) -> TentModel:
     x = np.arange(npts) * grid_step
     ps = np.stack([_p_profile(x, n) for n in range(count + 1)])
     rs = np.diff(ps, axis=0)
-    return TentModel(grid=x, unit=PositiveUnit(rs=rs, diagonal=True))
+    return PositiveUnit(rs=rs, diagonal=True)
 
 
 def projection_unit(blocks: BlockStructure) -> PositiveUnit:

@@ -169,7 +169,7 @@ def test_criterion_5_sandwich(capsys):
 
 def test_criterion_6_quasi_unitary_bound(capsys):
     t0 = time.perf_counter()
-    model = build_tent_unit(50, 0.25)
+    unit = build_tent_unit(50, 0.25)
     rng = np.random.default_rng(2)
     ok = True
     for _ in range(100):
@@ -179,14 +179,14 @@ def test_criterion_6_quasi_unitary_bound(capsys):
         alpha = TorusElement(np.cumsum(steps))
         bounds = []
         for N in range(0, 49, 6):
-            rep = quasi_unitary_residual(alpha, model.unit, N)
+            rep = quasi_unitary_residual(alpha, unit, N)
             ok = ok and rep["tail_norm"] <= rep["bound"] + 1e-12
             bounds.append(rep["bound"])
         ok = ok and bounds[-1] < bounds[0]  # decaying alpha: bound shrinks
     # alternating phases never satisfy a vanishing bound
     neg = TorusElement(np.pi * np.arange(50))
     for N in (5, 20, 40):
-        rep = quasi_unitary_residual(neg, model.unit, N)
+        rep = quasi_unitary_residual(neg, unit, N)
         ok = ok and rep["eps_N"] == pytest.approx(4.0, abs=1e-12)
         ok = ok and rep["tail_norm"] >= 0.5
     elapsed = time.perf_counter() - t0
@@ -197,12 +197,12 @@ def test_criterion_6_quasi_unitary_bound(capsys):
 
 def test_criterion_7_epsilon_witness(capsys):
     t0 = time.perf_counter()
-    model = build_tent_unit(12, 0.25)
+    unit = build_tent_unit(12, 0.25)
     eps = 0.1
     ok = True
     for i in range(11):
         for j in range(11):
-            out = epsilon_witness(model.unit, i, j, eps)
+            out = epsilon_witness(unit, i, j, eps)
             n = out["norms"]
             ok = ok and abs(n["norm_a"] - 1.0) <= 1e-9
             ok = ok and n["corner"] >= 1.0 - eps - 1e-9

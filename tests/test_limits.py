@@ -271,6 +271,35 @@ def test_random_finite_ses_towers():
         assert rep["truncation_exact"]
 
 
+def test_ses_through_rank_zero_levels():
+    # a map into rank 0 has no rows, so no column count; its kernel is the
+    # whole source
+    z, zero = free_group(1), free_group(0)
+    F, O = constant_tower(z, 3), constant_tower(zero, 3)
+    # 0 -> Z -> 0 -> 0 -> 0 is not exact at Z
+    bad = SesTower(F=F, T=O, G=O, iotas=((),) * 3, sigmas=((),) * 3)
+    with pytest.raises(InvalidSes, match="not injective"):
+        bad.check_invariants()
+    with pytest.raises(InvalidSes):
+        six_term_check(bad)
+    # 0 -> Z -> Z -> 0 -> 0 is, through the identity and not through 2
+    good = SesTower(F=F, T=F, G=O, iotas=(((1,),),) * 3, sigmas=((),) * 3)
+    assert six_term_check(good)["truncation_exact"]
+    doubled = SesTower(F=F, T=F, G=O, iotas=(((2,),),) * 3, sigmas=((),) * 3)
+    with pytest.raises(InvalidSes, match="im iota != ker sigma"):
+        doubled.check_invariants()
+
+
+def test_ses_map_shapes_checked():
+    ses = build_paper_model(4)
+    wide_sigma = (ses.iotas, (((1, 1),),) * 4)
+    tall_iota = ((((1,), (0,)),) * 4, ses.sigmas)
+    for iotas, sigmas in (wide_sigma, tall_iota):
+        broken = SesTower(F=ses.F, T=ses.T, G=ses.G, iotas=iotas, sigmas=sigmas)
+        with pytest.raises(InvalidSes, match="wrong shape"):
+            broken.check_invariants()
+
+
 def test_invalid_ses_detected():
     ses = build_paper_model(4)
     broken = SesTower(

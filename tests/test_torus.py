@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from corona_lab import (
     IndexOutOfRange,
+    PreconditionViolation,
     TorusElement,
     constant_one,
     delta_one,
@@ -135,7 +136,9 @@ def _fuzz_lij_reference(n, seed, slack, horizon=16, set_size=3):
 
 
 @pytest.mark.parametrize("slack", [SLACK, -0.25, -0.5, -1.0])
-@pytest.mark.parametrize("seed, horizon, set_size", [(0, 16, 3), (7, 8, 4), (3, 6, 2)])
+@pytest.mark.parametrize(
+    "seed, horizon, set_size", [(0, 16, 3), (7, 8, 4), (3, 6, 2), (5, 4, 1), (9, 6, 6)]
+)
 def test_lij_fuzz_matches_four_diameter_reference(monkeypatch, slack, seed, horizon, set_size):
     # a negative slack counts near-tight cases, so the counts are not all 0
     from corona_lab import torus
@@ -143,7 +146,23 @@ def test_lij_fuzz_matches_four_diameter_reference(monkeypatch, slack, seed, hori
     monkeypatch.setattr(torus, "SLACK", slack)
     want = _fuzz_lij_reference(3000, seed, slack, horizon, set_size)
     assert fuzz_lij(3000, seed=seed, horizon=horizon, set_size=set_size) == want
-    assert want > 0 or slack > 0
+    # with I and J the whole horizon, lhs = Delta_I <= rhs - Delta_I, so only
+    # the widest slack meets near-tight cases
+    assert want > 0 or slack > 0 or (set_size == horizon and slack > -1.0)
+
+
+@pytest.mark.parametrize(
+    "n, horizon, set_size",
+    [(200, 2, 3), (10, 16, 0), (10, 0, 3), (-1, 16, 3)],
+)
+def test_lij_fuzz_rejects_bad_shapes(n, horizon, set_size):
+    # set_size > horizon used to read J's points into the I block
+    with pytest.raises(PreconditionViolation):
+        fuzz_lij(n, horizon=horizon, set_size=set_size)
+
+
+def test_lij_fuzz_of_no_cases():
+    assert fuzz_lij(0) == 0
 
 
 def test_index_set_invariants():
@@ -321,6 +340,27 @@ def test_run_form_is_bitwise_the_dense_form(f, g, picks, points):
     X = SparseSet(np.array(sorted({p % (a.horizon + 1) for p in points} | {0, a.horizon})))
     pts = X.enumeration
     prof = fx_profile(a, X, split=True)
+    assert _same_bits(prof.d, circle_diameters(ref, pts[:-2], pts[2:]))
+    assert _same_bits(prof.d_single, circle_diameters(ref, pts[:-1], pts[1:]))
+    assert _same_bits(
+        prof.d_endpoints,
+        np.abs(np.exp(1j * ref[pts[:-2]]) - np.exp(1j * ref[pts[1:-1]])),
+    )
+
+
+def test_level0_split_profile_matches_dense_diameters():
+    # every sample is a point of X, so every single interval holds one
+    # sample, and runs of 1-3 samples change phase at many of them
+    rng = np.random.default_rng(3)
+    horizon = 4000
+    starts = np.cumsum(np.concatenate(([0], rng.integers(1, 4, size=horizon))))
+    starts = starts[starts < horizon]
+    run_phases = rng.uniform(0.0, 2 * TWO_PI, size=starts.size)
+    a = TorusElement.from_runs(starts, run_phases, horizon)
+    assert a.starts.size == starts.size > horizon // 3
+    ref = np.repeat(np.mod(run_phases, TWO_PI), np.diff(starts, append=horizon))
+    pts = np.arange(horizon + 1)
+    prof = fx_profile(a, SparseSet(pts[1:]), split=True)
     assert _same_bits(prof.d, circle_diameters(ref, pts[:-2], pts[2:]))
     assert _same_bits(prof.d_single, circle_diameters(ref, pts[:-1], pts[1:]))
     assert _same_bits(

@@ -28,20 +28,19 @@ def tent12():
 
 
 def test_tent_invariants_exact(tent12):
-    inv = tent12.unit.check_invariants(tol=0.0)
+    inv = tent12.check_invariants(tol=0.0)
     assert inv["ok"]
     assert inv["interlock"] == 0.0 and inv["far_products"] == 0.0
 
 
 def test_tent_count2():
-    model = build_tent_unit(2, 0.5)
-    u = model.unit
+    u = build_tent_unit(2, 0.5)
     p1, p2 = u.p(1), u.p(2)
     assert np.all(p2[p1 > 0] == 1.0)
 
 
 def test_adjacent_tents_overlap(tent12):
-    u = tent12.unit
+    u = tent12
     for i in range(u.count - 1):
         assert np.max(u.rs[i] * u.rs[i + 1]) > 0.0
 
@@ -70,7 +69,7 @@ def test_power_gap_full_interval_analytic():
 
 def test_power_gap_monotone_in_k(tent12):
     # tent 3 ramps through all of [0, 1]
-    gaps = [power_gap(tent12.unit.rs[3], k, continuous_range=(0.0, 1.0)) for k in range(1, 12)]
+    gaps = [power_gap(tent12.rs[3], k, continuous_range=(0.0, 1.0)) for k in range(1, 12)]
     assert all(a >= b for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < gaps[0]
 
@@ -89,7 +88,7 @@ def test_epsilon_witness_projection_unit():
 
 
 def test_epsilon_witness_tent_adjacent(tent12):
-    out = epsilon_witness(tent12.unit, 4, 5, 0.1)
+    out = epsilon_witness(tent12, 4, 5, 0.1)
     n = out["norms"]
     assert n["norm_a"] == pytest.approx(1.0, abs=1e-9)
     assert n["corner"] >= 0.9 - 1e-9
@@ -97,7 +96,7 @@ def test_epsilon_witness_tent_adjacent(tent12):
 
 
 def test_epsilon_witness_large_eps(tent12):
-    out = epsilon_witness(tent12.unit, 0, 3, 2.0)
+    out = epsilon_witness(tent12, 0, 3, 2.0)
     assert out["norms"]["norm_a"] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -109,17 +108,17 @@ def test_epsilon_witness_failure_mode():
 
 
 def test_quasi_unitary_constant(tent12):
-    rep = quasi_unitary_residual(constant_one(12), tent12.unit, 2)
+    rep = quasi_unitary_residual(constant_one(12), tent12, 2)
     assert rep["tail_norm"] == 0.0
 
 
 def test_quasi_unitary_decay():
-    model = build_tent_unit(50, 0.25)
+    unit = build_tent_unit(50, 0.25)
     phases = np.cumsum(1.0 / (np.arange(50) + 1.0) ** 2)
     alpha = TorusElement(phases)
     prev = None
     for N in (5, 15, 30):
-        rep = quasi_unitary_residual(alpha, model.unit, N)
+        rep = quasi_unitary_residual(alpha, unit, N)
         assert rep["tail_norm"] <= rep["bound"] + 1e-12
         if prev is not None:
             assert rep["tail_norm"] <= prev + 1e-12
@@ -127,15 +126,15 @@ def test_quasi_unitary_decay():
 
 
 def test_quasi_unitary_alternating_negative_control():
-    model = build_tent_unit(20, 0.25)
+    unit = build_tent_unit(20, 0.25)
     alpha = TorusElement(np.pi * np.arange(20))
-    rep = quasi_unitary_residual(alpha, model.unit, 5)
+    rep = quasi_unitary_residual(alpha, unit, 5)
     assert rep["eps_N"] == pytest.approx(4.0, abs=1e-12)
     assert rep["tail_norm"] >= 0.5  # does not vanish as N grows
 
 
 def test_weak_sandwich_constant(tent12):
-    rep = weak_sandwich(constant_one(12), tent12.unit, [2, 5, 8], eps_probe=0.05)
+    rep = weak_sandwich(constant_one(12), tent12, [2, 5, 8], eps_probe=0.05)
     assert rep["delta"] == 0.0
     assert rep["achieved"] == pytest.approx(0.0, abs=1e-12)
     assert rep["sampled_max"] == pytest.approx(0.0, abs=1e-12)
@@ -146,7 +145,7 @@ def test_weak_sandwich_fuzz(tent12):
     for run in range(10):
         alpha = TorusElement(rng.uniform(0, 2 * np.pi, 12))
         I = sorted(rng.permutation(12)[:4].tolist())
-        rep = weak_sandwich(alpha, tent12.unit, I, eps_probe=0.05, seed=run)
+        rep = weak_sandwich(alpha, tent12, I, eps_probe=0.05, seed=run)
         assert rep["achieved"] >= rep["delta"] - rep["lower_slack"] - 1e-9
         assert rep["sampled_max"] <= 2 * rep["delta"] + 1e-9
 
@@ -168,7 +167,7 @@ def test_weak_sandwich_projection_reduces_to_blockwise():
 def test_hyp_check_modes(tent12):
     blocks = BlockStructure((2, 2, 2, 2))
     assert hyp_check(projection_unit(blocks), "HypA")["holds"]
-    assert hyp_check(tent12.unit, "HypWeak", eps=0.1, k_max=6)["holds"]
+    assert hyp_check(tent12, "HypWeak", eps=0.1, k_max=6)["holds"]
     # a zero r_i is a projection, but every corner r_i A r_j with it is zero
     rs = projection_unit(blocks).rs.copy()
     rs[1] = 0.0
@@ -177,7 +176,7 @@ def test_hyp_check_modes(tent12):
     assert rep["failures"][0] == {"kind": "zero_corner", "i": 0, "j": 1}
     assert all(f["kind"] == "zero_corner" and 1 in (f["i"], f["j"]) for f in rep["failures"])
     # tents are not projections
-    rep = hyp_check(tent12.unit, "HypA")
+    rep = hyp_check(tent12, "HypA")
     assert not rep["holds"]
 
 
