@@ -6,7 +6,7 @@ its ancestors (coherence, measured by the interval profile of the difference),
 while the two children of any node are driven apart by a scheduled witness
 that achieves the maximal diameter 2 on at least one certified block
 (divergence).  The z-variant additionally bounds every consecutive jump of
-every node.
+every node.  Every claim the script prints is asserted.
 
 Run: python3 demos/demo_coherent_tree.py
 """
@@ -14,12 +14,15 @@ Run: python3 demos/demo_coherent_tree.py
 import numpy as np
 
 from corona_lab import build_tree, generate_chain, min_sufficient_horizon
+from corona_lab.tree import DIVERGENCE_TOL
 
 
 def main():
     depth, horizon, schedule = 3, 20_000, [32, 36, 40]
     print(f"chain: depth={depth} horizon={horizon} schedule={schedule}")
-    print(f"  minimal sufficient horizon: {min_sufficient_horizon(depth, schedule)}")
+    need = min_sufficient_horizon(depth, schedule)
+    print(f"  minimal sufficient horizon: {need}")
+    assert need <= horizon
     chain = generate_chain(depth, horizon, schedule)
     for t, lvl in enumerate(chain.levels):
         print(f"  level {t}: {len(lvl)} points, last={lvl.last}")
@@ -35,6 +38,8 @@ def main():
         f"{worst.payload['tail_max']:.6f} (allowed {tree.eps})"
         f" at {worst.payload['s']!r} < {worst.payload['t']!r}"
     )
+    assert all(c.payload["holds"] for c in coh)
+    assert worst.payload["tail_max"] <= tree.eps
 
     div = [c for c in tree.certificates if c.kind == "divergence"]
     print(f"divergence: {len(div)} sibling pairs")
@@ -44,13 +49,17 @@ def main():
             f"  {c.payload['s0']!r} vs {c.payload['s1']!r}: block {b['block']} "
             f"(m={b['m']}) reaches diameter {b['delta']:.12f}"
         )
+    assert all(
+        c.payload["blocks"] and all(b["delta"] >= 2.0 - DIVERGENCE_TOL for b in c.payload["blocks"])
+        for c in div
+    )
 
     jump = [c for c in tree.certificates if c.kind == "jump_bound"]
     mj = max(c.payload["max_jump"] for c in jump)
     bound = jump[0].payload["bound"]
     print(f"jump bounds: max consecutive jump {mj:.6f} <= declared {bound:.6f}")
     print(f"  (declared bound = 2 sin(pi/2m) with m = {min(schedule)})")
-    assert mj <= bound + 1e-12
+    assert mj <= bound + 1e-12 and all(c.payload["holds"] for c in jump)
     print("\nall certificates hold")
 
 

@@ -30,7 +30,6 @@ from .limits import (
 from .operators import (
     BlockStructure,
     DDWitness,
-    DiagonalUnitary,
     ad_sandwich,
     dd_check,
     load_matrix,
@@ -70,7 +69,6 @@ from .weak_units import (
     power_gap,
     projection_unit,
     quasi_unitary_residual,
-    slice_identity_check,
     tensor_unit,
     weak_sandwich,
 )

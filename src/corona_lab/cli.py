@@ -38,6 +38,7 @@ from .weak_units import (
     hyp_check,
     projection_unit,
     quasi_unitary_residual,
+    tensor_unit,
     weak_sandwich,
 )
 
@@ -358,6 +359,17 @@ def cmd_verify(args) -> int:
     q = quasi_unitary_residual(alpha, tent, 3)
     if q["tail_norm"] > q["bound"] + 1e-12:
         failures.append("quasi-unitary bound")
+    # the stable case A (x) K, q_n the projection onto the first n coordinates of C^4
+    try:
+        stable = tensor_unit(proj, [np.arange(4) < n for n in range(1, 5)])
+    except CoronaLabError as exc:
+        failures.append(f"stable unit: {exc}")
+    else:
+        if not hyp_check(stable, "HypA")["holds"]:
+            failures.append("stable HypA")
+        q = quasi_unitary_residual(alpha, stable, 1)
+        if q["tail_norm"] > q["bound"] + 1e-12:
+            failures.append("stable quasi-unitary bound")
 
     ses = dl.build_paper_model(depth=6)
     rep = dl.six_term_check(ses)
@@ -452,8 +464,21 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:
         # a configuration too large for this machine, such as a huge horizon
-        print(f"out of memory: {exc}", file=sys.stderr)
+        line = f"out of memory: {args.command}, in {_innermost_function(exc)}"
+        print(line + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
+
+
+def _innermost_function(exc: BaseException) -> str:
+    """Name of the innermost function of this package on ``exc``'s traceback."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    name, tb = None, exc.__traceback__
+    while tb is not None:
+        code = tb.tb_frame.f_code
+        if os.path.dirname(os.path.abspath(code.co_filename)) == package:
+            name = code.co_name
+        tb = tb.tb_next
+    return name
 
 
 if __name__ == "__main__":

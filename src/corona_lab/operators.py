@@ -62,23 +62,6 @@ class BlockStructure:
         return np.repeat(np.asarray(per_block), self.sizes)
 
 
-@dataclass(frozen=True)
-class DiagonalUnitary:
-    """u = sum over blocks of alpha(i) * (projection onto block i)."""
-
-    alpha: TorusElement
-    blocks: BlockStructure
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        vals = self.alpha.values(np.arange(self.blocks.num_blocks))
-        return self.blocks.expand(vals)
-
-    def conjugate(self, m: np.ndarray) -> np.ndarray:
-        d = self.diagonal
-        return (d[:, None] * m) * d.conj()[None, :]
-
-
 def save_matrix(path, m: np.ndarray) -> None:
     """Text format: one row per line, complex entries comma-separated."""
     with open(path, "w") as fh:

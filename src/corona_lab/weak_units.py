@@ -2,10 +2,10 @@
 
 The unit is a finite sequence of positive contractions r_i whose partial sums
 p_n satisfy p_{n+1} p_n = p_n; consequently r_i r_j = 0 once |i - j| >= 2.
-Two realizations are provided: diagonal units (sampled nonnegative functions
-on a grid, including the piecewise-linear tent model) and dense positive
-semidefinite matrix units.  In both cases the ambient algebra is the full
-matrix algebra on the underlying coordinates.
+Every unit here is diagonal: each r_i is a sampled nonnegative function on a
+grid of coordinates, such as the piecewise-linear tent model, a block
+indicator or its tensor with coordinate projections (the stable case).  The
+ambient algebra is the full matrix algebra on those coordinates.
 """
 
 from __future__ import annotations
@@ -29,19 +29,15 @@ PLATEAU_TOL = 1e-12
 class PositiveUnit:
     """Sequence of positive contractions with interlocking partial sums.
 
-    ``rs`` has shape (count, D) for diagonal units and (count, D, D) for
-    matrix units.
+    ``rs`` has shape (count, D): row i is the diagonal of r_i.
     """
 
     rs: np.ndarray
-    diagonal: bool = True
 
     def __post_init__(self):
         rs = np.asarray(self.rs)
-        if self.diagonal and rs.ndim != 2:
-            raise PreconditionViolation("diagonal unit needs a (count, D) array")
-        if not self.diagonal and rs.ndim != 3:
-            raise PreconditionViolation("matrix unit needs a (count, D, D) array")
+        if rs.ndim != 2 or not rs.shape[1]:
+            raise PreconditionViolation("a unit needs a (count, D) array of diagonals, D >= 1")
         rs.setflags(write=False)
         object.__setattr__(self, "rs", rs)
 
@@ -54,52 +50,36 @@ class PositiveUnit:
         return int(self.rs.shape[1])
 
     def spectrum(self, i: int) -> np.ndarray:
-        if self.diagonal:
-            return np.asarray(self.rs[i], dtype=float)
-        return np.linalg.eigvalsh(self.rs[i])
+        return np.asarray(self.rs[i], dtype=float)
 
     def p(self, n: int) -> np.ndarray:
-        """Partial sum p_n = r_0 + ... + r_{n-1} in the unit's own shape."""
+        """Diagonal of the partial sum p_n = r_0 + ... + r_{n-1}."""
         return self.rs[:n].sum(axis=0)
 
     def sandwich(self, i: int, a: np.ndarray, j: int, k: int = 1) -> np.ndarray:
         """r_i^k a r_j^k."""
-        if self.diagonal:
-            return (self.rs[i] ** k)[:, None] * a * (self.rs[j] ** k)[None, :]
-        ri = np.linalg.matrix_power(self.rs[i], k)
-        rj = np.linalg.matrix_power(self.rs[j], k)
-        return ri @ a @ rj
+        return (self.rs[i] ** k)[:, None] * a * (self.rs[j] ** k)[None, :]
 
     def peak_vector(self, i: int):
         """Unit vector (nearly) fixed by r_i, with its r_i-eigenvalue."""
-        if self.diagonal:
-            p = int(np.argmax(self.rs[i]))
-            v = np.zeros(self.dim, dtype=complex)
-            v[p] = 1.0
-            return v, float(self.rs[i][p])
-        w, vecs = np.linalg.eigh(self.rs[i])
-        return vecs[:, -1].astype(complex), float(w[-1])
+        p = int(np.argmax(self.rs[i]))
+        v = np.zeros(self.dim, dtype=complex)
+        v[p] = 1.0
+        return v, float(self.rs[i][p])
 
     def check_invariants(self, tol: float = 1e-12) -> dict:
         devs = {"order": 0.0, "interlock": 0.0, "far_products": 0.0}
         prev = None
         for n in range(self.count + 1):
             pn = self.p(n)
-            spec = pn if self.diagonal else np.linalg.eigvalsh(pn)
-            devs["order"] = max(
-                devs["order"], float(max(-spec.min(), spec.max() - 1.0, 0.0))
-            )
+            devs["order"] = max(devs["order"], float(max(-pn.min(), pn.max() - 1.0, 0.0)))
             if prev is not None:
-                d = pn * prev - prev if self.diagonal else pn @ prev - prev
+                d = pn * prev - prev
                 devs["interlock"] = max(devs["interlock"], float(np.abs(d).max()))
             prev = pn
         for i in range(self.count):
             for j in range(i + 2, self.count):
-                d = (
-                    self.rs[i] * self.rs[j]
-                    if self.diagonal
-                    else self.rs[i] @ self.rs[j]
-                )
+                d = self.rs[i] * self.rs[j]
                 devs["far_products"] = max(devs["far_products"], float(np.abs(d).max()))
         devs["ok"] = all(v <= tol for k, v in devs.items() if k != "ok")
         return devs
@@ -125,7 +105,7 @@ def build_tent_unit(count: int, grid_step: float) -> PositiveUnit:
     x = np.arange(npts) * grid_step
     ps = np.stack([_p_profile(x, n) for n in range(count + 1)])
     rs = np.diff(ps, axis=0)
-    return PositiveUnit(rs=rs, diagonal=True)
+    return PositiveUnit(rs=rs)
 
 
 def projection_unit(blocks: BlockStructure) -> PositiveUnit:
@@ -134,11 +114,12 @@ def projection_unit(blocks: BlockStructure) -> PositiveUnit:
     off = blocks.offsets
     for i in range(blocks.num_blocks):
         rs[i, off[i] : off[i + 1]] = 1.0
-    return PositiveUnit(rs=rs, diagonal=True)
+    return PositiveUnit(rs=rs)
 
 
 def power_gap(r, k: int, continuous_range: tuple | None = None) -> float:
-    """Norm of r^{k+1} - r^k for a positive contraction r.
+    """Norm of r^{k+1} - r^k for a positive contraction r, given by its
+    spectrum ``r``: a 1-D array, such as a diagonal unit's row.
 
     Equals the max of t^k (1 - t) over the spectrum.  ``continuous_range``
     declares that the spectrum fills an interval (the tent model's ramps do),
@@ -156,8 +137,9 @@ def power_gap(r, k: int, continuous_range: tuple | None = None) -> float:
             if lo <= t_star <= hi:
                 cands.append(t_star)
         return max(t**k * (1.0 - t) for t in cands)
-    r = np.asarray(r)
-    spec = r.astype(float) if r.ndim == 1 else np.linalg.eigvalsh(r)
+    spec = np.asarray(r, dtype=float)
+    if spec.ndim != 1 or not spec.size:
+        raise PreconditionViolation("r must be a nonempty 1-D spectrum")
     if spec.min() < -1e-9 or spec.max() > 1.0 + 1e-9:
         raise PreconditionViolation("r is not a positive contraction")
     spec = np.clip(spec, 0.0, 1.0)
@@ -230,22 +212,14 @@ def quasi_unitary_residual(alpha: TorusElement, unit: PositiveUnit, N: int) -> d
     if not np.any(sel):
         return {"tail_norm": 0.0, "eps_N": 0.0, "bound": 0.0}
     eps_N = float(np.abs(c[sel]).max())
-    if unit.diagonal:
-        s = np.zeros(unit.dim)
-        for i in idx[sel]:
-            s += c[i] * unit.rs[i] * unit.rs[i + 1]
-        tail = float(np.abs(s).max())
-    else:
-        s = np.zeros((unit.dim, unit.dim))
-        for i in idx[sel]:
-            s += c[i] * (unit.rs[i] @ unit.rs[i + 1])
-        tail = op_norm(s)
+    s = np.zeros(unit.dim)
+    for i in idx[sel]:
+        s += c[i] * unit.rs[i] * unit.rs[i + 1]
+    tail = float(np.abs(s).max())
     return {"tail_norm": tail, "eps_N": eps_N, "bound": 3.0 * eps_N}
 
 
 def _plateau_coords(unit: PositiveUnit, i: int) -> np.ndarray:
-    if not unit.diagonal:
-        raise PreconditionViolation("plateau probing needs a diagonal unit")
     return np.nonzero(unit.rs[i] >= 1.0 - PLATEAU_TOL)[0]
 
 
@@ -319,8 +293,7 @@ def hyp_check(
     if mode == "HypA":
         for i in range(unit.count):
             r = unit.rs[i]
-            d = r * r - r if unit.diagonal else r @ r - r
-            if np.abs(d).max() > 1e-9:
+            if np.abs(r * r - r).max() > 1e-9:
                 failures.append({"kind": "not_projection", "i": i})
         for i in range(cap):
             for j in range(cap):
@@ -338,70 +311,31 @@ def hyp_check(
 
 def _corner_sup(unit: PositiveUnit, i: int, j: int, k: int) -> float:
     """sup over unit-norm ambient a of the norm of r_i^k a r_j^k."""
-    if unit.diagonal:
-        return float((unit.rs[i] ** k).max() * (unit.rs[j] ** k).max())
-    ri = np.linalg.matrix_power(unit.rs[i], k)
-    rj = np.linalg.matrix_power(unit.rs[j], k)
-    return op_norm(ri) * op_norm(rj)
+    return float((unit.rs[i] ** k).max() * (unit.rs[j] ** k).max())
 
 
-def tensor_unit(unitA: PositiveUnit, qs) -> PositiveUnit:
-    """Kronecker unit s_i = p_{i+1} (x) q_{i+1} - p_i (x) q_i.
+def tensor_unit(unit: PositiveUnit, qs) -> PositiveUnit:
+    """Unit of the stabilization A (x) K: s_i = p_{i+1} (x) q_{i+1} - p_i (x) q_i,
+    with p_0 (x) q_0 = 0.
 
-    ``qs`` is a list of count+1 matrices with q_0 = 0 allowed implicitly by
-    passing count entries q_1..q_count; they must be increasing interlocking
-    contractions for the output to satisfy the unit invariants.
+    ``qs`` holds the diagonals of q_1..q_count, all of one length, with
+    entries in [0, 1] and nondecreasing in n entry by entry.  Coordinate
+    projections of growing rank give the stable case.  The result is checked
+    against the unit invariants.
     """
-    qs = [np.asarray(q, dtype=complex) for q in qs]
-    if len(qs) != unitA.count:
+    qs = [np.asarray(q, dtype=float) for q in qs]
+    if not qs or len(qs) != unit.count:
         raise PreconditionViolation("need one q per unit element (q_1..q_count)")
-    dq = qs[0].shape[0]
-    for q in qs:
-        if q.shape != (dq, dq):
-            raise PreconditionViolation("q sizes must agree")
-    for a, b in zip(qs, qs[1:]):
-        spec = np.linalg.eigvalsh(b - a)
-        if spec.min() < -1e-12:
-            raise PreconditionViolation("q sequence must be increasing")
-    top = np.linalg.eigvalsh(qs[-1])
-    if top.max() > 1.0 + 1e-12 or np.linalg.eigvalsh(qs[0]).min() < -1e-12:
-        raise PreconditionViolation("q sequence must stay within [0, 1]")
-    ss = []
-    prev = np.zeros((unitA.dim * dq, unitA.dim * dq), dtype=complex)
-    for n in range(1, unitA.count + 1):
-        pn = unitA.p(n)
-        pn_mat = np.diag(pn).astype(complex) if unitA.diagonal else pn
-        cur = np.kron(pn_mat, qs[n - 1])
-        ss.append(cur - prev)
-        prev = cur
-    out = PositiveUnit(rs=np.stack(ss), diagonal=False)
+    if any(q.ndim != 1 or q.shape != qs[0].shape for q in qs):
+        raise PreconditionViolation("each q is a diagonal, all of one length")
+    qs = np.stack(qs)
+    if not np.all((qs >= 0.0) & (qs <= 1.0)):
+        raise PreconditionViolation("q entries must lie in [0, 1]")
+    if np.any(np.diff(qs, axis=0) < 0.0):
+        raise PreconditionViolation("q sequence must be nondecreasing")
+    tops = np.stack([np.kron(unit.p(n), q) for n, q in enumerate(qs, 1)])
+    out = PositiveUnit(rs=np.diff(tops, axis=0, prepend=0.0))
     inv = out.check_invariants(tol=1e-9)
     if not inv["ok"]:
         raise ConstructionError(f"tensor unit violates invariants: {inv}")
     return out
-
-
-def slice_identity_check(
-    unitA: PositiveUnit,
-    s_unit: PositiveUnit,
-    v: np.ndarray,
-    a: np.ndarray,
-    i: int,
-    j: int,
-    k: int = 1,
-) -> dict:
-    """Contract the second tensor factor with the state given by v and compare
-    s_i^k (a (x) 1) s_j^k against r_i^k a r_j^k."""
-    v = np.asarray(v, dtype=complex)
-    v = v / np.linalg.norm(v)
-    dq = v.size
-    da = unitA.dim
-    eye_q = np.eye(dq, dtype=complex)
-    si = np.linalg.matrix_power(s_unit.rs[i], k)
-    sj = np.linalg.matrix_power(s_unit.rs[j], k)
-    big = si @ np.kron(np.asarray(a, dtype=complex), eye_q) @ sj
-    W = np.kron(np.eye(da, dtype=complex), v[:, None])
-    sliced = W.conj().T @ big @ W
-    expect = unitA.sandwich(i, np.asarray(a, dtype=complex), j, k)
-    dev = float(np.abs(sliced - expect).max())
-    return {"deviation": dev, "holds": dev <= 1e-12 * max(1.0, float(np.abs(a).max()))}

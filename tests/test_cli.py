@@ -18,6 +18,7 @@ from corona_lab.limits import constant_tower, free_group
 from corona_lab.operators import save_matrix
 from corona_lab.torus import RunList, TorusElement
 from corona_lab.tree import min_sufficient_horizon
+from corona_lab.weak_units import PositiveUnit, tensor_unit
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -181,8 +182,20 @@ def test_huge_horizon_exits_2_within_2gb():
         preexec_fn=_address_space_2gb,
     )
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("out of memory: ") and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("out of memory: tree, in ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+def test_out_of_memory_names_the_subcommand_and_function(tmp_path, monkeypatch, capsys):
+    # a bare MemoryError has no message; the line still says where it was
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "generate_chain", exhausted)
+    out = tmp_path / "tree.json"
+    assert run(["tree", "--depth", "2", "--horizon", "3000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "out of memory: tree, in cmd_tree\n"
+    assert not out.exists()
 
 
 # sha256 of format-1 tree documents, as written before tree elements were
@@ -379,6 +392,36 @@ def test_verify_fails_on_a_wrong_limit_stage(tmp_path, monkeypatch, mutant, fail
     assert run(["verify", "--fast", "--out", str(out)]) == 1
     (message,) = json.loads(out.read_text())["failures"]
     assert message.startswith("limit stage: ") and failure in message
+
+
+def _halved(unit, qs):
+    return PositiveUnit(tensor_unit(unit, qs).rs * 0.5)
+
+
+def _sign_slip(unit, qs):
+    # s_i = P_{i+1} + P_i for P_n = p_n (x) q_n, in place of the difference
+    tops = np.cumsum(tensor_unit(unit, qs).rs, axis=0)
+    return PositiveUnit(tops + np.vstack([np.zeros_like(tops[:1]), tops[:-1]]))
+
+
+def _reversed_qs(unit, qs):
+    return tensor_unit(unit, qs[::-1])
+
+
+@pytest.mark.parametrize(
+    "mutant, failures",
+    [
+        (_halved, ["stable HypA"]),
+        (_sign_slip, ["stable HypA", "stable quasi-unitary bound"]),
+        (_reversed_qs, ["stable unit: q sequence must be nondecreasing"]),
+    ],
+    ids=["halved", "sign-slip", "reversed-qs"],
+)
+def test_verify_fails_on_a_wrong_stable_unit(tmp_path, monkeypatch, mutant, failures):
+    monkeypatch.setattr(cli, "tensor_unit", mutant)
+    out = tmp_path / "v.json"
+    assert run(["verify", "--fast", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["failures"] == failures
 
 
 # Exit-code contract: every input ends in 0, 1 or 2, never in a traceback.

@@ -1,4 +1,5 @@
-"""Every narrative script in demos/ runs to completion."""
+"""Every narrative script in demos/ runs to completion.  Each script asserts
+every claim it prints, so a false claim fails its run."""
 
 import os
 import subprocess

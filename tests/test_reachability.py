@@ -1,6 +1,7 @@
 """Every function, class and method of the package has a caller outside the
-tests: the package itself, a demo or the benchmark; and every parameter of
-a package function is read by its body.
+tests: the package itself or the benchmark; and every parameter of a
+package function is read by its body.  The demos do not count as callers:
+they narrate, and a name that only a demo reaches has no checked use.
 
 A top-level definition counts as used when its name appears, outside its
 own definition, as a name, an attribute, an imported name or a string
@@ -21,7 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted(p for p in (ROOT / "src" / "corona_lab").glob("*.py") if p.name != "__init__.py")
-CALLERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+CALLERS = sorted((ROOT / "perfbench").glob("*.py"))
 DEFINITION = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 

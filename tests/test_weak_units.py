@@ -4,6 +4,7 @@ from scipy.optimize import minimize_scalar
 
 from corona_lab import (
     BlockStructure,
+    ConstructionError,
     PreconditionViolation,
     TorusElement,
     WitnessNotFound,
@@ -15,7 +16,6 @@ from corona_lab import (
     power_gap,
     projection_unit,
     quasi_unitary_residual,
-    slice_identity_check,
     tensor_unit,
     weak_sandwich,
 )
@@ -79,6 +79,23 @@ def test_power_gap_rejects_non_contraction():
         power_gap(np.array([0.5, 1.7]), 2)
 
 
+def test_power_gap_rejects_other_shapes():
+    # a spectrum is 1-D; a square array is not read as a matrix
+    with pytest.raises(PreconditionViolation):
+        power_gap(np.eye(3), 2)
+    with pytest.raises(PreconditionViolation):
+        power_gap(np.zeros(0), 2)
+
+
+def test_unit_refuses_other_shapes():
+    with pytest.raises(PreconditionViolation):
+        PositiveUnit(rs=np.zeros((2, 3, 3)))
+    with pytest.raises(PreconditionViolation):
+        PositiveUnit(rs=np.zeros(3))
+    with pytest.raises(PreconditionViolation):
+        PositiveUnit(rs=np.zeros((2, 0)))  # no coordinates
+
+
 def test_epsilon_witness_projection_unit():
     proj = projection_unit(BlockStructure((2, 2, 2)))
     out = epsilon_witness(proj, 0, 2, 0.05)
@@ -102,7 +119,7 @@ def test_epsilon_witness_large_eps(tent12):
 
 def test_epsilon_witness_failure_mode():
     # a unit that never reaches norm one has no witness
-    weak = PositiveUnit(rs=np.full((3, 4), 0.2), diagonal=True)
+    weak = PositiveUnit(rs=np.full((3, 4), 0.2))
     with pytest.raises(WitnessNotFound):
         epsilon_witness(weak, 0, 2, 0.1)
 
@@ -181,50 +198,69 @@ def test_hyp_check_modes(tent12):
 
 
 def _increasing_projection_qs(count, dq=3):
-    qs = []
-    for n in range(1, count + 1):
-        q = np.zeros((dq, dq))
-        for t in range(min(n, dq)):
-            q[t, t] = 1.0
-        qs.append(q)
-    return qs
+    """Diagonals of the projections onto the first min(n, dq) coordinates."""
+    return [(np.arange(dq) < n).astype(float) for n in range(1, count + 1)]
 
 
 def test_tensor_unit_identity_qs():
     blocks = BlockStructure((2, 2, 2))
     proj = projection_unit(blocks)
-    qs = [np.eye(2)] * proj.count
-    out = tensor_unit(proj, qs)
+    out = tensor_unit(proj, [np.ones(2)] * proj.count)
     for i in range(proj.count):
-        assert np.allclose(out.rs[i], np.kron(np.diag(proj.rs[i]), np.eye(2)), atol=1e-12)
+        assert np.array_equal(out.rs[i], np.kron(proj.rs[i], np.ones(2)))
+
+
+def test_tensor_unit_matches_dense_kron():
+    # oracle: the diagonal of kron(diag p_n, diag q_n), differenced in n
+    proj = projection_unit(BlockStructure((1, 2, 1)))
+    for unit, qs in (
+        (proj, _increasing_projection_qs(3)),
+        (build_tent_unit(3, 0.5), [np.ones(3)] * 3),
+    ):
+        out = tensor_unit(unit, qs)
+        tops = [np.zeros(unit.dim * 3)] + [
+            np.diag(np.kron(np.diag(unit.p(n)), np.diag(q))) for n, q in enumerate(qs, 1)
+        ]
+        assert out.rs.shape == (unit.count, unit.dim * 3)
+        for i in range(unit.count):
+            assert np.allclose(out.rs[i], tops[i + 1] - tops[i], rtol=0.0, atol=1e-15)
+    # entries in [0, 1] and nondecreasing, but q_2 q_1 != q_1: no unit
+    fractional = [np.array([0.5, 0.0, 0.25]), np.array([1.0, 0.0, 0.5]), np.ones(3)]
+    with pytest.raises(ConstructionError):
+        tensor_unit(proj, fractional)
 
 
 def test_tensor_unit_invariants():
     blocks = BlockStructure((1, 2, 1))
     proj = projection_unit(blocks)
     out = tensor_unit(proj, _increasing_projection_qs(proj.count))
-    assert out.check_invariants(tol=1e-9)["ok"]
+    assert out.check_invariants(tol=0.0)["ok"]
+    assert hyp_check(out, "HypA")["holds"]
 
 
 def test_tensor_unit_rejects_decreasing_qs():
     proj = projection_unit(BlockStructure((1, 1)))
-    qs = [np.eye(2), np.zeros((2, 2))]
+    qs = [np.ones(2), np.zeros(2)]
     with pytest.raises(PreconditionViolation):
         tensor_unit(proj, qs)
 
 
-def test_slice_identity():
-    rng = np.random.default_rng(2)
-    blocks = BlockStructure((2, 1, 2))
-    proj = projection_unit(blocks)
-    qs = _increasing_projection_qs(proj.count)
-    s = tensor_unit(proj, qs)
-    v = np.zeros(3)
-    v[0] = 1.0  # common fixed vector of all the q's
-    for _ in range(5):
-        a = rng.standard_normal((proj.dim, proj.dim)) + 1j * rng.standard_normal(
-            (proj.dim, proj.dim)
-        )
-        for (i, j, k) in ((0, 2, 1), (1, 2, 2), (0, 0, 3)):
-            rep = slice_identity_check(proj, s, v, a, i, j, k)
-            assert rep["holds"], rep
+@pytest.mark.parametrize(
+    "qs",
+    [
+        [np.array([1.0, 0.0]), np.array([0.0, 1.0])],  # decreasing in one entry
+        [np.array([0.0, 0.5]), np.array([1.0, 1.5])],  # above 1
+        [np.array([-0.5, 0.0]), np.zeros(2)],  # below 0
+        [np.array([np.nan, 0.0]), np.ones(2)],  # not a number
+        [np.zeros(2), np.ones(3)],  # ragged
+        [np.zeros((2, 2)), np.eye(2)],  # matrices, not diagonals
+        [np.zeros(0), np.zeros(0)],  # empty
+        [np.ones(2)],  # one q too few
+    ],
+    ids=["one-entry", "above-1", "below-0", "nan", "ragged", "matrix",
+         "empty", "short"],
+)
+def test_tensor_unit_rejects_bad_qs(qs):
+    proj = projection_unit(BlockStructure((1, 1)))
+    with pytest.raises(PreconditionViolation):
+        tensor_unit(proj, qs)
