@@ -103,7 +103,9 @@ def fx_profile(alpha: TorusElement, X: SparseSet, split: bool = False) -> FxProf
     Each window's distance is the diameter of the runs of ``alpha`` that it
     meets, so the cost follows the points of ``X`` and the runs, not the
     samples.  One-sample windows, such as every single interval of a level
-    that holds every sample, take no run search."""
+    that holds every sample, take no run search, and the split form computes
+    an endpoint distance only for a pair of points with a run start between
+    them."""
     pts = X.enumeration
     if int(pts[-1]) > alpha.horizon:
         raise HorizonTooSmall(
@@ -114,6 +116,12 @@ def fx_profile(alpha: TorusElement, X: SparseSet, split: bool = False) -> FxProf
     if not split:
         return FxProfile(d=d)
     d_single = alpha.window_diameters(pts[:-1], pts[1:])
+    # pair j = (pts[j], pts[j + 1]) spans two runs only if a run starts in
+    # (pts[j], pts[j + 1]]; every other pair lies in one run and keeps 0.0
+    d_endpoints = np.zeros(pts.size - 2)
+    j = np.searchsorted(pts, alpha.starts[1:], side="left") - 1
+    j = j[j < d_endpoints.size]
     # one exp per run, not per point
-    v = np.exp(1j * alpha.run_phases)[alpha.run_index(pts[:-1])]
-    return FxProfile(d=d, d_single=d_single, d_endpoints=np.abs(v[:-1] - v[1:]))
+    v = np.exp(1j * alpha.run_phases)
+    d_endpoints[j] = np.abs(v[alpha.run_index(pts[j])] - v[alpha.run_index(pts[j + 1])])
+    return FxProfile(d=d, d_single=d_single, d_endpoints=d_endpoints)

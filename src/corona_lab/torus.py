@@ -25,6 +25,9 @@ SLACK = 1e-12
 #: most pairwise distances :func:`circle_diameters` holds at once (one batch)
 DIAMETER_CHUNK = 1 << 20
 
+#: most cases :func:`fuzz_lij` draws and checks at once (one chunk)
+FUZZ_CHUNK = 2048
+
 TAIL_CONSTANT = "constant"
 TAIL_NONE = "none"
 
@@ -255,33 +258,46 @@ def fuzz_lij(n: int, seed: int = 0, horizon: int = 16, set_size: int = 3) -> int
     ``set_size``-subsets I, J of their indices.  The four distances of a case
     are diameters of windows nested in the one sequence gamma = pa - pb at I
     followed by J (duplicated indices do not change maxima).  Row r of a
-    (2 set_size, n) array holds the value of gamma at point r of every case,
+    (2 set_size, c) array holds the value of gamma at point r of every case,
     and each distinct pair of points a < b gives one row |v_a - v_b|: running
     maxima over the pairs give Delta_{I u J}, Delta_I and Delta_J, and the
     pair (0, set_size) gives Delta_{i0 j0}.  These are the distances that
     :func:`circle_diameters` computes for each window.
+
+    Cases are streamed in chunks of at most :data:`FUZZ_CHUNK`, so memory
+    does not grow with ``n``.  They are the same draws as one (n, horizon)
+    draw each of pa, pb and the keys of I and J from ``default_rng(seed)``:
+    each double takes one 64-bit output, so stream s starts at that
+    generator's state advanced by s * n * horizon outputs.
     """
     if n < 0 or not 1 <= set_size <= horizon:
         raise PreconditionViolation(
             f"need n >= 0 and 1 <= set_size <= horizon, got n={n}, "
             f"set_size={set_size}, horizon={horizon}"
         )
-    rng = np.random.default_rng(seed)
-    pa = rng.uniform(0.0, TWO_PI, size=(n, horizon))
-    pb = rng.uniform(0.0, TWO_PI, size=(n, horizon))
-    # uniform set_size-subsets of range(horizon), in random order
-    I = np.argsort(rng.random((n, horizon)), axis=1)[:, :set_size]
-    J = np.argsort(rng.random((n, horizon)), axis=1)[:, :set_size]
-    gamma = pa - pb
-    v = np.exp(1j * gamma[np.arange(n), np.concatenate([I, J], axis=1).T])
+    # PCG64(seed) is the bit generator of default_rng(seed)
+    g_pa, g_pb, g_i, g_j = (
+        np.random.Generator(np.random.PCG64(seed).advance(s * n * horizon)) for s in range(4)
+    )
     k = set_size
-    lhs, d_i, d_j = np.zeros(n), np.zeros(n), np.zeros(n)
-    for a, b in combinations(range(2 * k), 2):
-        d = np.abs(v[a] - v[b])
-        np.maximum(lhs, d, out=lhs)
-        if b < k:
-            np.maximum(d_i, d, out=d_i)
-        elif a >= k:
-            np.maximum(d_j, d, out=d_j)
-    rhs = d_i + d_j + np.abs(v[0] - v[k])
-    return int(np.sum(lhs > rhs + SLACK))
+    violations = 0
+    for c0 in range(0, n, FUZZ_CHUNK):
+        c = min(FUZZ_CHUNK, n - c0)
+        pa = g_pa.uniform(0.0, TWO_PI, size=(c, horizon))
+        pb = g_pb.uniform(0.0, TWO_PI, size=(c, horizon))
+        # uniform set_size-subsets of range(horizon), in random order
+        I = np.argsort(g_i.random((c, horizon)), axis=1)[:, :k]
+        J = np.argsort(g_j.random((c, horizon)), axis=1)[:, :k]
+        gamma = pa - pb
+        v = np.exp(1j * gamma[np.arange(c), np.concatenate([I, J], axis=1).T])
+        lhs, d_i, d_j = np.zeros(c), np.zeros(c), np.zeros(c)
+        for a, b in combinations(range(2 * k), 2):
+            d = np.abs(v[a] - v[b])
+            np.maximum(lhs, d, out=lhs)
+            if b < k:
+                np.maximum(d_i, d, out=d_i)
+            elif a >= k:
+                np.maximum(d_j, d, out=d_j)
+        rhs = d_i + d_j + np.abs(v[0] - v[k])
+        violations += int(np.sum(lhs > rhs + SLACK))
+    return violations

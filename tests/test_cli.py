@@ -408,14 +408,22 @@ def _reversed_qs(unit, qs):
     return tensor_unit(unit, qs[::-1])
 
 
+def _tall_ramps(unit, qs):
+    # divided by its smallest positive entry: a projection keeps its rows,
+    # while the tent's ramps rise to 4 and its overlaps to r_i r_{i+1} = 4
+    rs = tensor_unit(unit, qs).rs
+    return PositiveUnit(rs / rs[rs > 0].min())
+
+
 @pytest.mark.parametrize(
     "mutant, failures",
     [
         (_halved, ["stable HypA"]),
         (_sign_slip, ["stable HypA", "stable quasi-unitary bound"]),
         (_reversed_qs, ["stable unit: q sequence must be nondecreasing"]),
+        (_tall_ramps, ["stable quasi-unitary bound"]),
     ],
-    ids=["halved", "sign-slip", "reversed-qs"],
+    ids=["halved", "sign-slip", "reversed-qs", "tall-ramps"],
 )
 def test_verify_fails_on_a_wrong_stable_unit(tmp_path, monkeypatch, mutant, failures):
     monkeypatch.setattr(cli, "tensor_unit", mutant)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corona_lab import (
     HorizonTooSmall,
@@ -107,6 +109,32 @@ def test_fx_profile_matches_brute_force():
             prof.d[j]
             <= prof.d_single[j] + prof.d_single[j + 1] + prof.d_endpoints[j] + 1e-12
         )
+
+
+@st.composite
+def _runs_and_points(draw):
+    # a step function with few runs and a sparse set within its horizon;
+    # phases from a small set, so runs apart from each other can repeat one
+    horizon = draw(st.integers(2, 300))
+    inner = draw(st.sets(st.integers(1, horizon - 1), max_size=12))
+    starts = [0, *sorted(inner)]
+    phases = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, np.pi]),
+                           min_size=len(starts), max_size=len(starts)))
+    alpha = TorusElement.from_runs(starts, phases, horizon)
+    points = draw(st.sets(st.integers(0, horizon), min_size=2, max_size=60))
+    return alpha, SparseSet(np.array(sorted(points)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs_and_points())
+def test_split_endpoints_match_dense_formula(case):
+    # only pairs with a run start between their points are computed
+    alpha, X = case
+    pts = X.enumeration
+    v = np.exp(1j * alpha.run_phases)[alpha.run_index(pts[:-1])]
+    dense = np.abs(v[:-1] - v[1:])
+    got = fx_profile(alpha, X, split=True).d_endpoints
+    assert got.dtype == dense.dtype and got.tobytes() == dense.tobytes()
 
 
 def test_fx_profile_horizon_guard():

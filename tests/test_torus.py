@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from corona_lab import (
     delta_set,
 )
 from corona_lab.partitions import SparseSet, fx_profile
-from corona_lab.torus import DIAMETER_CHUNK, TWO_PI, circle_diameters, fuzz_lij
+from corona_lab.torus import DIAMETER_CHUNK, FUZZ_CHUNK, TWO_PI, circle_diameters, fuzz_lij
 
 SLACK = 1e-12
 
@@ -149,6 +150,35 @@ def test_lij_fuzz_matches_four_diameter_reference(monkeypatch, slack, seed, hori
     # with I and J the whole horizon, lhs = Delta_I <= rhs - Delta_I, so only
     # the widest slack meets near-tight cases
     assert want > 0 or slack > 0 or (set_size == horizon and slack > -1.0)
+
+
+@pytest.mark.parametrize("slack", [SLACK, -0.25, -0.5, -1.0])
+@pytest.mark.parametrize(
+    "chunk, n", [(1, 3000), (7, 3000), (2048, 3000), (None, 2 * FUZZ_CHUNK + 1)]
+)
+def test_lij_fuzz_chunks_keep_the_cases(monkeypatch, slack, chunk, n):
+    # each stream starts where the one-shot draw left the previous one, so a
+    # stream offset off by one draw changes the near-tight counts
+    from corona_lab import torus
+
+    monkeypatch.setattr(torus, "SLACK", slack)
+    if chunk is not None:
+        monkeypatch.setattr(torus, "FUZZ_CHUNK", chunk)
+    assert fuzz_lij(n, seed=4) == _fuzz_lij_reference(n, 4, slack)
+
+
+def test_lij_fuzz_memory_does_not_grow_with_n():
+    def peak(n):
+        tracemalloc.start()
+        try:
+            fuzz_lij(n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(20_000), peak(100_000)
+    # holding all 100_000 cases at once took about 83 MB
+    assert large < 8e6 and abs(large - small) < 1e6
 
 
 @pytest.mark.parametrize(
