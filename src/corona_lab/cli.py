@@ -265,7 +265,7 @@ def cmd_limits(args) -> int:
         doc = {
             "config": {"depth": depth},
             "paper_model": True,
-            "six_term": _jsonable(report),
+            "six_term": report,
             "flasque_T": dl.flasque_check(ses.T),
         }
         _emit(doc, args.out)
@@ -301,18 +301,6 @@ def _inv_doc(g) -> dict:
     return {"free_rank": free, "torsion": list(torsion)}
 
 
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    return x
-
-
 def cmd_verify(args) -> int:
     check_tolerance(args.epsilon, args.j0)
     failures = []
@@ -329,7 +317,7 @@ def cmd_verify(args) -> int:
         failures.append(f"tree: {exc}")
     else:
         # the element above the all-ones branch, as at a limit stage
-        branch = [tree.nodes[label].alpha for label in ("", "1", "11")]
+        branch = [tree.nodes[label] for label in ("", "1", "11")]
         try:
             limit_stage(branch, chain.levels, eps=args.epsilon, j0=args.j0)
         except CoronaLabError as exc:

@@ -6,7 +6,8 @@ class CoronaLabError(Exception):
 
 
 class IndexOutOfRange(CoronaLabError):
-    """An index past the horizon was queried on a sequence with no tail rule."""
+    """A negative index was queried on a sequence; past the horizon every
+    sequence repeats its last phase."""
 
 
 class PreconditionViolation(CoronaLabError):

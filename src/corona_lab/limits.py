@@ -642,12 +642,11 @@ def six_term_check(S: SesTower) -> dict:
         "lim1_T": l1T["verdict"],
     }
     if l1F["verdict"] == "Zero":
-        exact = []
-        for n in range(S.F.depth):
-            exact.append(S._image_equals_kernel(n))
+        # S.check_invariants() has raised unless im iota = ker sigma at
+        # every level, so every truncation is exact
         report["case"] = "exact"
-        report["truncation_exact"] = all(exact)
-        report["per_level"] = exact
+        report["truncation_exact"] = True
+        report["per_level"] = [True] * S.F.depth
     elif l1T["verdict"] == "Zero" and l1F["verdict"] == "Nonzero":
         report["case"] = "diagonal_defect"
         report["diagonal_surjective_stabilized"] = False

@@ -28,9 +28,6 @@ DIAMETER_CHUNK = 1 << 20
 #: most cases :func:`fuzz_lij` draws and checks at once (one chunk)
 FUZZ_CHUNK = 2048
 
-TAIL_CONSTANT = "constant"
-TAIL_NONE = "none"
-
 
 class RunList(list):
     """A list of floats that also carries its runs: ``runs`` is the pair
@@ -51,46 +48,39 @@ class TorusElement:
     index ``starts[k]`` up to the next start (the last run up to
     ``horizon``).  ``starts[0]`` is 0, and neighbouring runs differ bitwise.
 
-    ``TorusElement(phases, tail=...)`` takes one phase per index and
-    :meth:`from_runs` takes runs; both give the same phase per index.
-    ``tail`` controls queries past the horizon: ``"constant"`` repeats the
-    last phase, ``"none"`` raises :class:`IndexOutOfRange`.
+    ``TorusElement(phases)`` takes one phase per index and :meth:`from_runs`
+    takes runs; both give the same phase per index.  Past the horizon the
+    last phase repeats; a negative index raises :class:`IndexOutOfRange`.
     """
 
     starts: np.ndarray
     run_phases: np.ndarray
     horizon: int
-    tail: str
 
-    def __init__(self, phases, tail: str = TAIL_CONSTANT):
+    def __init__(self, phases):
         ph = np.asarray(phases, dtype=float)
         if ph.ndim != 1 or ph.size < 1:
             raise PreconditionViolation("phases must be a 1-D array of length >= 1")
-        self._assign(np.arange(ph.size), ph, ph.size, tail)
+        self._assign(np.arange(ph.size), ph, ph.size)
 
     @classmethod
-    def from_runs(
-        cls, starts, phases, horizon: int, tail: str = TAIL_CONSTANT
-    ) -> "TorusElement":
+    def from_runs(cls, starts, phases, horizon: int) -> "TorusElement":
         """The element with phase ``phases[k]`` from index ``starts[k]`` up to
         the next start; ``starts`` increases strictly from 0 and stays below
         ``horizon``."""
         element = cls.__new__(cls)
-        element._assign(starts, phases, horizon, tail)
+        element._assign(starts, phases, horizon)
         return element
 
-    def _assign(self, starts, phases, horizon, tail) -> None:
+    def _assign(self, starts, phases, horizon) -> None:
         object.__setattr__(self, "starts", np.asarray(starts, dtype=np.int64))
         object.__setattr__(self, "run_phases", np.asarray(phases, dtype=float))
         object.__setattr__(self, "horizon", int(horizon))
-        object.__setattr__(self, "tail", tail)
         self.__post_init__()
 
     def __post_init__(self):
         """Check the runs, reduce their phases mod 2π and merge neighbouring
         runs that became bitwise equal."""
-        if self.tail not in (TAIL_CONSTANT, TAIL_NONE):
-            raise PreconditionViolation(f"unknown tail convention {self.tail!r}")
         starts = self.starts
         if (
             starts.ndim != 1
@@ -125,22 +115,12 @@ class TorusElement:
         below 0."""
         return np.searchsorted(self.starts, indices, side="right") - 1
 
-    def phase(self, i: int) -> float:
-        if i < 0:
-            raise IndexOutOfRange(f"negative index {i}")
-        if i >= self.horizon and self.tail != TAIL_CONSTANT:
-            raise IndexOutOfRange(f"index {i} beyond horizon {self.horizon}")
-        return float(self.run_phases[self.run_index(i)])
-
     def phase_at(self, indices) -> np.ndarray:
-        """Phases at the given indices, honoring the tail convention."""
+        """Phases at the given indices; past the horizon the last phase
+        repeats."""
         idx = np.asarray(indices, dtype=int)
         if idx.size and idx.min() < 0:
             raise IndexOutOfRange("negative index")
-        if idx.size and idx.max() >= self.horizon and self.tail != TAIL_CONSTANT:
-            raise IndexOutOfRange(
-                f"index {int(idx.max())} beyond horizon {self.horizon}"
-            )
         return self.run_phases[self.run_index(idx)]
 
     def values(self, indices) -> np.ndarray:
@@ -167,18 +147,15 @@ class TorusElement:
     # --- group structure (pointwise multiplication on the circle) ---
 
     def mul(self, other: "TorusElement") -> "TorusElement":
-        h = max(self.horizon, other.horizon)
-        for element in (self, other):
-            element.phase_at([h - 1])  # raises past a horizon without a tail
         starts = np.union1d(self.starts, other.starts)
         return TorusElement.from_runs(
-            starts, self.phase_at(starts) + other.phase_at(starts), h, self.tail
+            starts,
+            self.phase_at(starts) + other.phase_at(starts),
+            max(self.horizon, other.horizon),
         )
 
     def inverse(self) -> "TorusElement":
-        return TorusElement.from_runs(
-            self.starts, -self.run_phases, self.horizon, self.tail
-        )
+        return TorusElement.from_runs(self.starts, -self.run_phases, self.horizon)
 
     # --- serialization ---
 
@@ -187,7 +164,7 @@ class TorusElement:
         return {
             "horizon": self.horizon,
             "phases": RunList(self.run_phases, counts),
-            "tail": self.tail,
+            "tail": "constant",
         }
 
 
@@ -221,24 +198,21 @@ def circle_diameters(phases, starts, ends) -> np.ndarray:
     |alpha(i) conj(alpha(j)) - beta(i) conj(beta(j))| = |gamma(i) - gamma(j)|
     with gamma = alpha * conj(beta).
 
-    Step functions leave most windows constant: one O(n) pass over the
-    phases finds the windows whose phases are all equal, and they keep
-    diameter 0.0 without computing a distance.  The other windows are short,
-    so distances are computed pairwise, grouped by window length, in batches
-    of at most :data:`DIAMETER_CHUNK` entries (or one row, where a row is
-    longer).
+    Constant windows are filtered out by the caller, not here:
+    :meth:`TorusElement.window_diameters` passes only windows that meet at
+    least two runs, whose neighbouring phases differ.  A constant window
+    still gets 0.0 from the pairwise maximum, and a window of one sample or
+    none keeps 0.0.  The windows are short, so distances are computed
+    pairwise, grouped by window length, in batches of at most
+    :data:`DIAMETER_CHUNK` entries (or one row, where a row is longer).
     """
     phases = np.asarray(phases, dtype=float)
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
     lengths = ends - starts
     diam = np.zeros(starts.size)
-    # steps[k]: how many k' < k have phases[k'] != phases[k' + 1]
-    steps = np.concatenate(([0], np.cumsum(phases[1:] != phases[:-1])))
-    varies = lengths > 1
-    varies[varies] = steps[ends[varies] - 1] != steps[starts[varies]]
-    for L in np.unique(lengths[varies]):
-        win = np.nonzero(varies & (lengths == L))[0]
+    for L in np.unique(lengths[lengths > 1]):
+        win = np.nonzero(lengths == L)[0]
         v = np.exp(1j * phases[starts[win, None] + np.arange(L)])
         # a batch holds whole windows while they fit, else rows of one window
         rows = max(1, DIAMETER_CHUNK // L)

@@ -314,13 +314,12 @@ def _merge_limit(alphas, x_inf: SparseSet) -> TorusElement:
         hi = min(int(pts[n + 1]) if n < K - 1 else horizon, horizon)
         if lo < hi:
             # the runs of alphas[n] that meet [lo, hi), shifted by gamma
-            alphas[n].phase_at([hi - 1])  # raises past a horizon without tail
             r0, r1 = alphas[n].run_index([lo, hi - 1])
             starts += [[lo], alphas[n].starts[r0 + 1 : r1 + 1]]
             phases.append(gamma + alphas[n].run_phases[r0 : r1 + 1])
         if n < K - 1:
             p = int(pts[n + 1])
-            gamma = gamma + alphas[n].phase(p) - alphas[n + 1].phase(p)
+            gamma = gamma + float(alphas[n].phase_at(p)) - float(alphas[n + 1].phase_at(p))
     return TorusElement.from_runs(np.concatenate(starts), np.concatenate(phases), horizon)
 
 
@@ -334,17 +333,10 @@ class Certificate:
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    label: str
-    alpha: TorusElement
-
-    @property
-    def level(self) -> int:
-        return len(self.label)
-
-
-@dataclass(frozen=True)
 class CoherenceTree:
+    """``nodes`` maps each label, a string of 0s and 1s whose length is its
+    level, to its element."""
+
     nodes: dict
     certificates: tuple
     eps: float
@@ -355,14 +347,14 @@ class CoherenceTree:
         """The tree as a JSON document.  A node ``s + "0"`` holds the element
         of ``s``, and nodes that hold one element share one document."""
         docs = {}
-        for node in self.nodes.values():
-            if id(node.alpha) not in docs:
-                docs[id(node.alpha)] = node.alpha.to_json()
+        for alpha in self.nodes.values():
+            if id(alpha) not in docs:
+                docs[id(alpha)] = alpha.to_json()
         return {
             "eps": self.eps,
             "j0": self.j0,
             "z_variant": self.z_variant,
-            "nodes": {label: docs[id(node.alpha)] for label, node in self.nodes.items()},
+            "nodes": {label: docs[id(alpha)] for label, alpha in self.nodes.items()},
             "certificates": [c.to_json() for c in self.certificates],
         }
 
@@ -385,6 +377,8 @@ def build_tree(
     profiles for the 2^(depth+1)(depth-1) + 2 certificates.
     """
     check_tolerance(eps, j0)
+    if depth < 0:
+        raise PreconditionViolation(f"tree depth must be >= 0, got {depth}")
     if depth > chain.depth:
         raise PreconditionViolation(
             f"tree depth {depth} exceeds chain depth {chain.depth}"
@@ -397,32 +391,27 @@ def build_tree(
         for t in range(depth)
     ]
 
-    nodes = {"": TreeNode(label="", alpha=constant_one(horizon))}
+    nodes = {"": constant_one(horizon)}
     for level in range(depth):
-        for label, node in [
-            (l, n) for l, n in nodes.items() if n.level == level
-        ]:
-            nodes[label + "0"] = TreeNode(label=label + "0", alpha=node.alpha)
-            nodes[label + "1"] = TreeNode(
-                label=label + "1", alpha=node.alpha.mul(witnesses[level])
-            )
+        for label in [l for l in nodes if len(l) == level]:
+            nodes[label + "0"] = nodes[label]
+            nodes[label + "1"] = nodes[label].mul(witnesses[level])
 
     certs = []
     # ancestor coherence, profiled against the ancestor's own level, once
     # per distinct difference
-    verdicts = {}
-    for label_t, node_t in nodes.items():
+    tail_maxes = {}
+    for label_t, alpha_t in nodes.items():
         for cut in range(len(label_t)):
             label_s = label_t[:cut]
             key = (cut, label_t[cut:].rstrip("0"))
-            if key not in verdicts:
-                diff = nodes[label_s].alpha.mul(node_t.alpha.inverse())
-                prof = fx_profile(diff, chain.levels[cut])
-                verdicts[key] = (
-                    prof.in_fx(eps, j0),
-                    float(prof.d[j0:].max()) if prof.d.size > j0 else 0.0,
-                )
-            holds, tail_max = verdicts[key]
+            if key not in tail_maxes:
+                diff = nodes[label_s].mul(alpha_t.inverse())
+                d = fx_profile(diff, chain.levels[cut]).d
+                tail_maxes[key] = float(d[j0:].max()) if d.size > j0 else 0.0
+            tail_max = tail_maxes[key]
+            # d[j0:] <= eps exactly when its max is, also for an empty or NaN tail
+            holds = bool(tail_max <= eps)
             certs.append(
                 Certificate(
                     kind="coherence",
@@ -476,9 +465,9 @@ def build_tree(
             )
     if z_variant:
         bound = 2.0 * float(np.sin(np.pi / (2.0 * chain.min_jump_m())))
-        for label, node in nodes.items():
+        for label, alpha in nodes.items():
             # neighbouring samples differ only where a run ends
-            v = np.exp(1j * node.alpha.run_phases)
+            v = np.exp(1j * alpha.run_phases)
             max_jump = float(np.abs(np.diff(v)).max()) if v.size > 1 else 0.0
             certs.append(
                 Certificate(

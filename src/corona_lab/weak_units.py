@@ -24,6 +24,15 @@ from .torus import TorusElement, delta_one
 
 PLATEAU_TOL = 1e-12
 
+#: highest power k of the corners that :func:`hyp_check` tests for HypWeak
+HYP_K_MAX = 8
+
+#: :func:`hyp_check` tests the corners (i, j) with i, j below this cap
+HYP_PAIR_CAP = 6
+
+#: random ambient elements :func:`weak_sandwich` samples for its upper estimate
+SANDWICH_SAMPLES = 10
+
 
 @dataclass(frozen=True)
 class PositiveUnit:
@@ -146,10 +155,6 @@ def power_gap(r, k: int, continuous_range: tuple | None = None) -> float:
     return float((spec**k * (1.0 - spec)).max())
 
 
-def _rank_one(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.outer(x, y.conj())
-
-
 def epsilon_witness(unit: PositiveUnit, i: int, j: int, eps: float) -> dict:
     """Unit-norm a with a large (i, j)-corner that the corner barely moves.
 
@@ -179,7 +184,7 @@ def epsilon_witness(unit: PositiveUnit, i: int, j: int, eps: float) -> dict:
         raise WitnessNotFound(
             f"no corner of norm >= {1 - delta} at pair ({i}, {j})"
         )
-    a0 = _rank_one(vi, vj)
+    a0 = np.outer(vi, vj.conj())
     a = unit.sandwich(i, a0, j, k)
     na = op_norm(a)
     if na == 0.0:
@@ -228,7 +233,6 @@ def weak_sandwich(
     unit: PositiveUnit,
     I,
     eps_probe: float = 0.1,
-    samples: int = 10,
     seed: int = 0,
 ) -> dict:
     """Sandwich estimate for conjugation by u = sum alpha(i) r_i, probed on
@@ -260,7 +264,7 @@ def weak_sandwich(
     rng = np.random.default_rng(seed)
     n = coords.size
     sampled = 0.0
-    for _ in range(samples):
+    for _ in range(SANDWICH_SAMPLES):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a /= op_norm(a)
         sampled = max(sampled, op_norm(coeff * a))
@@ -272,23 +276,18 @@ def weak_sandwich(
     }
 
 
-def hyp_check(
-    unit: PositiveUnit,
-    mode: str,
-    eps: float = 0.1,
-    k_max: int = 8,
-    pair_cap: int = 6,
-) -> dict:
+def hyp_check(unit: PositiveUnit, mode: str, eps: float = 0.1) -> dict:
     """Verdict on the unit's structural hypothesis.
 
-    ``"HypA"``: every r_i is a projection and every ambient corner
-    r_i A r_j is nonzero.  ``"HypWeak"``: for every pair up to the cap and
-    every power up to k_max, some ambient element has a compressed corner of
-    norm >= 1 - eps.
+    Corners (i, j) are tested for i, j below :data:`HYP_PAIR_CAP`.
+    ``"HypA"``: every r_i is a projection and every tested ambient corner
+    r_i A r_j is nonzero.  ``"HypWeak"``: for every tested pair and every
+    power up to :data:`HYP_K_MAX`, some ambient element has a compressed
+    corner of norm >= 1 - eps.
     """
     if mode not in ("HypA", "HypWeak"):
         raise PreconditionViolation(f"unknown mode {mode!r}")
-    cap = min(unit.count, pair_cap)
+    cap = min(unit.count, HYP_PAIR_CAP)
     failures = []
     if mode == "HypA":
         for i in range(unit.count):
@@ -302,11 +301,11 @@ def hyp_check(
     else:
         for i in range(cap):
             for j in range(cap):
-                for k in range(1, k_max + 1):
+                for k in range(1, HYP_K_MAX + 1):
                     if _corner_sup(unit, i, j, k) < 1.0 - eps:
                         failures.append({"kind": "small_corner", "i": i, "j": j, "k": k})
                         break
-    return {"mode": mode, "holds": not failures, "failures": failures, "k_max": k_max}
+    return {"mode": mode, "holds": not failures, "failures": failures, "k_max": HYP_K_MAX}
 
 
 def _corner_sup(unit: PositiveUnit, i: int, j: int, k: int) -> float:

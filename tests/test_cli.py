@@ -27,6 +27,10 @@ def run(argv):
     return main(argv)
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def test_tree_depth1(tmp_path):
     out = tmp_path / "tree.json"
     code = run(["tree", "--depth", "1", "--horizon", "3000", "--out", str(out)])
@@ -214,7 +218,7 @@ _TREE_SHA256 = {
 def test_tree_format_1_bytes_pinned(tmp_path, flags):
     out = tmp_path / "tree.json"
     assert run(["tree", *flags, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == _TREE_SHA256[flags]
+    assert _sha256(out) == _TREE_SHA256[flags]
 
 
 def test_tree_determinism(tmp_path):
@@ -284,6 +288,50 @@ def test_limits_paper_model(tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text()
 
 
+# sha256 of limits, sandwich and stratify outputs: a change that keeps their
+# numbers keeps every byte
+_LIMITS_SHA256 = {
+    "2": "4207749d93cc5314ce46589c58314ad234d401ab4fa6d8c340f3da6ac5b7b600",
+    "6": "2e41e261ea20c0e1db9f9c364412d7bbc57e338fd1ffc6940d54d63a6167c1c2",
+}
+_SANDWICH_SHA256 = {
+    "blocks": "2ea1d0ad9800acd9beb27b160275cb5adba42f248c13b724f5673aac7e6ea7bc",
+    "tent": "936b74273dbfd04122abe08549d07aee8d1bfc31162e6eb941f810d451ef3a11",
+}
+_STRATIFY_SHA256 = {
+    "w.json": "293ef2169227226da4c46747428209fa156f53a01b9aa8c6d85175a11373a62d",
+    "w.m_e.txt": "330ee998a7455185503dd1ab3eaddef52330d248540db2ab065123c461e0882b",
+    "w.m_o.txt": "5c47abf026948eee1d081eae4118f80d9ff7d03862fcca4faabe71b1be64951b",
+    "w.a.txt": "5bf16ab45c8c97cf2217361ae965d7e2162cc0f3562103e55d8a87042a5d7bc0",
+}
+
+
+@pytest.mark.parametrize("depth", list(_LIMITS_SHA256))
+def test_limits_paper_model_bytes_pinned(tmp_path, depth):
+    out = tmp_path / "l.json"
+    assert run(["limits", "--paper-model", "--depth", depth, "--out", str(out)]) == 0
+    assert _sha256(out) == _LIMITS_SHA256[depth]
+
+
+@pytest.mark.parametrize("model", list(_SANDWICH_SHA256))
+def test_sandwich_bytes_pinned(tmp_path, model):
+    out = tmp_path / "s.csv"
+    argv = ["sandwich", "--seed", "3", "--samples", "40", "--model", model]
+    assert run([*argv, "--out", str(out)]) == 0
+    assert _sha256(out) == _SANDWICH_SHA256[model]
+
+
+def test_stratify_bytes_pinned(tmp_path, monkeypatch):
+    # relative paths, so that the document's "parts" name no temporary directory
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(48)
+    m = rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))
+    m /= np.linalg.norm(m, 2)
+    save_matrix("m.txt", m)
+    assert run(["stratify", "m.txt", "--out", "w.json"]) == 0
+    assert {name: _sha256(name) for name in _STRATIFY_SHA256} == _STRATIFY_SHA256
+
+
 def test_limits_tower_file(tmp_path):
     path = tmp_path / "t.json"
     path.write_text(json.dumps(constant_tower(free_group(1), 4).to_json()))
@@ -351,7 +399,7 @@ _VERIFY_SHA256 = {
 def test_verify_bytes_pinned(tmp_path, flags):
     out = tmp_path / "v.json"
     assert run(["verify", *flags, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == _VERIFY_SHA256[flags]
+    assert _sha256(out) == _VERIFY_SHA256[flags]
 
 
 @pytest.mark.parametrize(

@@ -206,13 +206,11 @@ def test_index_set_invariants():
 
 
 def test_tail_conventions():
-    a = TorusElement([0.1, 0.2], tail="constant")
-    assert a.phase(10) == pytest.approx(0.2)
-    b = TorusElement([0.1, 0.2], tail="none")
+    # past the horizon the last phase repeats; a negative index is refused
+    a = TorusElement([0.1, 0.2])
+    assert a.phase_at(10) == pytest.approx(0.2)
     with pytest.raises(IndexOutOfRange):
-        b.phase(10)
-    with pytest.raises(IndexOutOfRange):
-        a.phase(-1)
+        a.phase_at(-1)
 
 
 def test_group_structure():
@@ -223,11 +221,11 @@ def test_group_structure():
 
 
 def test_json_roundtrip():
-    a = TorusElement([0.5, 1.5, 2.5], tail="none")
+    a = TorusElement([0.5, 1.5, 2.5])
     doc = json.loads(json.dumps(a.to_json()))
-    assert doc["horizon"] == 3 and doc["tail"] == "none"
-    b = TorusElement(doc["phases"], tail=doc["tail"])
-    assert np.array_equal(a.phases, b.phases) and b.tail == a.tail
+    assert doc["horizon"] == 3 and doc["tail"] == "constant"
+    b = TorusElement(doc["phases"])
+    assert np.array_equal(a.phases, b.phases)
 
 
 def test_circle_diameters_match_pairwise_reference():
@@ -300,13 +298,13 @@ _PHASES = st.floats(-20, 20) | st.sampled_from([0.0, -0.0, np.pi, -np.pi, TWO_PI
 
 @st.composite
 def _step_functions(draw):
-    """(dense phases, run starts, run phases, tail) of a random step function."""
+    """(dense phases, run starts, run phases) of a random step function."""
     horizon = draw(st.integers(1, 500))
     cuts = draw(st.sets(st.integers(1, max(1, horizon - 1)), max_size=39))
     starts = [0, *sorted(c for c in cuts if c < horizon)]
     phases = draw(st.lists(_PHASES, min_size=len(starts), max_size=len(starts)))
     dense = np.repeat(np.array(phases), np.diff(starts, append=horizon))
-    return dense, starts, phases, draw(st.sampled_from(["constant", "none"]))
+    return dense, starts, phases
 
 
 def _same_bits(a, b):
@@ -314,9 +312,8 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _dense_at(dense, tail, idx):
-    if idx.size and idx.max() >= dense.size and tail != "constant":
-        return None
+def _dense_at(dense, idx):
+    # past the horizon the last phase repeats
     return dense[np.minimum(idx, dense.size - 1)]
 
 
@@ -328,16 +325,16 @@ def _dense_at(dense, tail, idx):
     points=st.sets(st.integers(0, 500), max_size=30),
 )
 @example(
-    f=(np.array([0.0, -0.0, -0.0, 1.0]), [0, 1, 3], [0.0, -0.0, 1.0], "constant"),
-    g=(np.array([-0.0, 0.0, 2.0]), [0, 1, 2], [-0.0, 0.0, 2.0], "none"),
+    f=(np.array([0.0, -0.0, -0.0, 1.0]), [0, 1, 3], [0.0, -0.0, 1.0]),
+    g=(np.array([-0.0, 0.0, 2.0]), [0, 1, 2], [-0.0, 0.0, 2.0]),
     picks=[0, 1, 2, 3, 4, 5],
     points={1, 2},
 )
 def test_run_form_is_bitwise_the_dense_form(f, g, picks, points):
-    dense_f, starts, phases, tail = f
+    dense_f, starts, phases = f
     ref = np.mod(dense_f, TWO_PI)
-    a = TorusElement.from_runs(starts, phases, dense_f.size, tail)
-    for elem in (a, TorusElement(dense_f, tail=tail)):
+    a = TorusElement.from_runs(starts, phases, dense_f.size)
+    for elem in (a, TorusElement(dense_f)):
         assert _same_bits(elem.phases, ref)
         # the phases the tracer reads: read-only, one per index
         assert elem.phases.ndim == 1 and elem.phases.size == elem.horizon == ref.size
@@ -347,24 +344,15 @@ def test_run_form_is_bitwise_the_dense_form(f, g, picks, points):
     assert np.all(np.diff(a.starts) > 0)
     assert not np.any(a.run_phases[1:] == a.run_phases[:-1])
 
-    b = TorusElement(g[0], tail=g[3])
+    b = TorusElement(g[0])
     ref_b = np.mod(g[0], TWO_PI)
     h = np.arange(max(a.horizon, b.horizon))
-    want, other = _dense_at(ref, tail, h), _dense_at(ref_b, b.tail, h)
-    if want is None or other is None:
-        with pytest.raises(IndexOutOfRange):
-            a.mul(b)
-    else:
-        assert _same_bits(a.mul(b).phases, np.mod(want + other, TWO_PI))
+    want = np.mod(_dense_at(ref, h) + _dense_at(ref_b, h), TWO_PI)
+    assert _same_bits(a.mul(b).phases, want)
     assert _same_bits(a.inverse().phases, np.mod(-ref, TWO_PI))
 
     idx = np.array(picks, dtype=int)
-    want = _dense_at(ref, tail, idx)
-    if want is None:
-        with pytest.raises(IndexOutOfRange):
-            a.phase_at(idx)
-    else:
-        assert _same_bits(a.phase_at(idx), want)
+    assert _same_bits(a.phase_at(idx), _dense_at(ref, idx))
 
     # windows up to the horizon, which is always a point
     X = SparseSet(np.array(sorted({p % (a.horizon + 1) for p in points} | {0, a.horizon})))

@@ -191,7 +191,7 @@ def test_z_variant_requires_nondecreasing_schedule():
 def _branch(chain, depth, eps=1.5, j0=2):
     tree = build_tree(chain, depth, eps=eps, j0=j0)
     labels = ["1" * k for k in range(1, depth + 1)]
-    return tree, [tree.nodes[l].alpha for l in labels]
+    return tree, [tree.nodes[l] for l in labels]
 
 
 # The limit stage: sparsify_limit chooses the blocks, merge_limit glues the
@@ -298,7 +298,7 @@ def test_limit_stage_at_the_tightest_coherence_tolerance(horizon):
     chain = generate_chain(2, horizon, [32, 36, 40])
     tree = build_tree(chain, 2, z_variant=True, eps=eps, j0=10)
     assert max(c.payload["tail_max"] for c in tree.certificates if c.kind == "coherence") == eps
-    branch = [tree.nodes[l].alpha for l in ("", "1", "11")]
+    branch = [tree.nodes[l] for l in ("", "1", "11")]
     _, _, worst = limit_stage(branch, chain.levels, eps=eps, j0=10)
     assert worst == pytest.approx(0.1963, abs=1e-4)
 
@@ -309,7 +309,7 @@ def test_limit_stage_ignores_the_tolerance():
     results = set()
     for eps, j0 in [(0.1, 10), (0.1, 0), (0.1, 1), (0.3, 3), (1.5, 2), (0.1, 10**5)]:
         tree = build_tree(chain, 2, eps=eps, j0=j0)
-        branch = [tree.nodes[l].alpha for l in ("", "1", "11")]
+        branch = [tree.nodes[l] for l in ("", "1", "11")]
         beta, x_inf, worst = limit_stage(branch, chain.levels, eps=eps, j0=j0)
         results.add((tuple(x_inf.elements.tolist()), worst, beta.run_phases.tobytes()))
     assert len(results) == 1
@@ -356,7 +356,7 @@ def _dense_merge_limit(alphas, x_inf, horizon):
         out[idx] = gamma + alphas[n].phase_at(idx)
         if n < K - 1:
             p = int(pts[n + 1])
-            gamma = gamma + alphas[n].phase(p) - alphas[n + 1].phase(p)
+            gamma = gamma + float(alphas[n].phase_at(p)) - float(alphas[n + 1].phase_at(p))
     return np.mod(out, TWO_PI)
 
 
@@ -406,8 +406,8 @@ def test_tree_depth2_certificates():
     # independent recomputation of a divergence value from raw phases
     c = div[0]
     lvl = c.payload["level"]
-    s0 = tree.nodes[c.payload["s0"]].alpha
-    s1 = tree.nodes[c.payload["s1"]].alpha
+    s0 = tree.nodes[c.payload["s0"]]
+    s1 = tree.nodes[c.payload["s1"]]
     diff = s0.mul(s1.inverse())
     blk = c.payload["blocks"][0]["block"]
     iv0 = _interval(chain.levels[lvl + 1], blk)
@@ -419,9 +419,9 @@ def test_tree_depth2_certificates():
 def test_tree_coherence_transport():
     chain = generate_chain(2, 30000, [32, 36])
     tree = build_tree(chain, 2)
-    a0 = tree.nodes[""].alpha
-    a1 = tree.nodes["1"].alpha
-    a2 = tree.nodes["11"].alpha
+    a0 = tree.nodes[""]
+    a1 = tree.nodes["1"]
+    a2 = tree.nodes["11"]
     X = chain.levels[0]
     p02 = fx_profile(a0.mul(a2.inverse()), X).d
     p01 = fx_profile(a0.mul(a1.inverse()), X).d
@@ -442,12 +442,12 @@ def test_coherence_certificates_match_their_own_pairs(depth, z_variant, tail):
     if tail == "past-w0":
         # the tail of level 0 starts past the jumps of the level-0 witness,
         # while later witnesses still jump inside the tails of their levels
-        j0 = int(np.nonzero(fx_profile(tree.nodes["1"].alpha, chain.levels[0]).d)[0].max()) + 1
+        j0 = int(np.nonzero(fx_profile(tree.nodes["1"], chain.levels[0]).d)[0].max()) + 1
         tree = build_tree(chain, depth, z_variant=z_variant, j0=j0)
     coh = [c.payload for c in tree.certificates if c.kind == "coherence"]
     assert len(coh) == (depth - 1) * 2 ** (depth + 1) + 2
     for c in coh:
-        diff = tree.nodes[c["s"]].alpha.mul(tree.nodes[c["t"]].alpha.inverse())
+        diff = tree.nodes[c["s"]].mul(tree.nodes[c["t"]].inverse())
         d = fx_profile(diff, chain.levels[len(c["s"])]).d[j0:]
         assert abs(c["tail_max"] - (d.max() if d.size else 0.0)) <= 1e-13
         assert c["holds"] == bool(np.all(d <= 0.1))
@@ -471,7 +471,7 @@ def test_tree_reads_no_dense_phases(monkeypatch):
     chain = generate_chain(3, 5000, [32, 36, 40])
     tree = build_tree(chain, 3, z_variant=True)
     tree.to_json()
-    diff = tree.nodes["101"].alpha.mul(tree.nodes["1"].alpha.inverse())
+    diff = tree.nodes["101"].mul(tree.nodes["1"].inverse())
     fx_profile(diff, chain.levels[1], split=True)
 
 
@@ -479,6 +479,14 @@ def test_tree_depth_exceeds_chain():
     chain = generate_chain(1, 3000, [32])
     with pytest.raises(PreconditionViolation):
         build_tree(chain, 2)
+
+
+@pytest.mark.parametrize("depth", [-1, -3])
+def test_tree_negative_depth_is_refused(depth):
+    # a negative depth is not a one-node tree with no certificates
+    chain = generate_chain(1, 3000, [32])
+    with pytest.raises(PreconditionViolation, match="depth must be >= 0"):
+        build_tree(chain, depth)
 
 
 def test_tree_json():

@@ -19,7 +19,7 @@ from corona_lab import (
     tensor_unit,
     weak_sandwich,
 )
-from corona_lab.weak_units import PositiveUnit
+from corona_lab.weak_units import HYP_K_MAX, PositiveUnit
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +184,8 @@ def test_weak_sandwich_projection_reduces_to_blockwise():
 def test_hyp_check_modes(tent12):
     blocks = BlockStructure((2, 2, 2, 2))
     assert hyp_check(projection_unit(blocks), "HypA")["holds"]
-    assert hyp_check(tent12, "HypWeak", eps=0.1, k_max=6)["holds"]
+    weak = hyp_check(tent12, "HypWeak", eps=0.1)
+    assert weak["holds"] and weak["k_max"] == HYP_K_MAX
     # a zero r_i is a projection, but every corner r_i A r_j with it is zero
     rs = projection_unit(blocks).rs.copy()
     rs[1] = 0.0
