@@ -73,59 +73,78 @@ def _scalar(x) -> str | None:
     return None
 
 
-def _encode(x, level: int, out: list, texts: dict) -> None:
+def _encode(x, level: int, out: list, memo: dict) -> None:
     """Append the text of ``json.dumps(x, indent=2, sort_keys=True)``, nested
-    ``level`` deep, to ``out`` in pieces.  ``texts`` maps the run values of
-    :class:`RunList` items formatted so far to their texts."""
-    text = _scalar(x)
-    if text is not None:
+    ``level`` deep, to ``out`` in pieces.
+
+    ``memo`` maps each :class:`RunList` run value formatted so far to its
+    text, and ``(id(runlist), level)`` of each RunList encoded so far to the
+    slice of ``out`` its pieces fill: a RunList met again at the same level,
+    as tree nodes that hold one element share one, appends those pieces
+    again.  A list of ints only (a tree level) is formatted by one ``%``.
+    In other dicts and lists each scalar is formatted once and joins the
+    text before it, so a dict of scalars (a certificate) is one piece.
+    """
+    if not isinstance(x, (list, tuple, dict)):
+        text = _scalar(x)
+        if text is None:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
         out.append(text)
         return
-    if not isinstance(x, (list, tuple, dict)):
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
     if not x:
         out.append("{}" if isinstance(x, dict) else "[]")
         return
     pad = "\n" + "  " * (level + 1)
-    if isinstance(x, dict):
-        for k, (key, value) in enumerate(sorted(x.items())):
-            key = encode_basestring_ascii(key if isinstance(key, str) else _scalar(key))
-            out.append(("," if k else "{") + pad + key + ": ")
-            _encode(value, level + 1, out, texts)
-        out.append("\n" + "  " * level + "}")
-        return
-    sep = "," + pad
-    out.append("[" + pad)
+    end = "\n" + "  " * level
     if isinstance(x, RunList):
+        span = memo.get((id(x), level))
+        if span is not None:
+            out += out[span[0] : span[1]]
+            return
+        start = len(out)
+        out.append("[" + pad)
         # one piece per run; the last item takes no separator
+        sep = "," + pad
         values, counts = x.runs
         for value, count in zip(values, counts):
-            text = texts.get(value)
+            text = memo.get(value)
             if text is None:
                 text = _float(value)
                 if value:  # 0.0 and -0.0 are one key with two texts
-                    texts[value] = text
+                    memo[value] = text
             out.append((text + sep) * count)
         out[-1] = out[-1][: -len(sep)]
-    else:
-        # int lists, such as the points of a tree level (up to one per
-        # sample), skip the type tests of _scalar
-        fmt = int.__repr__ if set(map(type, x)) == {int} else _scalar
-        items = list(map(fmt, x))
-        if None not in items:
-            out.append(sep.join(items))
+        out.append(end + "]")
+        memo[id(x), level] = (start, len(out))
+        return
+    keyed = isinstance(x, dict)
+    if not keyed and set(map(type, x)) == {int}:
+        sep = "," + pad
+        out.append("[" + pad + (("%d" + sep) * (len(x) - 1) + "%d") % tuple(x) + end + "]")
+        return
+    # every item ends in ","; the last one is cut at the end
+    text = "{" if keyed else "["
+    for value in sorted(x.items()) if keyed else x:
+        if keyed:
+            key, value = value
+            key = encode_basestring_ascii(key if isinstance(key, str) else _scalar(key))
+            text += pad + key + ": "
         else:
-            for k, value in enumerate(x):
-                if k:
-                    out.append(sep)
-                _encode(value, level + 1, out, texts)
-    out.append("\n" + "  " * level + "]")
+            text += pad
+        scalar = None if isinstance(value, (list, tuple, dict)) else _scalar(value)
+        if scalar is None:
+            out.append(text)
+            _encode(value, level + 1, out, memo)
+            text = ","
+        else:
+            text += scalar + ","
+    out.append(text[:-1] + end + ("}" if keyed else "]"))
 
 
 def _emit(doc: dict, out: str | None) -> None:
     """Write ``doc`` as ``json.dumps(doc, indent=2, sort_keys=True)`` would,
     byte for byte.  A :class:`RunList` costs one formatted text per run,
-    not per item."""
+    not per item, and none where it is met again at the same level."""
     pieces = []
     _encode(doc, 0, pieces, {})
     pieces.append("\n")

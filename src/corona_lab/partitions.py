@@ -9,6 +9,7 @@ evidence for the subgroup of sequences that flatten out along X.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,13 +34,17 @@ class SparseSet:
         el.setflags(write=False)
         object.__setattr__(self, "elements", el)
 
-    @property
+    @cached_property
     def enumeration(self) -> np.ndarray:
-        """Increasing enumeration of {0} ∪ X (0 prepended unless present)."""
+        """Increasing enumeration of {0} ∪ X (0 prepended unless present),
+        read-only.  It is built on the first access, and every later access
+        returns the same array."""
         el = self.elements
         if el[0] == 0:
             return el
-        return np.concatenate([[0], el])
+        pts = np.concatenate([[0], el])
+        pts.setflags(write=False)
+        return pts
 
     @property
     def num_points(self) -> int:

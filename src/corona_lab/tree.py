@@ -23,7 +23,7 @@ from .errors import (
     PreconditionViolation,
 )
 from .partitions import SparseSet, check_tolerance, fx_profile, n_of
-from .torus import TorusElement, constant_one
+from .torus import TorusElement, constant_one, sorted_unique
 
 DIVERGENCE_TOL = 1e-9
 
@@ -60,10 +60,7 @@ class Chain:
             if len(hi) >= len(lo):
                 raise ConstructionError(f"level {t + 1} not strictly sparser")
             for entry in self.schedules[t]:
-                a, b = n_of(hi, entry.block), n_of(hi, entry.block + 1)
-                interior = np.count_nonzero(
-                    (lo.enumeration > a) & (lo.enumeration < b)
-                )
+                interior = _interior(lo.enumeration, hi, entry.block).size
                 if interior + 1 < entry.m:
                     raise ConstructionError(
                         f"block {entry.block} at level {t} holds "
@@ -72,6 +69,13 @@ class Chain:
 
     def min_jump_m(self) -> int:
         return min(e.m for sched in self.schedules for e in sched)
+
+
+def _interior(pts: np.ndarray, X_hi: SparseSet, block: int) -> np.ndarray:
+    """The points of the increasing ``pts`` strictly inside the interval
+    ``block`` of ``X_hi``, as a slice found by two binary searches."""
+    a, b = n_of(X_hi, block), n_of(X_hi, block + 1)
+    return pts[np.searchsorted(pts, a, side="right") : np.searchsorted(pts, b)]
 
 
 def _pair_merge(cur: int, end: int) -> np.ndarray:
@@ -187,9 +191,7 @@ def successor_witness(
     lo_pts = X_lo.enumeration
     interiors = []
     for entry in schedule:
-        a = n_of(X_hi, entry.block)
-        b = n_of(X_hi, entry.block + 1)
-        interior = lo_pts[(lo_pts > a) & (lo_pts < b)]
+        interior = _interior(lo_pts, X_hi, entry.block)
         if interior.size < entry.m:
             raise InsufficientBlock(
                 f"block {entry.block} has {interior.size} interior boundaries, "
@@ -198,7 +200,7 @@ def successor_witness(
         interiors.append(interior)
     # the phase is the running sum of the jumps in index order; the samples
     # between jumps would only add 0.0, which changes no sum
-    points = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *interiors]))
+    points = sorted_unique(np.concatenate([np.empty(0, dtype=np.int64), *interiors]))
     jumps = np.zeros(points.size)
     for entry, interior in zip(schedule, interiors):
         jumps[np.searchsorted(points, interior)] += np.pi / entry.m
@@ -402,11 +404,14 @@ def build_tree(
     # per distinct difference
     tail_maxes = {}
     for label_t, alpha_t in nodes.items():
+        inverse = None
         for cut in range(len(label_t)):
             label_s = label_t[:cut]
             key = (cut, label_t[cut:].rstrip("0"))
             if key not in tail_maxes:
-                diff = nodes[label_s].mul(alpha_t.inverse())
+                if inverse is None:
+                    inverse = alpha_t.inverse()
+                diff = nodes[label_s].mul(inverse)
                 d = fx_profile(diff, chain.levels[cut]).d
                 tail_maxes[key] = float(d[j0:].max()) if d.size > j0 else 0.0
             tail_max = tail_maxes[key]

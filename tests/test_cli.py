@@ -203,7 +203,8 @@ def test_out_of_memory_names_the_subcommand_and_function(tmp_path, monkeypatch, 
 
 
 # sha256 of format-1 tree documents, as written before tree elements were
-# stored as runs; the run form must not change a byte
+# stored as runs (the last two: before the emitter wrote a shared element's
+# text once); neither change may alter a byte
 _TREE_SHA256 = {
     ("--depth", "3", "--horizon", "100000"):
         "f666168cf05c7106714d98258be1b6b115c1709266bf0407306f0adade04f4df",
@@ -211,10 +212,16 @@ _TREE_SHA256 = {
         "361b5f7f0e230efff54a693f433255d15ac0abbdd4411fbda3f930cf41f157bd",
     ("--depth", "2", "--horizon", "20000"):
         "2e775d98f71615fa2c1cd92e229b77c935ceb0361f8066030d995f387a59740d",
+    ("--depth", "0", "--horizon", "3000"):
+        "69601b3bcdd8f1d98001aff3eb23f0fa8cbcc87f4b0ab44993fb41131c61778b",
+    ("--depth", "3", "--horizon", "2600", "--z-variant"):
+        "e5b91dc248d0d1e72a4078720b7174d979568a39ecc0a7084c06414a87be22cd",
 }
 
 
-@pytest.mark.parametrize("flags", list(_TREE_SHA256), ids=["d3-1e5", "d4-5000-z", "d2-20000"])
+@pytest.mark.parametrize(
+    "flags", list(_TREE_SHA256), ids=["d3-1e5", "d4-5000-z", "d2-20000", "d0-3000", "d3-2600-z"]
+)
 def test_tree_format_1_bytes_pinned(tmp_path, flags):
     out = tmp_path / "tree.json"
     assert run(["tree", *flags, "--out", str(out)]) == 0
@@ -599,12 +606,23 @@ _EMIT_DOCS = st.recursive(
 )
 
 
+# one RunList object at several nesting levels, and one node dict under
+# several keys, as tree documents share them
+_RUNS = RunList(np.array([1.5, -0.0, 2.0]), np.array([2, 3, 1]))
+_NODE = {"horizon": 6, "phases": _RUNS, "tail": "constant"}
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(doc=_EMIT_DOCS)
 @example(doc={"runs": [0.0] * 40 + [-0.0] * 40 + [0.0, float("nan")] * 20})
 @example(doc={"runs": RunList(np.array([0.0, -0.0, 0.0, float("nan"), float("inf"), -np.inf]),
                               np.array([1, 3, 1, 2, 1, 1]))})
 @example(doc=[RunList(np.array([1.5]), np.array([7])), RunList(np.array([1.5]), np.array([1]))])
+@example(doc={"a": _RUNS, "b": [_RUNS, {"c": _RUNS}], "d": _RUNS, "e": [[_RUNS]]})
+@example(doc={"nodes": {"": _NODE, "0": _NODE, "1": dict(_NODE, horizon=6)}, "again": _NODE})
+@example(doc={"levels": [[True, 1, 2], [-3, 0, 2**70, -(2**70)], [7], [1, 2.0], [-1, None]]})
+@example(doc={"flat": {"x": 1, "y": "z", "n": None}, "nested": {"k": {}, "a": 0.5, "z": []}})
+@example(doc={2.5: "x", 1: [True], -4: {}, 0: {"b": 1, "a": 2}})
 def test_emit_matches_json_dumps(tmp_path_factory, doc):
     out = tmp_path_factory.mktemp("emit") / "doc.json"
     cli._emit(doc, str(out))

@@ -32,6 +32,16 @@ def test_sparse_set_validation():
         SparseSet(np.array([-1, 2]))
 
 
+@pytest.mark.parametrize("elements", [[2, 5, 9], [0, 3]])
+def test_enumeration_is_one_read_only_array(elements):
+    X = SparseSet(np.array(elements))
+    pts = X.enumeration
+    assert X.enumeration is pts and not pts.flags.writeable
+    assert pts.tolist() == sorted({0, *elements})
+    with pytest.raises(ValueError):
+        pts[0] = 1
+
+
 def test_enumeration_prepends_zero():
     X = SparseSet(np.array([2, 5, 9]))
     assert n_of(X, 0) == 0

@@ -15,7 +15,14 @@ from corona_lab import (
     delta_set,
 )
 from corona_lab.partitions import SparseSet, fx_profile
-from corona_lab.torus import DIAMETER_CHUNK, FUZZ_CHUNK, TWO_PI, circle_diameters, fuzz_lij
+from corona_lab.torus import (
+    DIAMETER_CHUNK,
+    FUZZ_CHUNK,
+    TWO_PI,
+    circle_diameters,
+    fuzz_lij,
+    sorted_unique,
+)
 
 SLACK = 1e-12
 
@@ -251,10 +258,33 @@ def test_circle_diameters_match_pairwise_reference():
     for (s, e), d in zip(windows, diam):
         v = np.exp(1j * phases[s:e])
         ref = float(np.abs(v[:, None] - v[None, :]).max()) if e > s else 0.0
-        assert abs(d - ref) <= 1e-15
+        assert d == ref
     assert diam[windows.index((300, 302))] == 2.0
     assert diam[windows.index((1500, 2600))] == abs(np.exp(2j) - np.exp(1j * (2.0 + np.pi)))
     assert diam[windows.index((200, 210))] == 0.0
+
+
+_INT64S = st.lists(st.integers(-8, 40) | st.integers(-(2**63), 2**63 - 1), max_size=40).map(
+    lambda xs: np.array(xs, dtype=np.int64))
+
+
+def _int64s(*xs):
+    return np.array(xs, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=_INT64S)
+@example(x=_int64s())
+@example(x=_int64s(5, 5, 5))
+@example(x=_int64s(5, 1, 5, 5, -3, 1, 2**63 - 1, -(2**63)))
+# the merge of TorusElement.mul: two sorted start arrays concatenated, as
+# np.union1d(a, b) is np.unique of their concatenation
+@example(x=_int64s(0, 3, 7, 0, 3, 7))  # equal
+@example(x=_int64s(0, 1, 2, 5, 9, 2**63 - 1))  # disjoint
+@example(x=_int64s(0, 2, 4, 6, 8, 1, 3, 5, 7))  # interleaved
+def test_sorted_unique_is_np_unique(x):
+    got, ref = sorted_unique(x), np.unique(x)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 def test_phases_normalized_and_frozen():

@@ -198,6 +198,26 @@ def test_hyp_check_modes(tent12):
     assert not rep["holds"]
 
 
+def test_hyp_check_tests_every_pair():
+    # a zero r_7 makes every corner r_i A r_7 and r_7 A r_j zero
+    rs = projection_unit(BlockStructure((1,) * 8)).rs.copy()
+    rs[7] = 0.0
+    rep = hyp_check(PositiveUnit(rs=rs), "HypA")
+    assert not rep["holds"]
+    expected = [(i, 7) for i in range(7)] + [(7, j) for j in range(8)]
+    assert [(f["kind"], f["i"], f["j"]) for f in rep["failures"]] == [
+        ("zero_corner", i, j) for i, j in expected
+    ]
+    # r_7 = 0.95: corners (i, 7) reach 0.95^k, first below 0.9 at k = 3, and
+    # (7, 7) reaches 0.95^(2k), first below at k = 2
+    rs = rs.copy()
+    rs[7] = 0.95
+    rep = hyp_check(PositiveUnit(rs=rs), "HypWeak", eps=0.1)
+    assert [(f["i"], f["j"], f["k"]) for f in rep["failures"]] == [
+        (i, j, 2 if i == j == 7 else 3) for i, j in expected
+    ]
+
+
 def _increasing_projection_qs(count, dq=3):
     """Diagonals of the projections onto the first min(n, dq) coordinates."""
     return [(np.arange(dq) < n).astype(float) for n in range(1, count + 1)]
