@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import HorizonTooSmall, PreconditionViolation, TruncationExceeded
-from .torus import TorusElement
+from .torus import TorusElement, circle_diameters, sorted_unique
 
 
 @dataclass(frozen=True)
@@ -102,14 +102,35 @@ class FxProfile:
         return bool(np.all(self.d[j0:] <= eps))
 
 
+def break_windows(grid: np.ndarray, pts: np.ndarray, span: int):
+    """The windows [pts[j], pts[j + span]) that meet two cells or more of a
+    step function whose cells start at ``grid`` (increasing, from 0), as
+    ``(j, lo, hi)``: the window indices in increasing order, the cell holding
+    each window's first index and one past the cell holding its last, the
+    cell windows that :func:`circle_diameters` takes.
+
+    A window meets two cells only if a break b of ``grid`` has
+    pts[j] < b < pts[j + span], so each break picks at most ``span`` windows,
+    found by two binary searches; every other window lies in one cell and
+    has diameter 0.  The cost follows the breaks, not the points."""
+    b = grid[1:]
+    first = np.searchsorted(pts, b, side="right") - span
+    last = np.minimum(np.searchsorted(pts, b, side="left") - 1, pts.size - span - 1)
+    j = first[:, None] + np.arange(span)
+    j = sorted_unique(j[(j >= 0) & (j <= last[:, None])])
+    lo = np.searchsorted(grid, pts[j], side="right") - 1
+    hi = np.searchsorted(grid, pts[j + span] - 1, side="right")
+    return j, lo, hi
+
+
 def fx_profile(alpha: TorusElement, X: SparseSet, split: bool = False) -> FxProfile:
     """All double-interval distances of ``alpha`` to one, computable at horizon.
 
     Each window's distance is the diameter of the runs of ``alpha`` that it
-    meets, so the cost follows the points of ``X`` and the runs, not the
-    samples.  One-sample windows, such as every single interval of a level
-    that holds every sample, take no run search, and the split form computes
-    an endpoint distance only for a pair of points with a run start between
+    meets, and only the windows that :func:`break_windows` finds meet two
+    runs; every other entry is 0.0.  So a profile costs O(runs * log h)
+    besides filling its dense arrays, and the split form computes an
+    endpoint distance only for a pair of points with a run start between
     them."""
     pts = X.enumeration
     if int(pts[-1]) > alpha.horizon:
@@ -117,10 +138,10 @@ def fx_profile(alpha: TorusElement, X: SparseSet, split: bool = False) -> FxProf
             f"sparse set ends at {int(pts[-1])} past horizon {alpha.horizon}",
             min_horizon=int(pts[-1]),
         )
-    d = alpha.window_diameters(pts[:-2], pts[2:])
+    d = _window_diameters(alpha, pts, 2)
     if not split:
         return FxProfile(d=d)
-    d_single = alpha.window_diameters(pts[:-1], pts[1:])
+    d_single = _window_diameters(alpha, pts, 1)
     # pair j = (pts[j], pts[j + 1]) spans two runs only if a run starts in
     # (pts[j], pts[j + 1]]; every other pair lies in one run and keeps 0.0
     d_endpoints = np.zeros(pts.size - 2)
@@ -130,3 +151,12 @@ def fx_profile(alpha: TorusElement, X: SparseSet, split: bool = False) -> FxProf
     v = np.exp(1j * alpha.run_phases)
     d_endpoints[j] = np.abs(v[alpha.run_index(pts[j])] - v[alpha.run_index(pts[j + 1])])
     return FxProfile(d=d, d_single=d_single, d_endpoints=d_endpoints)
+
+
+def _window_diameters(alpha: TorusElement, pts: np.ndarray, span: int) -> np.ndarray:
+    """The diameters of ``alpha`` on every window [pts[j], pts[j + span]),
+    the runs of ``alpha`` taken as the cells."""
+    d = np.zeros(pts.size - span)
+    j, lo, hi = break_windows(alpha.starts, pts, span)
+    d[j] = circle_diameters(alpha.run_phases, lo, hi)
+    return d

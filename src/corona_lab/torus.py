@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, repeat
+from math import prod
 
 import numpy as np
 
@@ -126,24 +127,6 @@ class TorusElement:
     def values(self, indices) -> np.ndarray:
         return np.exp(1j * self.phase_at(indices))
 
-    def window_diameters(self, starts, ends) -> np.ndarray:
-        """Diameter of the value set on every window [s, e) of indices, with
-        s < e <= horizon: the diameter of the run phases the window meets.
-        A one-sample window meets one run and has diameter 0, so only wider
-        windows are looked up in the runs."""
-        starts, ends = np.asarray(starts), np.asarray(ends)
-        wide = ends - starts > 1
-        # one past the runs holding s and e - 1
-        lo = np.searchsorted(self.starts, starts[wide], side="right")
-        hi = np.searchsorted(self.starts, ends[wide] - 1, side="right")
-        # most windows lie within one run, where the diameter is 0
-        meets = hi > lo
-        d_wide = np.zeros(lo.size)
-        d_wide[meets] = circle_diameters(self.run_phases, lo[meets] - 1, hi[meets])
-        d = np.zeros(starts.size)
-        d[wide] = d_wide
-        return d
-
     # --- group structure (pointwise multiplication on the circle) ---
 
     def mul(self, other: "TorusElement") -> "TorusElement":
@@ -208,38 +191,49 @@ def delta_one(alpha: TorusElement, I) -> float:
 
 
 def circle_diameters(phases, starts, ends) -> np.ndarray:
-    """Diameter of {exp(i*phases[k]) : s <= k < e} for every window [s, e).
+    """Diameter of {exp(i*phases[..., k]) : s <= k < e} for every window
+    [s, e), in each row of ``phases`` (shape (..., N)); the result has shape
+    (..., number of windows).
 
     Every distance Delta_I of the package is such a diameter, because
     |alpha(i) conj(alpha(j)) - beta(i) conj(beta(j))| = |gamma(i) - gamma(j)|
     with gamma = alpha * conj(beta).
 
-    Constant windows are filtered out by the caller, not here:
-    :meth:`TorusElement.window_diameters` passes only windows that meet at
-    least two runs, whose neighbouring phases differ.  A constant window
-    still gets 0.0 from the pairwise maximum, and a window of one sample or
-    none keeps 0.0.  The windows are short, so distances are computed
-    pairwise, grouped by window length (the lengths found by
-    :func:`sorted_unique`), in batches of at most :data:`DIAMETER_CHUNK`
-    entries (or one row, where a row is longer).
+    Constant windows are filtered out by the caller, not here: the window
+    finder :func:`~corona_lab.partitions.break_windows` passes only windows
+    that meet a run break.  A constant window still gets 0.0 from the
+    pairwise maximum, and a window of one sample or none keeps 0.0.  The
+    windows are short, so distances are computed pairwise, grouped by window
+    length (the lengths found by :func:`sorted_unique`), in batches of at
+    most :data:`DIAMETER_CHUNK` distances over all rows (or one row of one
+    window, where that is longer).  A maximum does not depend on the order
+    of its terms, so each row's diameters are bitwise those of a call on that
+    row alone.
     """
     phases = np.asarray(phases, dtype=float)
+    rows = phases.reshape(prod(phases.shape[:-1]), phases.shape[-1])
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
     lengths = ends - starts
-    diam = np.zeros(starts.size)
+    diam = np.zeros((rows.shape[0], starts.size))
+    # e[k] holds exp(i phase) of sample k in every row
+    e = np.exp(1j * rows.T)
     for L in sorted_unique(lengths[lengths > 1]):
         win = np.nonzero(lengths == L)[0]
-        v = np.exp(1j * phases[starts[win, None] + np.arange(L)])
-        # a batch holds whole windows while they fit, else rows of one window
-        rows = max(1, DIAMETER_CHUNK // L)
-        per = max(1, rows // L)
-        for w0 in range(0, win.size, per):
-            sel, vw = win[w0 : w0 + per], v[w0 : w0 + per]
-            for r0 in range(0, L, rows):
-                dist = np.abs(vw[:, r0 : r0 + rows, None] - vw[:, None, :])
-                diam[sel] = np.maximum(diam[sel], dist.max(axis=(1, 2)))
-    return diam
+        # v[k] holds sample k of each line, one line per (window, row), so
+        # the distances of many short lines are reduced along their last axis
+        v = e[starts[win] + np.arange(L)[:, None]].reshape(L, -1)
+        d = np.zeros(v.shape[1])
+        # a batch holds whole lines while they fit, else rows of one line
+        chunk = max(1, DIAMETER_CHUNK // L)
+        per = max(1, chunk // L)
+        for w0 in range(0, d.size, per):
+            vw, dw = v[:, w0 : w0 + per], d[w0 : w0 + per]
+            for r0 in range(0, L, chunk):
+                dist = np.abs(vw[r0 : r0 + chunk, None] - vw[None])
+                np.maximum(dw, dist.max(axis=(0, 1)), out=dw)
+        diam[:, win] = d.reshape(win.size, rows.shape[0]).T
+    return diam.reshape(phases.shape[:-1] + (starts.size,))
 
 
 def fuzz_lij(n: int, seed: int = 0, horizon: int = 16, set_size: int = 3) -> int:

@@ -22,8 +22,8 @@ from .errors import (
     InsufficientBlock,
     PreconditionViolation,
 )
-from .partitions import SparseSet, check_tolerance, fx_profile, n_of
-from .torus import TorusElement, constant_one, sorted_unique
+from .partitions import SparseSet, break_windows, check_tolerance, fx_profile, n_of
+from .torus import DIAMETER_CHUNK, TWO_PI, TorusElement, circle_diameters, sorted_unique
 
 DIVERGENCE_TOL = 1e-9
 
@@ -53,9 +53,15 @@ class Chain:
         return self.levels[0].last + 1
 
     def check_invariants(self) -> None:
+        """Check that each level holds the next, which is strictly sparser,
+        and that each scheduled block holds m intervals of the finer level.
+        Nesting is one binary search of the upper level's points into the
+        lower level's, both increasing."""
         for t in range(self.depth):
             lo, hi = self.levels[t], self.levels[t + 1]
-            if not np.isin(hi.elements, lo.elements).all():
+            at = np.searchsorted(lo.elements, hi.elements)
+            # the last point is the largest: past the lower level's, it has no match
+            if at[-1] == len(lo) or not np.array_equal(lo.elements[at], hi.elements):
                 raise ConstructionError(f"level {t + 1} not contained in level {t}")
             if len(hi) >= len(lo):
                 raise ConstructionError(f"level {t + 1} not strictly sparser")
@@ -371,12 +377,19 @@ def build_tree(
     """Grow the full binary tree of the given depth over the chain and verify
     every certificate; any failure aborts with the failing pair identified.
 
+    Every element of the tree is a sum of witnesses, so its runs start on
+    one grid: 0 and the witnesses' jump points.  Nodes and differences are
+    held as rows of phases over the grid's cells, a node ``s + "1"`` being
+    mod(s + w) and a difference mod(s + mod(-t)), the float steps of
+    :meth:`TorusElement.mul` and :meth:`TorusElement.inverse`.
+
     The coherence difference of an ancestor pair (s, t), with s = t[:cut],
     is the product of the witnesses w_k at the positions k >= cut where t
     has a 1, so it depends only on (cut, t[cut:] without trailing zeros).
-    Each such key is profiled once, from the first pair that has it, and
-    every later pair with that key reuses the profile: 2^(depth+1) - 2
-    profiles for the 2^(depth+1)(depth-1) + 2 certificates.
+    Each such key gets one row, from the first pair that has it, and every
+    later pair with that key reuses its tail max: 2^(depth+1) - 2 rows for
+    the 2^(depth+1)(depth-1) + 2 certificates.  The rows of one cut are
+    profiled in one batch, on the windows past j0 that meet a grid break.
     """
     check_tolerance(eps, j0)
     if depth < 0:
@@ -392,29 +405,51 @@ def build_tree(
         )
         for t in range(depth)
     ]
+    grid = sorted_unique(np.concatenate([[0], *(w.starts for w in witnesses)]))
 
-    nodes = {"": constant_one(horizon)}
-    for level in range(depth):
-        for label in [l for l in nodes if len(l) == level]:
-            nodes[label + "0"] = nodes[label]
-            nodes[label + "1"] = nodes[label].mul(witnesses[level])
+    # R[row[label]] holds the node's phase on each cell of the grid, and a
+    # node s + "0" shares the row of s
+    row = {"": 0}
+    R = np.zeros((1, grid.size))
+    for level, w in enumerate(witnesses):
+        parents = [label for label in row if len(label) == level]
+        for k, label in enumerate(parents):
+            row[label + "0"] = row[label]
+            row[label + "1"] = len(R) + k
+        grown = np.mod(R[[row[label] for label in parents]] + w.phase_at(grid), TWO_PI)
+        R = np.concatenate((R, grown))
+    elements = [TorusElement.from_runs(grid, phases, horizon) for phases in R]
+    nodes = {label: elements[r] for label, r in row.items()}
+
+    # ancestor coherence, profiled against the ancestor's own level: one
+    # row per distinct difference, from the first pair (s, t) that has it
+    first = {}
+    for label_t in row:
+        for cut in range(len(label_t)):
+            key = (cut, label_t[cut:].rstrip("0"))
+            first.setdefault(key, (row[label_t[:cut]], row[label_t]))
+    # rows go in batches of at most DIAMETER_CHUNK phases, which bounds the
+    # memory of deep trees
+    per = max(1, DIAMETER_CHUNK // grid.size)
+    tail_maxes = {}
+    for cut in range(depth):
+        j, lo, hi = break_windows(grid, chain.levels[cut].enumeration, 2)
+        # the tail's other windows meet no break, and their 0.0 is the initial max
+        lo, hi = lo[j >= j0], hi[j >= j0]
+        keys = [key for key in first if key[0] == cut]
+        for k0 in range(0, len(keys), per):
+            batch = keys[k0 : k0 + per]
+            s, t = np.array([first[key] for key in batch]).T
+            # two reductions, as in s.mul(t.inverse()): a tiny t has mod(-t) = 2π
+            diff = np.mod(R[s] + np.mod(-R[t], TWO_PI), TWO_PI)
+            d = circle_diameters(diff, lo, hi)
+            tail_maxes.update(zip(batch, d.max(axis=1, initial=0.0).tolist()))
 
     certs = []
-    # ancestor coherence, profiled against the ancestor's own level, once
-    # per distinct difference
-    tail_maxes = {}
-    for label_t, alpha_t in nodes.items():
-        inverse = None
+    for label_t in nodes:
         for cut in range(len(label_t)):
             label_s = label_t[:cut]
-            key = (cut, label_t[cut:].rstrip("0"))
-            if key not in tail_maxes:
-                if inverse is None:
-                    inverse = alpha_t.inverse()
-                diff = nodes[label_s].mul(inverse)
-                d = fx_profile(diff, chain.levels[cut]).d
-                tail_maxes[key] = float(d[j0:].max()) if d.size > j0 else 0.0
-            tail_max = tail_maxes[key]
+            tail_max = tail_maxes[cut, label_t[cut:].rstrip("0")]
             # d[j0:] <= eps exactly when its max is, also for an empty or NaN tail
             holds = bool(tail_max <= eps)
             certs.append(
@@ -438,11 +473,13 @@ def build_tree(
     # sibling divergence over the scheduled blocks of the next level: the
     # siblings differ by the level's witness, so each Δ is its block diameter
     level_blocks = []
-    for lvl in range(depth):
+    for lvl, w in enumerate(witnesses):
         pts = chain.levels[lvl + 1].enumeration
         sched = chain.schedules[lvl]
         at = np.asarray([entry.block for entry in sched], dtype=np.int64)
-        deltas = witnesses[lvl].window_diameters(pts[at], pts[at + 1])
+        deltas = circle_diameters(
+            w.run_phases, w.run_index(pts[at]), w.run_index(pts[at + 1] - 1) + 1
+        )
         level_blocks.append([
             {"block": entry.block, "m": entry.m, "delta": float(d)}
             for entry, d in zip(sched, deltas)
@@ -470,10 +507,13 @@ def build_tree(
             )
     if z_variant:
         bound = 2.0 * float(np.sin(np.pi / (2.0 * chain.min_jump_m())))
-        for label, alpha in nodes.items():
-            # neighbouring samples differ only where a run ends
-            v = np.exp(1j * alpha.run_phases)
-            max_jump = float(np.abs(np.diff(v)).max()) if v.size > 1 else 0.0
+        # neighbouring samples differ only where a cell ends
+        max_jumps = []
+        for r0 in range(0, len(R), per):
+            v = np.exp(1j * R[r0 : r0 + per])
+            max_jumps += np.abs(np.diff(v, axis=1)).max(axis=1, initial=0.0).tolist()
+        for label, r in row.items():
+            max_jump = max_jumps[r]
             certs.append(
                 Certificate(
                     kind="jump_bound",

@@ -4,6 +4,7 @@ Each test prints a single ``ACCEPTANCE n ...: PASS/FAIL`` line (visible even
 under output capture) and pins the tolerance and runtime budget it certifies.
 """
 
+import os
 import time
 
 import numpy as np
@@ -113,6 +114,15 @@ def test_criterion_3_union_bound_fuzz(capsys):
         f"violations={violations}",
     )
     assert ok
+
+
+def test_blas_threads_are_pinned_before_numpy_loads():
+    # the budgets below are wall-clock times on a shared host
+    import conftest
+
+    assert not conftest.NUMPY_PRELOADED
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert os.environ[var]
 
 
 def test_criterion_4_stratification(capsys):

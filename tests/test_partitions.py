@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corona_lab import (
@@ -16,6 +16,8 @@ from corona_lab import (
     fx_profile,
     n_of,
 )
+from corona_lab.partitions import break_windows
+from corona_lab.torus import circle_diameters
 
 
 def interval(X, j):
@@ -145,6 +147,35 @@ def test_split_endpoints_match_dense_formula(case):
     dense = np.abs(v[:-1] - v[1:])
     got = fx_profile(alpha, X, split=True).d_endpoints
     assert got.dtype == dense.dtype and got.tobytes() == dense.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_runs_and_points())
+# one-sample windows, and a break one sample into the second window
+@example(case=(TorusElement.from_runs([0, 2, 3], [0.0, np.pi, 1.0], 6), SparseSet(np.arange(1, 7))))
+# breaks at the first point of X, at its last point and past it
+@example(case=(TorusElement.from_runs([0, 3], [0.0, np.pi], 8), SparseSet(np.array([3, 5, 8]))))
+@example(case=(TorusElement.from_runs([0, 5], [0.0, 2.5], 8), SparseSet(np.array([2, 5]))))
+@example(case=(TorusElement.from_runs([0, 7], [1.0, 2.5], 9), SparseSet(np.array([2, 5]))))
+# one run, with points at 0 and at the horizon
+@example(case=(TorusElement.from_runs([0], [2.5], 9), SparseSet(np.array([0, 4, 9]))))
+@example(case=(TorusElement.from_runs([0, 1, 8], [0.0, 1.0, np.pi], 9), SparseSet(np.array([0, 1, 8, 9]))))
+def test_break_windows_match_every_window(case):
+    # the profile from the windows that meet a break, against every window
+    # of the dense phases; the windows found are exactly those meeting two runs
+    alpha, X = case
+    pts = X.enumeration
+    dense = np.repeat(alpha.run_phases, np.diff(alpha.starts, append=alpha.horizon))
+    prof = fx_profile(alpha, X, split=True)
+    for span, got in ((2, prof.d), (1, prof.d_single)):
+        s, e = pts[:-span], pts[span:]
+        want = circle_diameters(dense, s, e)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        j, lo, hi = break_windows(alpha.starts, pts, span)
+        meets = np.nonzero(alpha.run_index(s) != alpha.run_index(e - 1))[0]
+        assert j.tolist() == meets.tolist()
+        assert lo.tolist() == alpha.run_index(s[j]).tolist()
+        assert hi.tolist() == (alpha.run_index(e[j] - 1) + 1).tolist()
 
 
 def test_fx_profile_horizon_guard():

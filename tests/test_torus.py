@@ -264,6 +264,54 @@ def test_circle_diameters_match_pairwise_reference():
     assert diam[windows.index((200, 210))] == 0.0
 
 
+class _CountingNumpy:
+    """numpy, with the size of every ``abs`` argument recorded: in
+    :func:`circle_diameters` that is one batch of pairwise distances."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def abs(self, x):
+        self.sizes.append(np.size(x))
+        return np.abs(x)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 24), st.integers(0, 16)),
+    chunk=st.sampled_from([24, 25, 97, 600]),
+)
+def test_circle_diameters_rows_are_one_row_calls(seed, shape, chunk):
+    # batches cross window and row boundaries when the chunk is small
+    from corona_lab import torus
+
+    rng = np.random.default_rng(seed)
+    R, N, W = shape
+    # repeated and antipodal phases besides arbitrary ones
+    phases = np.where(
+        rng.random((R, N)) < 0.5,
+        rng.choice([0.0, -0.0, 1.0, 2.5, np.pi, TWO_PI], (R, N)),
+        rng.uniform(0, TWO_PI, (R, N)),
+    )
+    lo, hi = np.sort(rng.integers(0, N + 1, (2, W)), axis=0)
+    want = np.array([circle_diameters(row, lo, hi) for row in phases])
+    counting = _CountingNumpy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torus, "DIAMETER_CHUNK", chunk)
+        mp.setattr(torus, "np", counting)
+        got = circle_diameters(phases, lo, hi)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # no window is longer than 24 samples, so every batch fits in the chunk
+    assert all(size <= chunk for size in counting.sizes)
+    # leading axes are rows too
+    stacked = circle_diameters(phases[None], lo, hi)
+    assert stacked.shape == (1, *want.shape) and stacked.tobytes() == want.tobytes()
+
+
 _INT64S = st.lists(st.integers(-8, 40) | st.integers(-(2**63), 2**63 - 1), max_size=40).map(
     lambda xs: np.array(xs, dtype=np.int64))
 

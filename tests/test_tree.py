@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,8 @@ def test_chain_depth3_schedule_1_to_8():
         ([0, 2], 1, "level 1 not contained in level 0"),  # before the first
         ([1, 2, 4, 6], 1, "level 1 not strictly sparser"),
         ([4, 6], 4, "block 0 at level 0 holds 3 intervals < m=4"),
+        # every point but the last in level 0, the last one past its end
+        ([2, 4, 6, 7], 1, "level 1 not contained in level 0"),
     ],
 )
 def test_chain_invariants_reject(hi, m, message):
@@ -432,34 +436,132 @@ def test_tree_coherence_transport():
 _TREE_CONFIGS = [(d, z) for d in (2, 3, 4) for z in (False, True)]
 
 
+def _past_w0(chain):
+    # the first window of level 0 past the jumps of the level-0 witness;
+    # later witnesses still jump inside the tails of their levels
+    w = successor_witness(chain.levels[0], chain.levels[1], chain.schedules[0])
+    return int(np.nonzero(fx_profile(w, chain.levels[0]).d)[0].max()) + 1
+
+
 @pytest.mark.parametrize("tail", ["j0-10", "past-w0"])
 @pytest.mark.parametrize("depth, z_variant", _TREE_CONFIGS)
 def test_coherence_certificates_match_their_own_pairs(depth, z_variant, tail):
-    # each certificate against the profile of its own pair's difference
+    # each certificate against the profile of its own pair's difference, and
+    # bitwise against that of the first pair in node order with its key
     chain = generate_chain(depth, 5000, [32, 36, 40, 48][:depth])
-    tree = build_tree(chain, depth, z_variant=z_variant)
-    j0 = 10
-    if tail == "past-w0":
-        # the tail of level 0 starts past the jumps of the level-0 witness,
-        # while later witnesses still jump inside the tails of their levels
-        j0 = int(np.nonzero(fx_profile(tree.nodes["1"], chain.levels[0]).d)[0].max()) + 1
-        tree = build_tree(chain, depth, z_variant=z_variant, j0=j0)
+    j0 = 10 if tail == "j0-10" else _past_w0(chain)
+    tree = build_tree(chain, depth, z_variant=z_variant, j0=j0)
     coh = [c.payload for c in tree.certificates if c.kind == "coherence"]
     assert len(coh) == (depth - 1) * 2 ** (depth + 1) + 2
+
+    def tail_of(s, t):
+        diff = tree.nodes[s].mul(tree.nodes[t].inverse())
+        return fx_profile(diff, chain.levels[len(s)]).d[j0:]
+
     for c in coh:
-        diff = tree.nodes[c["s"]].mul(tree.nodes[c["t"]].inverse())
-        d = fx_profile(diff, chain.levels[len(c["s"])]).d[j0:]
+        d = tail_of(c["s"], c["t"])
+        # a later pair with the key sums its witnesses in another order
         assert abs(c["tail_max"] - (d.max() if d.size else 0.0)) <= 1e-13
         assert c["holds"] == bool(np.all(d <= 0.1))
+        # the first pair with the key (cut, t[cut:] without trailing zeros)
+        cut = len(c["s"])
+        s = "0" * cut
+        d = tail_of(s, s + (c["t"][cut:].rstrip("0") or "0"))
+        assert c["tail_max"] == (d.max() if d.size else 0.0)
+
+
+def _count_rows(monkeypatch):
+    # the rows of every batched circle_diameters call that build_tree makes
+    rows = []
+    diameters = tree_mod.circle_diameters
+
+    def counted(phases, starts, ends):
+        if np.ndim(phases) == 2:
+            rows.append(np.shape(phases)[0])
+        return diameters(phases, starts, ends)
+
+    monkeypatch.setattr(tree_mod, "circle_diameters", counted)
+    return rows
 
 
 @pytest.mark.parametrize("depth, z_variant", [(0, False), (1, False)] + _TREE_CONFIGS)
 def test_build_tree_profiles_each_difference_once(monkeypatch, depth, z_variant):
     chain = generate_chain(depth, 5000, [32, 36, 40, 48][: max(depth, 1)])
-    calls = _count_fx_profile(monkeypatch)
+    profiles = _count_fx_profile(monkeypatch)
+    rows = _count_rows(monkeypatch)
     build_tree(chain, depth, z_variant=z_variant)
-    # one profile per (cut, t[cut:] without trailing zeros)
-    assert len(calls) == 2 ** (depth + 1) - 2
+    # one row per (cut, t[cut:] without trailing zeros), one batch per cut
+    assert len(rows) == depth and sum(rows) == 2 ** (depth + 1) - 2
+    assert rows == [2 ** (depth - cut) for cut in range(depth)]
+    assert profiles == []
+
+
+def test_build_tree_row_batches_change_no_certificate(monkeypatch):
+    # one row per batch, as in a tree too deep for DIAMETER_CHUNK phases
+    chain = generate_chain(3, 5000, [32, 36, 40])
+    want = json.dumps([c.to_json() for c in build_tree(chain, 3, z_variant=True).certificates])
+    rows = _count_rows(monkeypatch)
+    monkeypatch.setattr(tree_mod, "DIAMETER_CHUNK", 1)
+    tree = build_tree(chain, 3, z_variant=True)
+    assert rows == [1] * 14
+    assert json.dumps([c.to_json() for c in tree.certificates]) == want
+
+
+def _pairwise_tree(chain, depth, z_variant, j0):
+    """The tree's nodes, coherence tail maxes by key and jump maxima, built
+    pair by pair: nodes by TorusElement.mul, and each distinct difference by
+    mul, inverse and fx_profile from the first pair in node order with its
+    key."""
+    witnesses = [
+        successor_witness(chain.levels[t], chain.levels[t + 1], chain.schedules[t], z_variant)
+        for t in range(depth)
+    ]
+    nodes = {"": constant_one(chain.horizon)}
+    for level in range(depth):
+        for label in [l for l in nodes if len(l) == level]:
+            nodes[label + "0"] = nodes[label]
+            nodes[label + "1"] = nodes[label].mul(witnesses[level])
+    tails = {}
+    for t, alpha in nodes.items():
+        for cut in range(len(t)):
+            key = (cut, t[cut:].rstrip("0"))
+            if key not in tails:
+                diff = nodes[t[:cut]].mul(alpha.inverse())
+                d = fx_profile(diff, chain.levels[cut]).d[j0:]
+                tails[key] = d.max() if d.size else 0.0
+    jumps = {
+        label: np.abs(np.diff(np.exp(1j * alpha.run_phases))).max(initial=0.0)
+        for label, alpha in nodes.items()
+    }
+    return nodes, tails, jumps
+
+
+@pytest.mark.parametrize("tail", ["0", "10", "past-w0"])
+@pytest.mark.parametrize("depth, z_variant", [(d, z) for d in range(5) for z in (False, True)])
+def test_build_tree_is_bitwise_the_pairwise_construction(depth, z_variant, tail):
+    # a depth-0 tree grows over a depth-1 chain, which has a jump schedule
+    chain = generate_chain(max(depth, 1), 5000, [32, 36, 40, 48][: max(depth, 1)])
+    j0 = _past_w0(chain) if tail == "past-w0" else int(tail)
+    tree = build_tree(chain, depth, z_variant=z_variant, eps=2.5, j0=j0)
+    nodes, tails, jumps = _pairwise_tree(chain, depth, z_variant, j0)
+    assert list(tree.nodes) == list(nodes)
+    for label, alpha in nodes.items():
+        got = tree.nodes[label]
+        assert np.array_equal(got.starts, alpha.starts) and got.horizon == alpha.horizon
+        assert got.run_phases.tobytes() == alpha.run_phases.tobytes()
+        # nodes that share an element share one object, as to_json expects
+        if label:
+            assert (got is tree.nodes[label[:-1]]) == label.endswith("0")
+    certs = [c.payload for c in tree.certificates]
+    coh = [c for c in certs if "tail_max" in c]
+    assert len(coh) == sum(len(t) for t in nodes)
+    for c in coh:
+        cut = len(c["s"])
+        assert np.float64(c["tail_max"]).tobytes() == tails[cut, c["t"][cut:].rstrip("0")].tobytes()
+    jmp = {c["node"]: c["max_jump"] for c in certs if "max_jump" in c}
+    assert list(jmp) == (list(nodes) if z_variant else [])
+    for label, max_jump in jmp.items():
+        assert np.float64(max_jump).tobytes() == jumps[label].tobytes()
 
 
 def test_tree_reads_no_dense_phases(monkeypatch):
