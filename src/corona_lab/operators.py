@@ -86,15 +86,22 @@ def load_matrix(path) -> np.ndarray:
     return m
 
 
-def _interval_masks(X: SparseSet, blocks: BlockStructure):
-    """X-interval index of every coordinate, or -1 past the truncation."""
+def _interval_offsets(m: np.ndarray, X: SparseSet, blocks: BlockStructure) -> list:
+    """First coordinate of every point of X's enumeration: interval j spans
+    the coordinates b[j] to b[j + 1], and those from b[-1] on lie past the
+    truncation."""
+    if m.shape != (blocks.dim, blocks.dim):
+        raise PreconditionViolation("matrix does not match the block structure")
     pts = X.enumeration
     if pts[-1] > blocks.num_blocks:
         raise PreconditionViolation("sparse set extends past the block range")
-    blk = blocks.block_of_coord()
-    iv = np.searchsorted(pts, blk, side="right") - 1
-    iv[blk >= pts[-1]] = -1
-    return iv
+    return blocks.offsets[pts].tolist()
+
+
+def _coordinate_intervals(X: SparseSet, blocks: BlockStructure) -> np.ndarray:
+    """X-interval index of every coordinate, X.num_intervals past the
+    truncation."""
+    return np.searchsorted(X.enumeration, blocks.block_of_coord(), side="right") - 1
 
 
 @dataclass(frozen=True)
@@ -110,40 +117,41 @@ class DDWitness:
     tail_bounds: tuple
 
     def reconstruction_residual(self, m: np.ndarray) -> float:
-        return op_norm(m - (self.m_e + self.m_o + self.a))
+        """op_norm(m - (m_e + m_o + a)), summed in that order in one buffer."""
+        r = self.m_e + self.m_o
+        r += self.a
+        return op_norm(np.subtract(m, r, out=r))
 
     def tail_bound_ok(self) -> bool:
         return all(b <= 2.0 ** (-i + 4) for i, b in enumerate(self.tail_bounds))
 
 
-def _capture_masks(iv: np.ndarray):
-    """Boolean entry masks for the even double-diagonal part and the odd
-    off-diagonal strips, given per-coordinate interval indices."""
-    pair_e = iv // 2  # even double-blocks: intervals {2i, 2i+1}
-    row_iv = iv[:, None]
-    col_iv = iv[None, :]
-    valid = (row_iv >= 0) & (col_iv >= 0)
-    mask_e = valid & (pair_e[:, None] == pair_e[None, :])
-    odd = (
-        ((row_iv % 2 == 1) & (col_iv == row_iv + 1))
-        | ((col_iv % 2 == 1) & (row_iv == col_iv + 1))
-    )
-    mask_o = valid & odd & ~mask_e
-    return mask_e, mask_o
-
-
 def stratify_against(m: np.ndarray, X: SparseSet, blocks: BlockStructure) -> DDWitness:
     """Decompose m relative to a given sparse set; the residual's tail norms
-    say whether the level is admissible."""
-    iv = _interval_masks(X, blocks)
-    mask_e, mask_o = _capture_masks(iv)
+    say whether the level is admissible.
+
+    With b the first coordinates of X's points and K intervals, m_e is m on
+    the even double blocks [b[2i], b[min(2i + 2, K)])², m_o is m on the two
+    strips between intervals 2i + 1 and 2i + 2, and a is the rest of m, the
+    rows and columns past the truncation included.  The parts are cut by
+    slices, one per double block or strip; no entry mask is built.
+    """
     m = np.asarray(m, dtype=complex)
-    m_e = np.where(mask_e, m, 0.0)
-    m_o = np.where(mask_o, m, 0.0)
-    a = np.where(~(mask_e | mask_o), m, 0.0)
+    b = _interval_offsets(m, X, blocks)
+    K = X.num_intervals
+    m_e = np.zeros(m.shape, dtype=complex)
+    m_o = np.zeros(m.shape, dtype=complex)
+    a = m.copy()
+    for j in range(0, K, 2):
+        d = slice(b[j], b[min(j + 2, K)])
+        m_e[d, d] = m[d, d]
+        a[d, d] = 0.0
+    for j in range(1, K - 1, 2):
+        r, c = slice(b[j], b[j + 1]), slice(b[j + 1], b[j + 2])
+        m_o[r, c], m_o[c, r] = m[r, c], m[c, r]
+        a[r, c] = a[c, r] = 0.0
     # tail i is the rows labelled >= i, the label past the truncation last
-    labels = np.where(iv < 0, X.num_intervals, iv)
-    tails = _tail_norms(a, labels, X.num_points)
+    tails = _tail_norms(a, _coordinate_intervals(X, blocks), X.num_points)
     return DDWitness(X=X, m_e=m_e, m_o=m_o, a=a, tail_bounds=tuple(tails))
 
 
@@ -158,13 +166,12 @@ def _tail_norms(a: np.ndarray, labels: np.ndarray, count: int) -> list:
     """
     starts = np.flatnonzero(np.diff(labels, prepend=-1))
     bounds = np.append(starts, labels.size).tolist()
-    nz = np.logical_or.reduceat(a != 0, starts, axis=0)
-    nz = np.logical_or.reduceat(nz, starts, axis=1)
     blocks = {}  # name -> (row labels, column labels, norm); named by its first row label
     owner = {}  # column label -> name of its block
     tails = [0.0] * count
     for r in range(starts.size - 1, -1, -1):
-        reached = np.flatnonzero(nz[r]).tolist()
+        nz = np.logical_or.reduceat(a[bounds[r] : bounds[r + 1]].any(axis=0), starts)
+        reached = np.flatnonzero(nz).tolist()
         if reached:
             rows, cols = {r}, set(reached)
             for b in {owner[c] for c in reached if c in owner}:
@@ -187,6 +194,28 @@ def _coords(chosen: set, bounds: list):
     return np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in sorted(chosen)])
 
 
+def _norm_at_most(c: np.ndarray, bound: float) -> bool:
+    """``op_norm(c) <= bound``, settled by norm bounds where they can.
+
+    A largest row or column norm <= op_norm(c) <= the Frobenius norm.  With
+    margins of 1e-12 relative, far above the rounding of either side (a sum
+    of n squares is off by less than n * 2^-53 relative, under 1e-13 up to
+    900 terms; LAPACK's largest singular value by about 1e-14), each bound
+    gives the verdict the SVD would; between them, and for a corner with a
+    non-finite sum of squares, the SVD decides.
+    """
+    with np.errstate(over="ignore"):  # an overflow leaves the verdict to the SVD
+        sq = np.square(c.real) + np.square(c.imag)
+    rows = sq.sum(axis=1)
+    frob = float(np.sqrt(rows.sum()))
+    if np.isfinite(frob):
+        if frob <= bound * (1.0 - 1e-12):
+            return True
+        if np.sqrt(max(rows.max(), sq.sum(axis=0).max())) >= bound * (1.0 + 1e-12):
+            return False
+    return op_norm(c) <= bound
+
+
 def stratify(m: np.ndarray, blocks: BlockStructure) -> DDWitness:
     """Choose the sparse set by the inductive tail-norm rule, then decompose.
 
@@ -195,6 +224,10 @@ def stratify(m: np.ndarray, blocks: BlockStructure) -> DDWitness:
     corner of m*) of norm <= 2^{-j}, cut being block n(j)'s first coordinate.
     These norms do not grow with row, so n(j+1) is found by bisection; the
     block count qualifies (its corners are empty), so the selection ends.
+    A probe takes an SVD only when a corner's Frobenius norm is above
+    bound·(1 − 1e-12) and its largest row and column norms are below
+    bound·(1 + 1e-12) (``_norm_at_most``); the margins exceed the rounding
+    of either side, so every verdict is the SVD's.
     """
     m = np.asarray(m, dtype=complex)
     nb = blocks.num_blocks
@@ -209,7 +242,7 @@ def stratify(m: np.ndarray, blocks: BlockStructure) -> DDWitness:
         while lo < hi:
             mid = (lo + hi) // 2
             row = off[mid]
-            if op_norm(m[row:, :cut]) <= bound and op_norm(m[:cut, row:]) <= bound:
+            if _norm_at_most(m[row:, :cut], bound) and _norm_at_most(m[:cut, row:], bound):
                 hi = mid
             else:
                 lo = mid + 1
@@ -221,11 +254,18 @@ def stratify(m: np.ndarray, blocks: BlockStructure) -> DDWitness:
 
 
 def dd_check(m: np.ndarray, X: SparseSet, blocks: BlockStructure) -> bool:
-    """True iff every corner between intervals at distance >= 2 is exactly 0."""
-    iv = _interval_masks(X, blocks)
-    row_iv, col_iv = iv[:, None], iv[None, :]
-    forbidden = (row_iv >= 0) & (col_iv >= 0) & (np.abs(row_iv - col_iv) >= 2)
-    return bool(np.all(np.asarray(m)[forbidden] == 0))
+    """True iff every corner between intervals at distance >= 2 is exactly 0.
+
+    The corners of interval j are the slices between it and intervals j + 2
+    up to the truncation, in both directions; -0.0 counts as 0, NaN does not.
+    """
+    m = np.asarray(m)
+    b = _interval_offsets(m, X, blocks)
+    for j in range(len(b) - 3):
+        r, c = slice(b[j], b[j + 1]), slice(b[j + 2], b[-1])
+        if m[r, c].any() or m[c, r].any():
+            return False
+    return True
 
 
 def ad_sandwich(

@@ -74,7 +74,11 @@ class Chain:
                     )
 
     def min_jump_m(self) -> int:
-        return min(e.m for sched in self.schedules for e in sched)
+        """The least m of the chain's schedules; a depth-0 chain has none."""
+        ms = [e.m for sched in self.schedules for e in sched]
+        if not ms:
+            raise PreconditionViolation("a depth-0 chain has no schedule, so no jump bound")
+        return min(ms)
 
 
 def _interior(pts: np.ndarray, X_hi: SparseSet, block: int) -> np.ndarray:

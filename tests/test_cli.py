@@ -55,8 +55,10 @@ def test_tree_horizon_too_small(tmp_path):
         ["--epsilon", "nan"],
         ["--depth", "-1"],
         ["--depth", "0", "--j0", "-5", "--epsilon", "nan"],
+        ["--depth", "0", "--z-variant"],
     ],
-    ids=["negative-j0", "nan-epsilon", "negative-depth", "depth0-bad-tolerance"],
+    ids=["negative-j0", "nan-epsilon", "negative-depth", "depth0-bad-tolerance",
+         "depth0-z-variant"],
 )
 def test_tree_invalid_input(tmp_path, flags):
     out = tmp_path / "tree.json"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from corona_lab import operators
 from corona_lab import (
     BlockStructure,
     PreconditionViolation,
@@ -180,6 +181,60 @@ def test_tail_bounds_are_the_full_tail_norms(case):
     assert w.tail_bound_ok() == all(b <= 2.0 ** (-i + 4) for i, b in enumerate(full))
 
 
+def _interval_of_coords(X, blocks):
+    """X-interval index of every coordinate, or -1 past the truncation."""
+    blk = blocks.block_of_coord()
+    iv = np.searchsorted(X.enumeration, blk, side="right") - 1
+    iv[blk >= X.enumeration[-1]] = -1
+    return iv
+
+
+def _capture_masks(iv):
+    """The dense entry masks of the even double blocks and the odd strips,
+    built from per-coordinate interval indices: the oracle for the slices."""
+    pair_e = iv // 2  # even double-blocks: intervals {2i, 2i+1}
+    row_iv = iv[:, None]
+    col_iv = iv[None, :]
+    valid = (row_iv >= 0) & (col_iv >= 0)
+    mask_e = valid & (pair_e[:, None] == pair_e[None, :])
+    odd = (
+        ((row_iv % 2 == 1) & (col_iv == row_iv + 1))
+        | ((col_iv % 2 == 1) & (row_iv == col_iv + 1))
+    )
+    mask_o = valid & odd & ~mask_e
+    return mask_e, mask_o
+
+
+def _bits(x):
+    return x.dtype, x.shape, x.tobytes()
+
+
+def _example_case(sizes, elements, seed=0):
+    blocks = BlockStructure(sizes)
+    rng = np.random.default_rng(seed)
+    D = blocks.dim
+    m = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    m[rng.random((D, D)) < 0.2] = -0.0
+    return m / op_norm(m), SparseSet(np.asarray(elements)), blocks
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_stratify_cases())
+@example(case=_example_case((2, 1, 3, 1), [0, 4]))  # X = {0, nb}: one interval
+@example(case=_example_case((1, 2, 3, 1, 2, 1, 3), [2, 4, 7]))  # 3 intervals
+@example(case=_example_case((1, 2, 3, 1, 2, 1, 3), [1, 3, 5, 7]))  # 4 intervals
+@example(case=_example_case((1, 2, 3, 1, 2, 1, 3), [1, 2, 3, 5, 7]))  # 5 intervals
+@example(case=_example_case((1, 2, 3, 1, 2, 1, 3), [2, 4, 5]))  # ends before the last block
+@example(case=_example_case((3, 1, 2, 2, 1), [1, 2]))  # two intervals, three blocks past
+def test_parts_are_the_dense_mask_parts(case):
+    m, X, blocks = case
+    w = stratify_against(m, X, blocks)
+    mask_e, mask_o = _capture_masks(_interval_of_coords(X, blocks))
+    assert _bits(w.m_e) == _bits(np.where(mask_e, m, 0.0))
+    assert _bits(w.m_o) == _bits(np.where(mask_o, m, 0.0))
+    assert _bits(w.a) == _bits(np.where(~(mask_e | mask_o), m, 0.0))
+
+
 def _linear_scan_X(m, blocks):
     """The selection rule of ``stratify``, scanning every candidate in turn."""
     off, nb = blocks.offsets, blocks.num_blocks
@@ -215,11 +270,116 @@ def test_stratify_selection_is_minimal():
         assert w.reconstruction_residual(m) <= 1e-12 and w.tail_bound_ok()
 
 
+def _outcome(f, *args):
+    """f's value, or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the type is the outcome
+        return type(exc)
+
+
+def _around(x):
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+
+
+def _probe_corners():
+    rng = np.random.default_rng(11)
+    corners = []
+    for r, c in ((1, 1), (1, 7), (7, 1), (9, 5)):  # rank one: spectral = Frobenius norm
+        u = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+        v = rng.standard_normal(c) + 1j * rng.standard_normal(c)
+        corners.append(np.outer(u, v.conj()) * 0.37)
+    for value in (0.25, -3e-5j, complex(1e-9, -2e-9)):  # single entries
+        single = np.zeros((5, 4), dtype=complex)
+        single[3, 1] = value
+        corners += [single, single.T.copy()]
+    heavy = 1e-9 * (rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8)))
+    heavy[4] += rng.standard_normal(8) * 0.1  # one heavy row over 1e-9 noise
+    corners += [heavy, heavy.conj().T]
+    return corners
+
+
+@pytest.mark.parametrize("c", _probe_corners(), ids=lambda c: f"{c.shape[0]}x{c.shape[1]}")
+def test_probe_verdicts_are_the_svd_verdicts(c):
+    norm = op_norm(c)
+    bounds = _around(norm) + [norm * (1 - 1e-12), norm * (1 + 1e-12), norm / 2, norm * 2]
+    for bound in bounds:
+        assert operators._norm_at_most(c, bound) == (op_norm(c) <= bound)
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf, 1e300])
+def test_probe_with_unbounded_sums_reaches_op_norm(bad, monkeypatch):
+    c = np.full((4, 3), 0.1, dtype=complex)
+    c[2, 1] = bad
+    parent = _outcome(lambda: op_norm(c) <= 0.5)
+    calls = []
+
+    def counted(x):
+        calls.append(x.shape)
+        return op_norm(x)
+
+    monkeypatch.setattr(operators, "op_norm", counted)
+    assert _outcome(operators._norm_at_most, c, 0.5) == parent
+    assert calls == [c.shape]
+
+
 def test_dd_check_examples():
     blocks = BlockStructure((1,) * 12)
     X = SparseSet(np.array([3, 6, 9, 12]))
     assert dd_check(np.eye(12), X, blocks)
     assert not dd_check(np.ones((12, 12)), X, blocks)
+
+
+def _dense_dd_check(m, X, blocks):
+    """dd_check by the dense forbidden mask: every entry between intervals at
+    distance >= 2, both inside the truncation, must equal 0."""
+    iv = _interval_of_coords(X, blocks)
+    row_iv, col_iv = iv[:, None], iv[None, :]
+    forbidden = (row_iv >= 0) & (col_iv >= 0) & (np.abs(row_iv - col_iv) >= 2)
+    return bool(np.all(m[forbidden] == 0))
+
+
+def test_dd_check_single_forbidden_corner():
+    # one nonzero entry in one corner: false exactly when the corner is forbidden
+    blocks = BlockStructure((1, 2, 1, 3, 2, 1, 2))
+    X = SparseSet(np.array([1, 2, 4, 6]))  # intervals 0-3; block 6 lies past the truncation
+    off = blocks.offsets[X.enumeration]
+    verdicts = set()
+    for j in range(X.num_intervals):
+        for k in range(X.num_intervals):
+            m = np.zeros((blocks.dim, blocks.dim), dtype=complex)
+            m[off[j + 1] - 1, off[k]] = 1e-300j
+            assert dd_check(m, X, blocks) == _dense_dd_check(m, X, blocks) == (abs(j - k) < 2)
+            verdicts.add(abs(j - k) < 2)
+    assert verdicts == {True, False}
+
+
+def test_dd_check_ignores_entries_past_the_truncation():
+    blocks = BlockStructure((1, 2, 1, 3, 2, 1, 2))
+    X = SparseSet(np.array([1, 2, 4, 5]))
+    m = np.zeros((blocks.dim, blocks.dim))
+    m[blocks.offsets[5]:, :] = 1.0
+    m[:, blocks.offsets[5]:] = 1.0
+    assert dd_check(m, X, blocks) and _dense_dd_check(m, X, blocks)
+    m[0, blocks.offsets[5] - 1] = 1.0  # interval 0 against interval 4
+    assert not dd_check(m, X, blocks) and not _dense_dd_check(m, X, blocks)
+
+
+@pytest.mark.parametrize("value, holds", [(-0.0, True), (complex(-0.0, -0.0), True),
+                                          (np.nan, False), (complex(0.0, np.nan), False)])
+def test_dd_check_signed_zero_and_nan(value, holds):
+    blocks = BlockStructure((1,) * 12)
+    X = SparseSet(np.array([3, 6, 9, 12]))
+    m = np.eye(12, dtype=complex)
+    forbidden = m.copy()
+    forbidden[0, 11] = value  # interval 0 against interval 3
+    assert dd_check(forbidden, X, blocks) == _dense_dd_check(forbidden, X, blocks) == holds
+    forbidden = m.copy()
+    forbidden[11, 0] = value
+    assert dd_check(forbidden, X, blocks) == _dense_dd_check(forbidden, X, blocks) == holds
+    allowed = m.copy()
+    allowed[0, 5] = value  # interval 0 against interval 1: allowed
+    assert dd_check(allowed, X, blocks) and _dense_dd_check(allowed, X, blocks)
 
 
 def test_ad_sandwich_constant():
