@@ -86,15 +86,15 @@ def check_tolerance(eps: float, j0: int) -> None:
 class FxProfile:
     """Double-interval profile of a torus element against a sparse set.
 
-    ``d[j]`` is the distance to constant-one over I(X,j) ∪ I(X,j+1).  The
-    split form additionally records the single-interval and endpoint-pair
-    distances.  The (eps, j0) verdict is a finite-horizon proxy only: it says
-    nothing about the limit condition past the truncation.
+    ``d[j]`` is the distance to constant-one over I(X,j) ∪ I(X,j+1),
+    ``d_single[j]`` over I(X,j) and ``d_endpoints[j]`` between the points
+    n(X,j) and n(X,j+1).  The (eps, j0) verdict is a finite-horizon proxy
+    only: it says nothing about the limit condition past the truncation.
     """
 
     d: np.ndarray
-    d_single: np.ndarray | None = None
-    d_endpoints: np.ndarray | None = None
+    d_single: np.ndarray
+    d_endpoints: np.ndarray
 
     def in_fx(self, eps: float, j0: int) -> bool:
         """Whether ``d[j0:] <= eps``, after ``check_tolerance(eps, j0)``."""
@@ -123,15 +123,14 @@ def break_windows(grid: np.ndarray, pts: np.ndarray, span: int):
     return j, lo, hi
 
 
-def fx_profile(alpha: TorusElement, X: SparseSet, split: bool = False) -> FxProfile:
+def fx_profile(alpha: TorusElement, X: SparseSet) -> FxProfile:
     """All double-interval distances of ``alpha`` to one, computable at horizon.
 
     Each window's distance is the diameter of the runs of ``alpha`` that it
     meets, and only the windows that :func:`break_windows` finds meet two
     runs; every other entry is 0.0.  So a profile costs O(runs * log h)
-    besides filling its dense arrays, and the split form computes an
-    endpoint distance only for a pair of points with a run start between
-    them."""
+    besides filling its dense arrays, and an endpoint distance is computed
+    only for a pair of points with a run start between them."""
     pts = X.enumeration
     if int(pts[-1]) > alpha.horizon:
         raise HorizonTooSmall(
@@ -139,8 +138,6 @@ def fx_profile(alpha: TorusElement, X: SparseSet, split: bool = False) -> FxProf
             min_horizon=int(pts[-1]),
         )
     d = _window_diameters(alpha, pts, 2)
-    if not split:
-        return FxProfile(d=d)
     d_single = _window_diameters(alpha, pts, 1)
     # pair j = (pts[j], pts[j + 1]) spans two runs only if a run starts in
     # (pts[j], pts[j + 1]]; every other pair lies in one run and keeps 0.0

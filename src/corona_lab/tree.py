@@ -12,6 +12,7 @@ one element above all of it, the step the construction takes at a limit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,9 @@ class Chain:
 
     def check_invariants(self) -> None:
         """Check that each level holds the next, which is strictly sparser,
-        and that each scheduled block holds m intervals of the finer level.
+        and that each scheduled block holds m + 1 intervals of the finer
+        level, that is m interior boundaries, as :func:`successor_witness`
+        needs.
         Nesting is one binary search of the upper level's points into the
         lower level's, both increasing."""
         for t in range(self.depth):
@@ -67,10 +70,10 @@ class Chain:
                 raise ConstructionError(f"level {t + 1} not strictly sparser")
             for entry in self.schedules[t]:
                 interior = _interior(lo.enumeration, hi, entry.block).size
-                if interior + 1 < entry.m:
+                if interior < entry.m:
                     raise ConstructionError(
-                        f"block {entry.block} at level {t} holds "
-                        f"{interior + 1} intervals < m={entry.m}"
+                        f"block {entry.block} at level {t} has {interior} "
+                        f"interior boundaries, need {entry.m}"
                     )
 
     def min_jump_m(self) -> int:
@@ -96,88 +99,78 @@ def _pair_merge(cur: int, end: int) -> np.ndarray:
     return np.append(np.arange(cur + 2, end, 2), end)
 
 
-def _try_build_chain(depth, horizon, m_schedule):
-    """One construction attempt; returns a Chain or raises HorizonTooSmall
-    without a horizon estimate."""
-    if horizon < 4:
-        raise HorizonTooSmall("horizon too small for any chain")
-    x0 = SparseSet(np.arange(1, horizon, dtype=np.int64))
-    levels = [x0]
-    schedules = []
-    region_pos = 1
-    for _t in range(depth):
-        pts = levels[-1].enumeration
-        # pair-merge up to the start of this transition's scheduled region
-        cur = int(np.searchsorted(pts, region_pos))
-        if cur >= pts.size:
-            raise HorizonTooSmall("no room before scheduled region")
-        head = _pair_merge(0, cur)
-        scheduled = []
-        sched = []
-        for m in m_schedule:
-            if m < 1:
-                raise PreconditionViolation("schedule entries must be >= 1")
-            cur += m + 1
-            if cur >= pts.size:
-                raise HorizonTooSmall("scheduled region does not fit")
-            sched.append(ScheduleEntry(m=int(m), block=head.size + len(scheduled)))
-            scheduled.append(cur)
-        region_pos = int(pts[cur]) + 1
-        # pair-merge the remainder, always keeping the final point
-        tail = _pair_merge(cur, pts.size - 1)
-        kept = np.concatenate((head, np.array(scheduled, dtype=np.int64), tail))
-        if kept.size < 2:
-            raise HorizonTooSmall("too few intervals after merging")
-        levels.append(SparseSet(pts[kept]))
-        schedules.append(tuple(sched))
-    chain = Chain(levels=tuple(levels), schedules=tuple(schedules))
-    chain.check_invariants()
-    return chain
+def _region_starts(depth: int, m_schedule):
+    """The chain's layout, which no horizon changes: the schedule's entries
+    (none at depth 0, where no transition reads them) and, for t = 0..depth,
+    the index c_t in level t's enumeration where transition t's scheduled
+    region starts.
+
+    Transition t keeps the pair-merged head of points 1..c_t, which is
+    (c_t - 1) // 2 + 1 points, one point per block end, at
+    c_t + cumsum(m + 1), and the pair-merged tail.  Below the next region
+    lie 0, the head and the block ends, so c_0 = 1 and
+    c_{t+1} = 2 + (c_t - 1) // 2 + len(schedule).
+    """
+    if depth < 0:
+        raise PreconditionViolation("depth must be >= 0")
+    if depth == 0:
+        return [], [1]
+    ms = [operator.index(m) for m in m_schedule]
+    if not ms:
+        raise PreconditionViolation("a chain of depth >= 1 needs a nonempty schedule")
+    if min(ms) < 1:
+        raise PreconditionViolation("schedule entries must be >= 1")
+    starts = [1]
+    for _ in range(depth):
+        starts.append(2 + (starts[-1] - 1) // 2 + len(ms))
+    return ms, starts
 
 
 def min_sufficient_horizon(depth: int, m_schedule) -> int:
-    """Smallest horizon for which the chain construction succeeds, worked out
-    from point counts alone, so that finding it allocates no horizon.
+    """Smallest horizon for which :func:`generate_chain` succeeds, worked
+    out from point counts alone, so that finding it allocates no horizon.
 
-    Transition t of :func:`_try_build_chain` starts its scheduled region at
-    index c_t of a level enumeration of n_t points and needs
-    e_t = c_t + sum(m + 1) < n_t.  It keeps the pair-merged head of
-    (c_t - 1) // 2 + 1 points, one point per block and the pair-merged tail
-    of (n_t - e_t) // 2 points, at least two points in all.  The points
-    below the next region are 0, the head and the block points, so c_t does
-    not depend on the horizon, and the least n_t follows from the least
-    n_{t+1}, backwards from the last transition; n_0 is the horizon.
+    Transition t needs its last block end e_t = c_t + sum(m + 1) below the
+    n_t points of level t, and keeps c_{t+1} - 1 points up to e_t and
+    (n_t - e_t) // 2 points past it, so the least n_t follows from the
+    least n_{t+1}, backwards from the last transition; n_0 is the horizon.
     """
-    if depth > 0 and any(m < 1 for m in m_schedule):
-        raise PreconditionViolation("schedule entries must be >= 1")
-    span = sum(int(m) + 1 for m in m_schedule)
-    transitions, cur = [], 1
-    for _ in range(depth):
-        kept = (cur - 1) // 2 + 1 + len(m_schedule)
-        transitions.append((cur + span, kept))
-        cur = 1 + kept
+    ms, starts = _region_starts(depth, m_schedule)
+    span = sum(m + 1 for m in ms)
     need = 0  # least point count after the last transition
-    for end, kept in reversed(transitions):
-        tail = max(need - 1 - kept, 2 - kept, 0)
-        need = end + max(1, 2 * tail)
+    for t in reversed(range(depth)):
+        tail = max(need - starts[t + 1], 0)
+        need = starts[t] + span + max(1, 2 * tail)
     return max(4, need)
 
 
 def generate_chain(depth: int, horizon: int, m_schedule) -> Chain:
-    """Build a nested chain with the same block schedule at every transition.
+    """Build a nested chain with the same block schedule at every transition,
+    laid out by the recurrence of :func:`_region_starts`.
 
     The scheduled regions of distinct transitions occupy disjoint stretches of
     the horizon, so witnesses of distinct levels never jump at the same point.
     """
-    if depth < 0:
-        raise PreconditionViolation("depth must be >= 0")
-    try:
-        return _try_build_chain(depth, horizon, m_schedule)
-    except HorizonTooSmall:
-        need = min_sufficient_horizon(depth, m_schedule)
+    need = min_sufficient_horizon(depth, m_schedule)
+    if horizon < need:
         raise HorizonTooSmall(
             f"horizon {horizon} too small; need >= {need}", min_horizon=need
         )
+    ms, starts = _region_starts(depth, m_schedule)
+    ends = np.cumsum([m + 1 for m in ms], dtype=np.int64)
+    levels = [SparseSet(np.arange(1, horizon, dtype=np.int64))]
+    schedules = []
+    for c in starts[:-1]:
+        pts = levels[-1].enumeration
+        head = _pair_merge(0, c)
+        tail = _pair_merge(c + int(ends[-1]), pts.size - 1)
+        levels.append(SparseSet(pts[np.concatenate((head, c + ends, tail))]))
+        schedules.append(
+            tuple(ScheduleEntry(m=m, block=head.size + k) for k, m in enumerate(ms))
+        )
+    chain = Chain(levels=tuple(levels), schedules=tuple(schedules))
+    chain.check_invariants()
+    return chain
 
 
 def successor_witness(
@@ -247,12 +240,12 @@ def limit_stage(alphas, levels, eps: float = 0.1, j0: int = 10):
     K = len(alphas)
     if K < 2 or K != len(levels):
         raise PreconditionViolation("need at least two elements, one per level")
-    # one split profile per pair n < k, in the direction the tree certifies
+    # one profile per pair n < k, in the direction the tree certifies
     profiles = {}
     for k in range(1, K):
         for n in range(k):
             diff = alphas[n].mul(alphas[k].inverse())
-            prof = profiles[n, k] = fx_profile(diff, levels[n], split=True)
+            prof = profiles[n, k] = fx_profile(diff, levels[n])
             if not prof.in_fx(eps, j0):
                 raise PreconditionViolation(
                     f"inputs {n} and {k} not coherent at eps={eps}, j0={j0}"
@@ -262,7 +255,7 @@ def limit_stage(alphas, levels, eps: float = 0.1, j0: int = 10):
     bounds = x_inf.enumeration
     worst = 0.0
     for n in range(K - 1):
-        prof = fx_profile(beta.mul(alphas[n].inverse()), levels[n], split=True)
+        prof = fx_profile(beta.mul(alphas[n].inverse()), levels[n])
         pts = levels[n].enumeration
         # pairs j (and intervals j) from the one crossing into block n+1 on,
         # each in the block of its left point, the crossing pair in n+1

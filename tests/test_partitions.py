@@ -107,7 +107,7 @@ def test_fx_profile_matches_brute_force():
     rng = np.random.default_rng(1)
     alpha = TorusElement(rng.uniform(0, 2 * np.pi, 40))
     X = SparseSet(np.array([2, 7, 11, 20, 33]))
-    prof = fx_profile(alpha, X, split=True)
+    prof = fx_profile(alpha, X)
     pts = X.enumeration
     for j in range(pts.size - 2):
         d = delta_one(alpha, range(int(pts[j]), int(pts[j + 2])))
@@ -145,7 +145,7 @@ def test_split_endpoints_match_dense_formula(case):
     pts = X.enumeration
     v = np.exp(1j * alpha.run_phases)[alpha.run_index(pts[:-1])]
     dense = np.abs(v[:-1] - v[1:])
-    got = fx_profile(alpha, X, split=True).d_endpoints
+    got = fx_profile(alpha, X).d_endpoints
     assert got.dtype == dense.dtype and got.tobytes() == dense.tobytes()
 
 
@@ -166,7 +166,7 @@ def test_break_windows_match_every_window(case):
     alpha, X = case
     pts = X.enumeration
     dense = np.repeat(alpha.run_phases, np.diff(alpha.starts, append=alpha.horizon))
-    prof = fx_profile(alpha, X, split=True)
+    prof = fx_profile(alpha, X)
     for span, got in ((2, prof.d), (1, prof.d_single)):
         s, e = pts[:-span], pts[span:]
         want = circle_diameters(dense, s, e)

@@ -435,7 +435,7 @@ def test_run_form_is_bitwise_the_dense_form(f, g, picks, points):
     # windows up to the horizon, which is always a point
     X = SparseSet(np.array(sorted({p % (a.horizon + 1) for p in points} | {0, a.horizon})))
     pts = X.enumeration
-    prof = fx_profile(a, X, split=True)
+    prof = fx_profile(a, X)
     assert _same_bits(prof.d, circle_diameters(ref, pts[:-2], pts[2:]))
     assert _same_bits(prof.d_single, circle_diameters(ref, pts[:-1], pts[1:]))
     assert _same_bits(
@@ -456,7 +456,7 @@ def test_level0_split_profile_matches_dense_diameters():
     assert a.starts.size == starts.size > horizon // 3
     ref = np.repeat(np.mod(run_phases, TWO_PI), np.diff(starts, append=horizon))
     pts = np.arange(horizon + 1)
-    prof = fx_profile(a, SparseSet(pts[1:]), split=True)
+    prof = fx_profile(a, SparseSet(pts[1:]))
     assert _same_bits(prof.d, circle_diameters(ref, pts[:-2], pts[2:]))
     assert _same_bits(prof.d_single, circle_diameters(ref, pts[:-1], pts[1:]))
     assert _same_bits(

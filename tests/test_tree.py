@@ -60,9 +60,12 @@ def test_chain_depth3_schedule_1_to_8():
         ([2, 3, 6], 1, "level 1 not contained in level 0"),  # a gap inside
         ([0, 2], 1, "level 1 not contained in level 0"),  # before the first
         ([1, 2, 4, 6], 1, "level 1 not strictly sparser"),
-        ([4, 6], 4, "block 0 at level 0 holds 3 intervals < m=4"),
+        ([4, 6], 4, "block 0 at level 0 has 2 interior boundaries, need 4"),
         # every point but the last in level 0, the last one past its end
         ([2, 4, 6, 7], 1, "level 1 not contained in level 0"),
+        # three intervals hold only two interior boundaries, so m = 3 does
+        # not fit, as successor_witness finds
+        ([4, 6], 3, "block 0 at level 0 has 2 interior boundaries, need 3"),
     ],
 )
 def test_chain_invariants_reject(hi, m, message):
@@ -98,20 +101,86 @@ def test_min_sufficient_horizon_cli_schedule(depth, need):
     assert min_sufficient_horizon(depth, list(DEFAULT_SCHEDULE[:depth])) == need
 
 
+def _array_chain(depth, horizon, m_schedule):
+    """The chain built on arrays by trial, as generate_chain built it before
+    its layout came from one recurrence: raises HorizonTooSmall where the
+    horizon leaves no room."""
+    if horizon < 4:
+        raise HorizonTooSmall("horizon too small for any chain")
+    levels = [SparseSet(np.arange(1, horizon, dtype=np.int64))]
+    schedules = []
+    region_pos = 1
+    for _t in range(depth):
+        pts = levels[-1].enumeration
+        cur = int(np.searchsorted(pts, region_pos))
+        if cur >= pts.size:
+            raise HorizonTooSmall("no room before scheduled region")
+        head = tree_mod._pair_merge(0, cur)
+        scheduled, sched = [], []
+        for m in m_schedule:
+            cur += m + 1
+            if cur >= pts.size:
+                raise HorizonTooSmall("scheduled region does not fit")
+            sched.append(ScheduleEntry(m=int(m), block=head.size + len(scheduled)))
+            scheduled.append(cur)
+        region_pos = int(pts[cur]) + 1
+        tail = tree_mod._pair_merge(cur, pts.size - 1)
+        kept = np.concatenate((head, np.array(scheduled, dtype=np.int64), tail))
+        if kept.size < 2:
+            raise HorizonTooSmall("too few intervals after merging")
+        levels.append(SparseSet(pts[kept]))
+        schedules.append(tuple(sched))
+    return Chain(levels=tuple(levels), schedules=tuple(schedules))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(depth=st.integers(0, 4), schedule=st.lists(st.integers(1, 6), min_size=1, max_size=3))
-def test_min_sufficient_horizon_is_least(depth, schedule):
+@given(
+    depth=st.integers(0, 4),
+    schedule=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_min_sufficient_horizon_is_least(depth, schedule, data):
+    # the array construction succeeds exactly from the least horizon on,
+    # and where it does, generate_chain's levels and schedules are its own
     need = min_sufficient_horizon(depth, schedule)
-    tree_mod._try_build_chain(depth, need, schedule).check_invariants()
-    for h in {need - 1, need // 2, 3}:
+    horizons = {3, need // 2, need - 1, need, need + 1, data.draw(st.integers(3, need + 150))}
+    for h in sorted(horizons):
         if h < need:
             with pytest.raises(HorizonTooSmall):
-                tree_mod._try_build_chain(depth, h, schedule)
+                _array_chain(depth, h, schedule)
+            with pytest.raises(HorizonTooSmall) as exc:
+                generate_chain(depth, h, schedule)
+            assert exc.value.min_horizon == need
+            assert str(exc.value) == f"horizon {h} too small; need >= {need}"
+            continue
+        want, got = _array_chain(depth, h, schedule), generate_chain(depth, h, schedule)
+        assert got.schedules == want.schedules
+        assert len(got.levels) == len(want.levels)
+        for a, b in zip(got.levels, want.levels):
+            assert a.elements.dtype == b.elements.dtype
+            assert np.array_equal(a.elements, b.elements)
 
 
 def test_min_sufficient_horizon_rejects_bad_schedule():
     with pytest.raises(PreconditionViolation):
         min_sufficient_horizon(2, [3, 0])
+
+
+@pytest.mark.parametrize(
+    "depth, schedule, message",
+    [
+        (-1, [1], "depth must be >= 0"),
+        (-3, [0], "depth must be >= 0"),
+        # a chain with no scheduled block has nothing for siblings to diverge on
+        (1, [], "nonempty schedule"),
+        (2, [], "nonempty schedule"),
+    ],
+)
+def test_chain_layout_refuses_bad_depth_or_schedule(depth, schedule, message):
+    with pytest.raises(PreconditionViolation, match=message):
+        min_sufficient_horizon(depth, schedule)
+    with pytest.raises(PreconditionViolation, match=message):
+        generate_chain(depth, 1000, schedule)
 
 
 def _dense_witness(X_lo, X_hi, schedule):
@@ -574,7 +643,7 @@ def test_tree_reads_no_dense_phases(monkeypatch):
     tree = build_tree(chain, 3, z_variant=True)
     tree.to_json()
     diff = tree.nodes["101"].mul(tree.nodes["1"].inverse())
-    fx_profile(diff, chain.levels[1], split=True)
+    fx_profile(diff, chain.levels[1])
 
 
 def test_tree_depth_exceeds_chain():
