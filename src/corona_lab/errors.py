@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer check."""
+
+import operator
 
 
 class CoronaLabError(Exception):
@@ -12,6 +14,16 @@ class IndexOutOfRange(CoronaLabError):
 
 class PreconditionViolation(CoronaLabError):
     """An operation was called with arguments outside its contract."""
+
+
+def as_int(x, what: str) -> int:
+    """``x`` through ``operator.index``: a float or a bool is refused, not truncated."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise PreconditionViolation(f"{what} must be an integer, got {x!r}")
 
 
 class TruncationExceeded(CoronaLabError):

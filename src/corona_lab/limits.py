@@ -12,9 +12,10 @@ groups, towers and sequences of towers (and so ``from_json``), and the
 public :func:`smith_normal_form`.  Each is stored as a tuple of equal-length
 rows of Python ints; a float, a bool or a ragged row is refused, never
 truncated or padded.  The helpers behind them read those rows as they are.
+Towers and sequences of towers are checked once, when built: an object that
+exists is well formed, and no function that receives one checks it again.
 The invariants of a relation matrix are remembered per matrix; a tower
-computes its other verdicts (validity, flasqueness, its tail's image chain)
-once and remembers them.
+computes its flasqueness and its tail's image chain once and remembers them.
 
 The first derived limit is decided through the Mittag-Leffler criterion for
 towers indexed by the naturals: it vanishes iff the images stabilize.  It is
@@ -304,6 +305,8 @@ class Tower:
 
     ``tail`` marks an eventually-periodic continuation: beyond the explicit
     levels the tower repeats ``tail_level`` with the constant ``tail_bond``.
+    Construction checks that every bond, the tail's too, has its levels'
+    shape and respects their relations, and that a tail matches the top.
     """
 
     levels: tuple
@@ -319,18 +322,6 @@ class Tower:
         object.__setattr__(self, "bonds", bonds)
         if self.tail_bond is not None:
             object.__setattr__(self, "tail_bond", _int_matrix(self.tail_bond, "tail bond"))
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-    def check_invariants(self) -> None:
-        """Raise PreconditionViolation unless the tower is well formed.
-        Success is remembered; an invalid tower raises on every call."""
-        self._well_formed  # computed once; raises while invalid
-
-    @cached_property
-    def _well_formed(self) -> bool:
         for n, bond in enumerate(self.bonds):
             src, dst = self.levels[n + 1], self.levels[n]
             if len(bond) != dst.rank or (bond and len(bond[0]) != src.rank):
@@ -351,7 +342,10 @@ class Tower:
                     raise PreconditionViolation(
                         "last explicit level must match the tail level"
                     )
-        return True
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels)
 
     @cached_property
     def _flasque(self) -> bool:
@@ -469,7 +463,6 @@ def lim_tower(T: Tower) -> dict:
     an isomorphism; that is exact for the finite index set and a truncation
     for an unknown longer tower.
     """
-    T.check_invariants()
     if not T.levels and T.tail_level is None:
         raise PreconditionViolation("empty tower")
     if T._tail is not None:
@@ -492,7 +485,6 @@ def lim1_tower(T: Tower) -> dict:
     truncation of an unknown longer tower; over its finite index set alone
     lim¹ = 0.
     """
-    T.check_invariants()
     if flasque_check(T):
         return {"verdict": "Zero", "reason": "flasque", "evidence": None}
     all_levels = list(T.levels) + ([T.tail_level] if T.tail_level else [])
@@ -555,7 +547,7 @@ def flasque_check(T: Tower) -> bool:
 @dataclass(frozen=True)
 class SesTower:
     """Levelwise short exact sequences 0 -> F -> T -> G -> 0 commuting with
-    the bonds."""
+    the bonds; construction raises InvalidSes unless they are."""
 
     F: Tower
     T: Tower
@@ -567,18 +559,6 @@ class SesTower:
         for name in ("iotas", "sigmas"):
             maps = tuple(_int_matrix(m, f"{name}[{n}]") for n, m in enumerate(getattr(self, name)))
             object.__setattr__(self, name, maps)
-
-    def check_invariants(self) -> None:
-        """Raise unless the three towers and the maps between them form a
-        levelwise short exact sequence.  Success is remembered; an invalid
-        sequence raises on every call."""
-        self._well_formed  # computed once; raises while invalid
-
-    @cached_property
-    def _well_formed(self) -> bool:
-        self.F.check_invariants()
-        self.T.check_invariants()
-        self.G.check_invariants()
         depth = self.F.depth
         if self.T.depth != depth or self.G.depth != depth:
             raise InvalidSes("the three towers must share a depth")
@@ -602,7 +582,6 @@ class SesTower:
                 raise InvalidSes(f"im iota != ker sigma at level {n}")
         for n in range(depth - 1):
             self._check_square(n)
-        return True
 
     def _image_equals_kernel(self, n: int) -> bool:
         t_rel = self.T.levels[n].relations
@@ -628,7 +607,6 @@ def six_term_check(S: SesTower) -> dict:
     of T to the limit of G cannot be surjective in the stabilized sense; the
     non-stabilizing image chain of F is the certificate.
     """
-    S.check_invariants()
     l1F = lim1_tower(S.F)
     l1T = lim1_tower(S.T)
     lF = lim_tower(S.F)
@@ -642,8 +620,8 @@ def six_term_check(S: SesTower) -> dict:
         "lim1_T": l1T["verdict"],
     }
     if l1F["verdict"] == "Zero":
-        # S.check_invariants() has raised unless im iota = ker sigma at
-        # every level, so every truncation is exact
+        # S was built only if im iota = ker sigma at every level, so every
+        # truncation is exact
         report["case"] = "exact"
         report["truncation_exact"] = True
         report["per_level"] = [True] * S.F.depth
@@ -675,6 +653,4 @@ def build_paper_model(depth: int = 8) -> SesTower:
     )
     iotas = tuple(((2**n,),) for n in range(depth))
     sigmas = tuple([((1,),)] * depth)
-    ses = SesTower(F=F, T=T, G=G, iotas=iotas, sigmas=sigmas)
-    ses.check_invariants()
-    return ses
+    return SesTower(F=F, T=T, G=G, iotas=iotas, sigmas=sigmas)

@@ -36,7 +36,10 @@ class BlockStructure:
     sizes: tuple
 
     def __post_init__(self):
-        sz = tuple(int(s) for s in self.sizes)
+        sz = np.asarray(self.sizes)
+        if sz.size and sz.dtype.kind not in "iu":
+            raise PreconditionViolation("block sizes must be integers")
+        sz = tuple(sz.tolist())
         if not sz or any(s < 1 for s in sz):
             raise PreconditionViolation("block sizes must be >= 1")
         object.__setattr__(self, "sizes", sz)
@@ -52,10 +55,6 @@ class BlockStructure:
     @property
     def offsets(self) -> np.ndarray:
         return np.concatenate([[0], np.cumsum(self.sizes)])
-
-    def block_of_coord(self) -> np.ndarray:
-        """Length-D array mapping each coordinate to its block index."""
-        return np.repeat(np.arange(self.num_blocks), self.sizes)
 
     def expand(self, per_block: np.ndarray) -> np.ndarray:
         """Broadcast one value per block to a length-D vector."""
@@ -96,12 +95,6 @@ def _interval_offsets(m: np.ndarray, X: SparseSet, blocks: BlockStructure) -> li
     if pts[-1] > blocks.num_blocks:
         raise PreconditionViolation("sparse set extends past the block range")
     return blocks.offsets[pts].tolist()
-
-
-def _coordinate_intervals(X: SparseSet, blocks: BlockStructure) -> np.ndarray:
-    """X-interval index of every coordinate, X.num_intervals past the
-    truncation."""
-    return np.searchsorted(X.enumeration, blocks.block_of_coord(), side="right") - 1
 
 
 @dataclass(frozen=True)
@@ -150,26 +143,27 @@ def stratify_against(m: np.ndarray, X: SparseSet, blocks: BlockStructure) -> DDW
         r, c = slice(b[j], b[j + 1]), slice(b[j + 1], b[j + 2])
         m_o[r, c], m_o[c, r] = m[r, c], m[c, r]
         a[r, c] = a[c, r] = 0.0
-    # tail i is the rows labelled >= i, the label past the truncation last
-    tails = _tail_norms(a, _coordinate_intervals(X, blocks), X.num_points)
+    # tail i is the rows of intervals >= i, the rows past the truncation last
+    D = blocks.dim
+    tails = _tail_norms(a, b if b[-1] == D else b + [D], X.num_points)
     return DDWitness(X=X, m_e=m_e, m_o=m_o, a=a, tail_bounds=tuple(tails))
 
 
-def _tail_norms(a: np.ndarray, labels: np.ndarray, count: int) -> list:
-    """Norms of the row tails a[labels >= i, :] for i < count.
+def _tail_norms(a: np.ndarray, bounds: list, count: int) -> list:
+    """Norms of the row tails a[bounds[i]:, :] for i < count.
 
-    ``labels`` is non-decreasing, with no label skipped.  Up to a permutation
-    each tail is the direct sum of the connected blocks of its label-level
-    nonzero pattern, so its norm is the largest ``op_norm`` of a block.  Row
-    labels join from the last to the first; a block's norm is taken again
-    only when a new row label reaches it.
+    ``bounds`` increases strictly from 0 to the dimension; label k spans the
+    coordinates bounds[k] to bounds[k + 1], in rows and in columns.  Up to a
+    permutation each tail is the direct sum of the connected blocks of its
+    label-level nonzero pattern, so its norm is the largest ``op_norm`` of a
+    block.  Row labels join from the last to the first; a block's norm is
+    taken again only when a new row label reaches it.
     """
-    starts = np.flatnonzero(np.diff(labels, prepend=-1))
-    bounds = np.append(starts, labels.size).tolist()
+    starts = np.array(bounds[:-1])
     blocks = {}  # name -> (row labels, column labels, norm); named by its first row label
     owner = {}  # column label -> name of its block
     tails = [0.0] * count
-    for r in range(starts.size - 1, -1, -1):
+    for r in range(len(starts) - 1, -1, -1):
         nz = np.logical_or.reduceat(a[bounds[r] : bounds[r + 1]].any(axis=0), starts)
         reached = np.flatnonzero(nz).tolist()
         if reached:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import HorizonTooSmall, PreconditionViolation, TruncationExceeded
+from .errors import HorizonTooSmall, PreconditionViolation, TruncationExceeded, as_int
 from .torus import TorusElement, circle_diameters, sorted_unique
 
 
@@ -24,9 +24,12 @@ class SparseSet:
     elements: np.ndarray
 
     def __post_init__(self):
-        el = np.asarray(self.elements, dtype=np.int64)
+        el = np.asarray(self.elements)
         if el.ndim != 1 or el.size < 2:
             raise PreconditionViolation("need at least 2 elements")
+        if el.dtype.kind not in "iu":
+            raise PreconditionViolation("elements must be integers")
+        el = el.astype(np.int64, copy=False)
         if el[0] < 0:
             raise PreconditionViolation("elements must be naturals")
         if np.any(np.diff(el) <= 0):
@@ -74,10 +77,12 @@ def n_of(X: SparseSet, j: int) -> int:
 
 
 def check_tolerance(eps: float, j0: int) -> None:
-    """Reject a tolerance (eps, j0) unless j0 is natural and eps is finite
-    and >= 0 (a negative j0 would count from the end of a profile)."""
-    if j0 < 0:
+    """Reject a tolerance (eps, j0) unless j0 is a natural and eps a finite
+    number >= 0, not bools (a negative j0 would count from the end of a profile)."""
+    if as_int(j0, "j0") < 0:
         raise PreconditionViolation(f"j0 must be >= 0, got {j0}")
+    if isinstance(eps, (bool, np.bool_)):
+        raise PreconditionViolation(f"eps must be a number, got {eps!r}")
     if not 0.0 <= eps < np.inf:
         raise PreconditionViolation(f"eps must be finite and >= 0, got {eps}")
 

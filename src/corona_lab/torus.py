@@ -16,7 +16,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import IndexOutOfRange, PreconditionViolation
+from .errors import IndexOutOfRange, PreconditionViolation, as_int
 
 TWO_PI = 2.0 * np.pi
 
@@ -74,9 +74,12 @@ class TorusElement:
         return element
 
     def _assign(self, starts, phases, horizon) -> None:
-        object.__setattr__(self, "starts", np.asarray(starts, dtype=np.int64))
+        starts = np.asarray(starts)
+        if starts.size and starts.dtype.kind not in "iu":
+            raise PreconditionViolation("run starts must be integers")
+        object.__setattr__(self, "starts", starts.astype(np.int64, copy=False))
         object.__setattr__(self, "run_phases", np.asarray(phases, dtype=float))
-        object.__setattr__(self, "horizon", int(horizon))
+        object.__setattr__(self, "horizon", as_int(horizon, "horizon"))
         self.__post_init__()
 
     def __post_init__(self):

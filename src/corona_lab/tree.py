@@ -12,7 +12,6 @@ one element above all of it, the step the construction takes at a limit.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import (
     HorizonTooSmall,
     InsufficientBlock,
     PreconditionViolation,
+    as_int,
 )
 from .partitions import SparseSet, break_windows, check_tolerance, fx_profile, n_of
 from .torus import DIAMETER_CHUNK, TWO_PI, TorusElement, circle_diameters, sorted_unique
@@ -40,7 +40,11 @@ class ScheduleEntry:
 
 @dataclass(frozen=True)
 class Chain:
-    """Nested levels X_0 ⊇ X_1 ⊇ ... with per-transition block schedules."""
+    """Nested levels X_0 ⊇ X_1 ⊇ ... with per-transition block schedules.
+    Construction raises ConstructionError unless each level holds the next
+    (one binary search of its points), which is strictly sparser, and each
+    scheduled block holds m + 1 intervals of the finer level, the m interior
+    boundaries that :func:`successor_witness` needs."""
 
     levels: tuple
     schedules: tuple  # schedules[t] is a tuple of ScheduleEntry for X_t -> X_{t+1}
@@ -53,13 +57,7 @@ class Chain:
     def horizon(self) -> int:
         return self.levels[0].last + 1
 
-    def check_invariants(self) -> None:
-        """Check that each level holds the next, which is strictly sparser,
-        and that each scheduled block holds m + 1 intervals of the finer
-        level, that is m interior boundaries, as :func:`successor_witness`
-        needs.
-        Nesting is one binary search of the upper level's points into the
-        lower level's, both increasing."""
+    def __post_init__(self):
         for t in range(self.depth):
             lo, hi = self.levels[t], self.levels[t + 1]
             at = np.searchsorted(lo.elements, hi.elements)
@@ -111,11 +109,11 @@ def _region_starts(depth: int, m_schedule):
     lie 0, the head and the block ends, so c_0 = 1 and
     c_{t+1} = 2 + (c_t - 1) // 2 + len(schedule).
     """
-    if depth < 0:
+    if as_int(depth, "depth") < 0:
         raise PreconditionViolation("depth must be >= 0")
     if depth == 0:
         return [], [1]
-    ms = [operator.index(m) for m in m_schedule]
+    ms = [as_int(m, "a schedule entry") for m in m_schedule]
     if not ms:
         raise PreconditionViolation("a chain of depth >= 1 needs a nonempty schedule")
     if min(ms) < 1:
@@ -151,6 +149,7 @@ def generate_chain(depth: int, horizon: int, m_schedule) -> Chain:
     The scheduled regions of distinct transitions occupy disjoint stretches of
     the horizon, so witnesses of distinct levels never jump at the same point.
     """
+    horizon = as_int(horizon, "horizon")
     need = min_sufficient_horizon(depth, m_schedule)
     if horizon < need:
         raise HorizonTooSmall(
@@ -168,9 +167,7 @@ def generate_chain(depth: int, horizon: int, m_schedule) -> Chain:
         schedules.append(
             tuple(ScheduleEntry(m=m, block=head.size + k) for k, m in enumerate(ms))
         )
-    chain = Chain(levels=tuple(levels), schedules=tuple(schedules))
-    chain.check_invariants()
-    return chain
+    return Chain(levels=tuple(levels), schedules=tuple(schedules))
 
 
 def successor_witness(
@@ -389,7 +386,7 @@ def build_tree(
     profiled in one batch, on the windows past j0 that meet a grid break.
     """
     check_tolerance(eps, j0)
-    if depth < 0:
+    if as_int(depth, "tree depth") < 0:
         raise PreconditionViolation(f"tree depth must be >= 0, got {depth}")
     if depth > chain.depth:
         raise PreconditionViolation(

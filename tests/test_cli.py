@@ -376,6 +376,72 @@ def test_limits_invalid_tower(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+_Z = {"rank": 1, "relations": [[]]}
+_Z2 = {"rank": 1, "relations": [[2]]}
+_Z4 = {"rank": 1, "relations": [[4]]}
+
+
+@pytest.mark.parametrize(
+    "tower, message",
+    [
+        ({"levels": [_Z2, _Z2], "bonds": [[[1, 0]]]}, "bond 0 has wrong shape"),
+        ({"levels": [_Z4, _Z2], "bonds": [[[1]]]}, "bond 0 does not respect relations"),
+        ({"levels": [_Z], "bonds": [], "tail": {"level": _Z}},
+         "tail level and tail bond go together"),
+        ({"levels": [_Z2], "bonds": [], "tail": {"level": _Z2, "bond": [[1], [0]]}},
+         "tail bond has wrong shape"),
+        # Z ⊕ Z/2 with the torsion generator sent to a free one
+        ({"levels": [], "bonds": [],
+          "tail": {"level": {"rank": 2, "relations": [[0], [2]]}, "bond": [[0, 1], [0, 0]]}},
+         "tail bond does not respect relations"),
+        ({"levels": [_Z], "bonds": [], "tail": {"level": _Z2, "bond": [[1]]}},
+         "last explicit level must match the tail level"),
+    ],
+    ids=["shape", "relations", "tail-pairing", "tail-shape", "tail-relations", "tail-match"],
+)
+def test_limits_invalid_tower_error_document(tmp_path, capsys, tower, message):
+    # each check of a tower's construction gives the same error document
+    path, out = tmp_path / "t.json", tmp_path / "l.json"
+    path.write_text(json.dumps(tower))
+    assert run(["limits", str(path), "--out", str(out)]) == 2
+    assert out.read_text() == (
+        '{\n  "error": "invalid tower",\n  "message": "%s"\n}\n' % message
+    )
+    assert not capsys.readouterr().err
+
+
+def _decimal(n: int) -> str:
+    """The decimal text of n, past Python's limit on int-to-text digits
+    where it has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        return str(n)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("case", ["paper-model", "tower-file"])
+def test_limits_writes_answers_of_more_than_4300_digits(tmp_path, case):
+    # lim G of the paper model at depth 14,300 is Z/2^14299, 4,305 digits;
+    # each relation below parses, but their product has 4,401 digits
+    if case == "paper-model":
+        argv, torsion = ["--paper-model", "--depth", "14300"], 2**14299
+    else:
+        a, b = 10**2200 + 1, 10**2200 + 3
+        level = {"rank": 2, "relations": [[a, 0], [0, b]]}
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"levels": [level] * 2, "bonds": [[[1, 0], [0, 1]]]}))
+        argv, torsion = [str(path)], a * b
+    out = tmp_path / "l.json"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert run(["limits", *argv, "--out", str(out)]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert "\n" + " " * 8 + _decimal(torsion) + "\n" in out.read_text()
+
+
 def test_env_seed_override(tmp_path, monkeypatch):
     out = tmp_path / "v.json"
     monkeypatch.setenv("CORONA_LAB_SEED", "123")

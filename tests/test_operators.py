@@ -60,7 +60,6 @@ def test_block_structure():
     b = BlockStructure((2, 3, 1))
     assert b.dim == 6 and b.num_blocks == 3
     assert b.offsets.tolist() == [0, 2, 5, 6]
-    assert b.block_of_coord().tolist() == [0, 0, 1, 1, 1, 2]
     with pytest.raises(PreconditionViolation):
         BlockStructure((0, 2))
 
@@ -183,7 +182,7 @@ def test_tail_bounds_are_the_full_tail_norms(case):
 
 def _interval_of_coords(X, blocks):
     """X-interval index of every coordinate, or -1 past the truncation."""
-    blk = blocks.block_of_coord()
+    blk = np.repeat(np.arange(blocks.num_blocks), blocks.sizes)
     iv = np.searchsorted(X.enumeration, blk, side="right") - 1
     iv[blk >= X.enumeration[-1]] = -1
     return iv

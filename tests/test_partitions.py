@@ -16,8 +16,10 @@ from corona_lab import (
     fx_profile,
     n_of,
 )
-from corona_lab.partitions import break_windows
+from corona_lab.operators import BlockStructure
+from corona_lab.partitions import FxProfile, break_windows
 from corona_lab.torus import circle_diameters
+from corona_lab.tree import build_tree, generate_chain
 
 
 def interval(X, j):
@@ -32,6 +34,42 @@ def test_sparse_set_validation():
         SparseSet(np.array([3, 3, 5]))
     with pytest.raises(PreconditionViolation):
         SparseSet(np.array([-1, 2]))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SparseSet([1.5, 2.7]), "elements must be integers"),
+        (lambda: SparseSet(np.array([True, False])), "elements must be integers"),
+        (lambda: BlockStructure((1.5, 2)), "block sizes must be integers"),
+        (lambda: TorusElement.from_runs([0, 1.5], [0.0, 1.0], 4), "run starts must be integers"),
+        (lambda: TorusElement.from_runs([0, 1], [0.0, 1.0], 3.7), "horizon must be an integer"),
+        (lambda: generate_chain(1, 3000.7, [32]), "horizon must be an integer"),
+        (lambda: build_tree(generate_chain(1, 3000, [32]), 1.0), "tree depth must be an integer"),
+    ],
+    ids=["sparse-set", "sparse-set-bool", "block-sizes", "run-starts", "element-horizon",
+         "chain-horizon", "tree-depth"],
+)
+def test_integer_arguments_are_refused_not_truncated(build, message):
+    with pytest.raises(PreconditionViolation, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: build_tree(generate_chain(1, 3000, [32]), 1, j0=2.5), "j0 must be an integer"),
+        (lambda: build_tree(generate_chain(1, 3000, [32]), 1, eps=True), "eps must be a number"),
+        (lambda: FxProfile(np.zeros(3), np.zeros(3), np.zeros(3)).in_fx(0.1, 2.5),
+         "j0 must be an integer"),
+        (lambda: FxProfile(np.zeros(3), np.zeros(3), np.zeros(3)).in_fx(0.1, True),
+         "j0 must be an integer"),
+    ],
+    ids=["tree-j0", "tree-eps-bool", "in-fx-j0", "in-fx-j0-bool"],
+)
+def test_tolerance_refuses_non_integer_j0_and_bool_eps(check, message):
+    with pytest.raises(PreconditionViolation, match=message):
+        check()
 
 
 @pytest.mark.parametrize("elements", [[2, 5, 9], [0, 3]])

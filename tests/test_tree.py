@@ -36,7 +36,6 @@ def _interval(X, j):
 
 def test_chain_minimal():
     chain = generate_chain(1, 200, [1])
-    chain.check_invariants()
     assert chain.depth == 1
     entry = chain.schedules[0][0]
     a = n_of(chain.levels[1], entry.block)
@@ -49,7 +48,6 @@ def test_chain_minimal():
 
 def test_chain_depth3_schedule_1_to_8():
     chain = generate_chain(3, 100_000, list(range(1, 9)))
-    chain.check_invariants()
     assert chain.depth == 3
 
 
@@ -70,9 +68,8 @@ def test_chain_depth3_schedule_1_to_8():
 )
 def test_chain_invariants_reject(hi, m, message):
     lo = SparseSet([1, 2, 4, 6])
-    chain = Chain(levels=(lo, SparseSet(hi)), schedules=((ScheduleEntry(m=m, block=0),),))
     with pytest.raises(ConstructionError, match=message):
-        chain.check_invariants()
+        Chain(levels=(lo, SparseSet(hi)), schedules=((ScheduleEntry(m=m, block=0),),))
 
 
 def test_chain_depth0():
@@ -85,7 +82,7 @@ def test_chain_horizon_too_small():
         generate_chain(3, 20, [4, 5])
     need = exc.value.min_horizon
     assert need is not None
-    generate_chain(3, need, [4, 5]).check_invariants()
+    generate_chain(3, need, [4, 5])
     with pytest.raises(HorizonTooSmall):
         generate_chain(3, need - 1, [4, 5])
     assert min_sufficient_horizon(3, [4, 5]) == need
