@@ -27,39 +27,39 @@ def main():
     for t, lvl in enumerate(chain.levels):
         print(f"  level {t}: {len(lvl)} points, last={lvl.last}")
 
-    tree = build_tree(chain, depth, z_variant=True, eps=0.1, j0=10)
+    tree = build_tree(chain, z_variant=True, eps=0.1, j0=10)
     print(f"\ntree: {len(tree.nodes)} nodes, {len(tree.certificates)} certificates")
 
-    coh = [c for c in tree.certificates if c.kind == "coherence"]
-    worst = max(coh, key=lambda c: c.payload["tail_max"])
+    coh = [c for c in tree.certificates if c["kind"] == "coherence"]
+    worst = max(coh, key=lambda c: c["tail_max"])
     print(f"coherence: {len(coh)} ancestor/descendant pairs checked")
     print(
-        f"  worst tail beyond j0={worst.payload['j0']}: "
-        f"{worst.payload['tail_max']:.6f} (allowed {tree.eps})"
-        f" at {worst.payload['s']!r} < {worst.payload['t']!r}"
+        f"  worst tail beyond j0={worst['j0']}: "
+        f"{worst['tail_max']:.6f} (allowed {tree.eps})"
+        f" at {worst['s']!r} < {worst['t']!r}"
     )
-    assert all(c.payload["holds"] for c in coh)
-    assert worst.payload["tail_max"] <= tree.eps
+    assert all(c["holds"] for c in coh)
+    assert worst["tail_max"] <= tree.eps
 
-    div = [c for c in tree.certificates if c.kind == "divergence"]
+    div = [c for c in tree.certificates if c["kind"] == "divergence"]
     print(f"divergence: {len(div)} sibling pairs")
     for c in div[:3]:
-        b = c.payload["blocks"][0]
+        b = c["blocks"][0]
         print(
-            f"  {c.payload['s0']!r} vs {c.payload['s1']!r}: block {b['block']} "
+            f"  {c['s0']!r} vs {c['s1']!r}: block {b['block']} "
             f"(m={b['m']}) reaches diameter {b['delta']:.12f}"
         )
     assert all(
-        c.payload["blocks"] and all(b["delta"] >= 2.0 - DIVERGENCE_TOL for b in c.payload["blocks"])
+        c["blocks"] and all(b["delta"] >= 2.0 - DIVERGENCE_TOL for b in c["blocks"])
         for c in div
     )
 
-    jump = [c for c in tree.certificates if c.kind == "jump_bound"]
-    mj = max(c.payload["max_jump"] for c in jump)
-    bound = jump[0].payload["bound"]
+    jump = [c for c in tree.certificates if c["kind"] == "jump_bound"]
+    mj = max(c["max_jump"] for c in jump)
+    bound = jump[0]["bound"]
     print(f"jump bounds: max consecutive jump {mj:.6f} <= declared {bound:.6f}")
     print(f"  (declared bound = 2 sin(pi/2m) with m = {min(schedule)})")
-    assert mj <= bound + 1e-12 and all(c.payload["holds"] for c in jump)
+    assert mj <= bound + 1e-12 and all(c["holds"] for c in jump)
     print("\nall certificates hold")
 
 

@@ -7,7 +7,6 @@ from .errors import (
     CoronaLabError,
     HorizonTooSmall,
     IndexOutOfRange,
-    InsufficientBlock,
     InvalidSes,
     PreconditionViolation,
     TruncationExceeded,
@@ -52,7 +51,6 @@ from .torus import (
     fuzz_lij,
 )
 from .tree import (
-    Certificate,
     Chain,
     CoherenceTree,
     build_tree,

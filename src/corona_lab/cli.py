@@ -85,7 +85,7 @@ def _encode(x, level: int, out: list, memo: dict) -> None:
     In other dicts and lists each scalar is formatted once and joins the
     text before it, so a dict of scalars (a certificate) is one piece.
     """
-    if not isinstance(x, (list, tuple, dict)):
+    if not isinstance(x, (list, tuple, dict, RunList)):
         text = _scalar(x)
         if text is None:
             raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
@@ -187,9 +187,7 @@ def cmd_tree(args) -> int:
     schedule = list(DEFAULT_SCHEDULE[: max(args.depth, 1)])
     try:
         chain = generate_chain(args.depth, args.horizon, schedule)
-        tree = build_tree(
-            chain, args.depth, z_variant=args.z_variant, eps=args.epsilon, j0=args.j0
-        )
+        tree = build_tree(chain, z_variant=args.z_variant, eps=args.epsilon, j0=args.j0)
     except HorizonTooSmall as exc:
         _emit(
             {
@@ -339,7 +337,7 @@ def cmd_verify(args) -> int:
 
     try:
         chain = generate_chain(2, horizon, [32, 36, 40])
-        tree = build_tree(chain, 2, z_variant=True, eps=args.epsilon, j0=args.j0)
+        tree = build_tree(chain, z_variant=True, eps=args.epsilon, j0=args.j0)
     except CoronaLabError as exc:
         failures.append(f"tree: {exc}")
     else:

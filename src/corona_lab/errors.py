@@ -41,10 +41,6 @@ class HorizonTooSmall(CoronaLabError):
         self.min_horizon = min_horizon
 
 
-class InsufficientBlock(CoronaLabError):
-    """A scheduled block does not contain enough sub-intervals."""
-
-
 class WitnessNotFound(CoronaLabError):
     """A norm-witness search failed; the model violates its hypothesis."""
 

@@ -305,8 +305,9 @@ class Tower:
 
     ``tail`` marks an eventually-periodic continuation: beyond the explicit
     levels the tower repeats ``tail_level`` with the constant ``tail_bond``.
-    Construction checks that every bond, the tail's too, has its levels'
-    shape and respects their relations, and that a tail matches the top.
+    Construction checks that the tower has a level or a tail, that every
+    bond, the tail's too, has its levels' shape and respects their
+    relations, and that a tail matches the top.
     """
 
     levels: tuple
@@ -330,6 +331,8 @@ class Tower:
                 raise PreconditionViolation(f"bond {n} does not respect relations")
         if (self.tail_level is None) != (self.tail_bond is None):
             raise PreconditionViolation("tail level and tail bond go together")
+        if not self.levels and self.tail_level is None:
+            raise PreconditionViolation("empty tower")
         if self.tail_level is not None:
             b = self.tail_bond
             if len(b) != self.tail_level.rank or (b and len(b[0]) != len(b)):
@@ -385,8 +388,8 @@ class Tower:
         return cls(
             levels=tuple(AbGroupPresentation.from_json(lv) for lv in levels),
             bonds=bonds,
-            tail_level=AbGroupPresentation.from_json(tail.get("level")) if tail else None,
-            tail_bond=tail.get("bond") if tail else None,
+            tail_level=None if tail is None else AbGroupPresentation.from_json(tail.get("level")),
+            tail_bond=None if tail is None else tail.get("bond"),
         )
 
 
@@ -463,8 +466,6 @@ def lim_tower(T: Tower) -> dict:
     an isomorphism; that is exact for the finite index set and a truncation
     for an unknown longer tower.
     """
-    if not T.levels and T.tail_level is None:
-        raise PreconditionViolation("empty tower")
     if T._tail is not None:
         chain, _, lim, exact = T._tail
         return {"truncated_lim": lim, "stabilized": exact, "evidence": chain}

@@ -30,16 +30,18 @@ DIAMETER_CHUNK = 1 << 20
 FUZZ_CHUNK = 2048
 
 
-class RunList(list):
-    """A list of floats that also carries its runs: ``runs`` is the pair
-    (values, counts) of lists, and the list holds each value ``count`` times
-    in turn.  ``json.dumps``, ``==`` and readers see the plain list, while
-    the CLI's emitter formats each run once.  ``runs`` is a snapshot: it does
-    not follow later changes to the list."""
+class RunList:
+    """A list of floats held as its runs: ``runs`` is the pair (values,
+    counts) of lists, each value standing ``count`` times in turn.  The
+    CLI's emitter formats each run once; :meth:`tolist` builds the plain
+    list, which is how ``json.dumps(doc, default=RunList.tolist)`` reads
+    it."""
 
     def __init__(self, values: np.ndarray, counts: np.ndarray):
         self.runs = (values.tolist(), counts.tolist())
-        super().__init__(chain.from_iterable(map(repeat, *self.runs)))
+
+    def tolist(self) -> list:
+        return list(chain.from_iterable(map(repeat, *self.runs)))
 
 
 @dataclass(frozen=True, init=False, eq=False)

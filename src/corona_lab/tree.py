@@ -4,10 +4,14 @@ A chain of nested sparse sets provides, at each level transition, scheduled
 blocks coarse enough to contain many finer intervals.  Successor witnesses
 rotate slowly across those blocks: each one flattens out against the finer
 level while swinging through antipodal values inside every scheduled block of
-the coarser level.  The tree multiplies witnesses along branches; every
+the coarser level.  The chain fixes the tree: its height is the chain's
+depth, and each level's witness is read from that transition's levels and
+scheduled blocks.  The tree multiplies witnesses along branches; every
 ancestor pair carries a coherence certificate, every sibling pair a
-divergence certificate.  :func:`limit_stage` glues a coherent branch into
-one element above all of it, the step the construction takes at a limit.
+divergence certificate, each a dict as the JSON document holds it, with a
+``"kind"`` of ``"coherence"``, ``"divergence"`` or ``"jump_bound"``.
+:func:`limit_stage` glues a coherent branch into one element above all of
+it, the step the construction takes at a limit.
 """
 
 from __future__ import annotations
@@ -16,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConstructionError,
-    HorizonTooSmall,
-    InsufficientBlock,
-    PreconditionViolation,
-    as_int,
-)
+from .errors import ConstructionError, HorizonTooSmall, PreconditionViolation, as_int
 from .partitions import SparseSet, break_windows, check_tolerance, fx_profile, n_of
 from .torus import DIAMETER_CHUNK, TWO_PI, TorusElement, circle_diameters, sorted_unique
 
@@ -170,34 +168,16 @@ def generate_chain(depth: int, horizon: int, m_schedule) -> Chain:
     return Chain(levels=tuple(levels), schedules=tuple(schedules))
 
 
-def successor_witness(
-    X_lo: SparseSet,
-    X_hi: SparseSet,
-    schedule,
-    z_variant: bool = False,
-) -> TorusElement:
-    """Element constant on the fine intervals, rotating by pi/m across each
-    scheduled coarse block; constant elsewhere.
-
-    With ``z_variant`` the schedule must have nondecreasing m, so consecutive
-    jump sizes shrink along the construction.
-    """
-    if z_variant:
-        ms = [e.m for e in schedule]
-        if any(b < a for a, b in zip(ms, ms[1:])):
-            raise PreconditionViolation(
-                "z-variant requires a nondecreasing jump schedule"
-            )
-    lo_pts = X_lo.enumeration
-    interiors = []
-    for entry in schedule:
-        interior = _interior(lo_pts, X_hi, entry.block)
-        if interior.size < entry.m:
-            raise InsufficientBlock(
-                f"block {entry.block} has {interior.size} interior boundaries, "
-                f"need {entry.m}"
-            )
-        interiors.append(interior)
+def successor_witness(chain: Chain, t: int) -> TorusElement:
+    """The witness of transition t of ``chain``, 0 <= t < depth, read from
+    levels t and t + 1 and schedule t: constant on the intervals of level t,
+    it jumps by pi/m at each interior boundary of each scheduled block of
+    level t + 1, which has at least m of them (``Chain`` checks that when it
+    is built), and is constant elsewhere."""
+    if not 0 <= as_int(t, "transition") < chain.depth:
+        raise PreconditionViolation(f"a chain of depth {chain.depth} has no transition {t}")
+    X_lo, X_hi, schedule = chain.levels[t], chain.levels[t + 1], chain.schedules[t]
+    interiors = [_interior(X_lo.enumeration, X_hi, entry.block) for entry in schedule]
     # the phase is the running sum of the jumps in index order; the samples
     # between jumps would only add 0.0, which changes no sum
     points = sorted_unique(np.concatenate([np.empty(0, dtype=np.int64), *interiors]))
@@ -326,15 +306,6 @@ def _merge_limit(alphas, x_inf: SparseSet) -> TorusElement:
 
 
 @dataclass(frozen=True)
-class Certificate:
-    kind: str  # "coherence" | "divergence" | "jump_bound"
-    payload: dict
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, **self.payload}
-
-
-@dataclass(frozen=True)
 class CoherenceTree:
     """``nodes`` maps each label, a string of 0s and 1s whose length is its
     level, to its element."""
@@ -357,19 +328,21 @@ class CoherenceTree:
             "j0": self.j0,
             "z_variant": self.z_variant,
             "nodes": {label: docs[id(alpha)] for label, alpha in self.nodes.items()},
-            "certificates": [c.to_json() for c in self.certificates],
+            "certificates": list(self.certificates),
         }
 
 
 def build_tree(
     chain: Chain,
-    depth: int,
     z_variant: bool = False,
     eps: float = 0.1,
     j0: int = 10,
 ) -> CoherenceTree:
-    """Grow the full binary tree of the given depth over the chain and verify
-    every certificate; any failure aborts with the failing pair identified.
+    """Grow the full binary tree over the chain, as deep as the chain, and
+    verify every certificate; any failure aborts with the failing pair
+    identified.  The z-variant needs each schedule's m nondecreasing, so
+    consecutive jump sizes shrink along the construction, and certifies a
+    jump bound at every node.
 
     Every element of the tree is a sum of witnesses, so its runs start on
     one grid: 0 and the witnesses' jump points.  Nodes and differences are
@@ -386,19 +359,12 @@ def build_tree(
     profiled in one batch, on the windows past j0 that meet a grid break.
     """
     check_tolerance(eps, j0)
-    if as_int(depth, "tree depth") < 0:
-        raise PreconditionViolation(f"tree depth must be >= 0, got {depth}")
-    if depth > chain.depth:
-        raise PreconditionViolation(
-            f"tree depth {depth} exceeds chain depth {chain.depth}"
-        )
-    horizon = chain.horizon
-    witnesses = [
-        successor_witness(
-            chain.levels[t], chain.levels[t + 1], chain.schedules[t], z_variant
-        )
-        for t in range(depth)
-    ]
+    if z_variant and any(
+        [e.m for e in sched] != sorted(e.m for e in sched) for sched in chain.schedules
+    ):
+        raise PreconditionViolation("z-variant requires a nondecreasing jump schedule")
+    depth, horizon = chain.depth, chain.horizon
+    witnesses = [successor_witness(chain, t) for t in range(depth)]
     grid = sorted_unique(np.concatenate([[0], *(w.starts for w in witnesses)]))
 
     # R[row[label]] holds the node's phase on each cell of the grid, and a
@@ -446,19 +412,15 @@ def build_tree(
             tail_max = tail_maxes[cut, label_t[cut:].rstrip("0")]
             # d[j0:] <= eps exactly when its max is, also for an empty or NaN tail
             holds = bool(tail_max <= eps)
-            certs.append(
-                Certificate(
-                    kind="coherence",
-                    payload={
-                        "s": label_s,
-                        "t": label_t,
-                        "eps": eps,
-                        "j0": j0,
-                        "tail_max": tail_max,
-                        "holds": holds,
-                    },
-                )
-            )
+            certs.append({
+                "kind": "coherence",
+                "s": label_s,
+                "t": label_t,
+                "eps": eps,
+                "j0": j0,
+                "tail_max": tail_max,
+                "holds": holds,
+            })
             if not holds:
                 raise ConstructionError(
                     f"coherence failed for {label_s!r} < {label_t!r}: "
@@ -484,17 +446,13 @@ def build_tree(
         if lvl >= depth:
             continue
         blocks = level_blocks[lvl]
-        certs.append(
-            Certificate(
-                kind="divergence",
-                payload={
-                    "s0": label + "0",
-                    "s1": label + "1",
-                    "level": lvl,
-                    "blocks": blocks,
-                },
-            )
-        )
+        certs.append({
+            "kind": "divergence",
+            "s0": label + "0",
+            "s1": label + "1",
+            "level": lvl,
+            "blocks": blocks,
+        })
         if not blocks:
             raise ConstructionError(
                 f"divergence failed for siblings of {label!r} at level {lvl}"
@@ -508,18 +466,14 @@ def build_tree(
             max_jumps += np.abs(np.diff(v, axis=1)).max(axis=1, initial=0.0).tolist()
         for label, r in row.items():
             max_jump = max_jumps[r]
-            certs.append(
-                Certificate(
-                    kind="jump_bound",
-                    payload={
-                        "node": label,
-                        "i0": 0,
-                        "max_jump": max_jump,
-                        "bound": bound,
-                        "holds": max_jump <= bound + 1e-12,
-                    },
-                )
-            )
+            certs.append({
+                "kind": "jump_bound",
+                "node": label,
+                "i0": 0,
+                "max_jump": max_jump,
+                "bound": bound,
+                "holds": max_jump <= bound + 1e-12,
+            })
             if max_jump > bound + 1e-12:
                 raise ConstructionError(
                     f"jump bound failed at node {label!r}: {max_jump} > {bound}"

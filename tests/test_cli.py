@@ -396,8 +396,12 @@ _Z4 = {"rank": 1, "relations": [[4]]}
          "tail bond does not respect relations"),
         ({"levels": [_Z], "bonds": [], "tail": {"level": _Z2, "bond": [[1]]}},
          "last explicit level must match the tail level"),
+        ({"levels": [], "bonds": []}, "empty tower"),
+        # a tail object that is present is read, even an empty one
+        ({"levels": [_Z], "bonds": [], "tail": {}}, "a level is an object with an integer rank"),
     ],
-    ids=["shape", "relations", "tail-pairing", "tail-shape", "tail-relations", "tail-match"],
+    ids=["shape", "relations", "tail-pairing", "tail-shape", "tail-relations", "tail-match",
+         "empty", "tail-empty"],
 )
 def test_limits_invalid_tower_error_document(tmp_path, capsys, tower, message):
     # each check of a tower's construction gives the same error document
@@ -694,7 +698,7 @@ _NODE = {"horizon": 6, "phases": _RUNS, "tail": "constant"}
 def test_emit_matches_json_dumps(tmp_path_factory, doc):
     out = tmp_path_factory.mktemp("emit") / "doc.json"
     cli._emit(doc, str(out))
-    assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True, default=RunList.tolist) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -713,4 +717,6 @@ def test_tree_output_matches_json_dumps(tmp_path, monkeypatch, flags):
     monkeypatch.setattr(cli, "_emit", capture)
     out = tmp_path / "tree.json"
     assert run(["tree", *flags, "--out", str(out)]) == 0
-    assert out.read_text() == json.dumps(docs[0], indent=2, sort_keys=True) + "\n"
+    assert out.read_text() == json.dumps(
+        docs[0], indent=2, sort_keys=True, default=RunList.tolist
+    ) + "\n"

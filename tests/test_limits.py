@@ -196,6 +196,8 @@ def test_tower_json_roundtrip():
     back = Tower.from_json(json.loads(json.dumps(x2.to_json())))
     assert back.tail_bond == ((2,),)
     assert lim1_tower(back)["verdict"] == "Nonzero"
+    # "tail": null is no tail
+    assert Tower.from_json(dict(x2.to_json(), tail=None)).tail_level is None
 
 
 def test_paper_model():

@@ -45,10 +45,10 @@ def test_sparse_set_validation():
         (lambda: TorusElement.from_runs([0, 1.5], [0.0, 1.0], 4), "run starts must be integers"),
         (lambda: TorusElement.from_runs([0, 1], [0.0, 1.0], 3.7), "horizon must be an integer"),
         (lambda: generate_chain(1, 3000.7, [32]), "horizon must be an integer"),
-        (lambda: build_tree(generate_chain(1, 3000, [32]), 1.0), "tree depth must be an integer"),
+        (lambda: generate_chain(1.0, 3000, [32]), "depth must be an integer"),
     ],
     ids=["sparse-set", "sparse-set-bool", "block-sizes", "run-starts", "element-horizon",
-         "chain-horizon", "tree-depth"],
+         "chain-horizon", "chain-depth"],
 )
 def test_integer_arguments_are_refused_not_truncated(build, message):
     with pytest.raises(PreconditionViolation, match=message):
@@ -58,8 +58,8 @@ def test_integer_arguments_are_refused_not_truncated(build, message):
 @pytest.mark.parametrize(
     "check, message",
     [
-        (lambda: build_tree(generate_chain(1, 3000, [32]), 1, j0=2.5), "j0 must be an integer"),
-        (lambda: build_tree(generate_chain(1, 3000, [32]), 1, eps=True), "eps must be a number"),
+        (lambda: build_tree(generate_chain(1, 3000, [32]), j0=2.5), "j0 must be an integer"),
+        (lambda: build_tree(generate_chain(1, 3000, [32]), eps=True), "eps must be a number"),
         (lambda: FxProfile(np.zeros(3), np.zeros(3), np.zeros(3)).in_fx(0.1, 2.5),
          "j0 must be an integer"),
         (lambda: FxProfile(np.zeros(3), np.zeros(3), np.zeros(3)).in_fx(0.1, True),

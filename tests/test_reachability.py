@@ -20,6 +20,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+from corona_lab import CoronaLabError
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted(p for p in (ROOT / "src" / "corona_lab").glob("*.py") if p.name != "__init__.py")
 CALLERS = sorted((ROOT / "perfbench").glob("*.py"))
@@ -142,6 +144,23 @@ def unread_parameters() -> list:
     return out
 
 
+def unraised_errors() -> list:
+    """Subclasses of :class:`CoronaLabError` that no ``raise`` statement of
+    the package raises, by the name it calls or raises."""
+    family, todo = set(), [CoronaLabError]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            family.add(cls.__name__)
+            todo.append(cls)
+    raised = set()
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    return sorted(family - raised)
+
+
 def test_every_package_definition_has_a_caller_outside_the_tests():
     assert unreached() == []
 
@@ -152,3 +171,8 @@ def test_every_method_has_a_caller_outside_the_tests():
 
 def test_every_parameter_is_read():
     assert unread_parameters() == []
+
+
+def test_every_error_class_is_raised():
+    # an error class outlives the check that raised it only as dead weight
+    assert unraised_errors() == []

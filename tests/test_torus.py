@@ -19,6 +19,7 @@ from corona_lab.torus import (
     DIAMETER_CHUNK,
     FUZZ_CHUNK,
     TWO_PI,
+    RunList,
     circle_diameters,
     fuzz_lij,
     sorted_unique,
@@ -229,7 +230,7 @@ def test_group_structure():
 
 def test_json_roundtrip():
     a = TorusElement([0.5, 1.5, 2.5])
-    doc = json.loads(json.dumps(a.to_json()))
+    doc = json.loads(json.dumps(a.to_json(), default=RunList.tolist))
     assert doc["horizon"] == 3 and doc["tail"] == "constant"
     b = TorusElement(doc["phases"])
     assert np.array_equal(a.phases, b.phases)

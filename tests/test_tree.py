@@ -9,7 +9,6 @@ from corona_lab import (
     Chain,
     ConstructionError,
     HorizonTooSmall,
-    InsufficientBlock,
     PreconditionViolation,
     SparseSet,
     TorusElement,
@@ -196,7 +195,7 @@ def test_successor_witness_matches_dense_cumsum(depth, horizon, schedule):
     chain = generate_chain(depth, horizon, schedule)
     for t in range(depth):
         lo, hi, sched = chain.levels[t], chain.levels[t + 1], chain.schedules[t]
-        w = successor_witness(lo, hi, sched)
+        w = successor_witness(chain, t)
         want = _dense_witness(lo, hi, sched)
         assert np.array_equal(w.phases.view(np.int64), want.view(np.int64))
         assert w.run_phases.size == sum(e.m for e in sched) + 1
@@ -204,7 +203,7 @@ def test_successor_witness_matches_dense_cumsum(depth, horizon, schedule):
 
 def test_successor_witness_single_jump():
     chain = generate_chain(1, 200, [1])
-    w = successor_witness(chain.levels[0], chain.levels[1], chain.schedules[0])
+    w = successor_witness(chain, 0)
     entry = chain.schedules[0][0]
     blk = _interval(chain.levels[1], entry.block)
     assert delta_one(w, blk) == pytest.approx(2.0, abs=1e-12)
@@ -218,7 +217,7 @@ def test_successor_witness_single_jump():
 
 def test_successor_witness_m4():
     chain = generate_chain(1, 400, [4])
-    w = successor_witness(chain.levels[0], chain.levels[1], chain.schedules[0])
+    w = successor_witness(chain, 0)
     entry = chain.schedules[0][0]
     blk = _interval(chain.levels[1], entry.block)
     vals = w.values(np.arange(blk.start, blk.stop))
@@ -238,29 +237,29 @@ def test_successor_witness_m4():
 
 def test_successor_witness_empty_schedule():
     chain = generate_chain(1, 200, [2])
-    w = successor_witness(chain.levels[0], chain.levels[1], ())
+    w = successor_witness(Chain(levels=chain.levels, schedules=((),)), 0)
     assert delta_one(w, range(w.horizon)) == 0.0
 
 
-def test_successor_witness_insufficient_block():
-    chain = generate_chain(1, 200, [2])
-    entry = chain.schedules[0][0]
-    bad = type(entry)(m=1000, block=entry.block)
-    with pytest.raises(InsufficientBlock):
-        successor_witness(chain.levels[0], chain.levels[1], (bad,))
+@pytest.mark.parametrize("depth", [0, 2])
+def test_successor_witness_refuses_a_transition_outside_the_chain(depth):
+    # -1 is not the last transition, and a chain of depth d has transitions 0 .. d-1
+    chain = generate_chain(depth, 3000, [32])
+    for t in (-1, depth):
+        with pytest.raises(PreconditionViolation, match=f"no transition {t}$"):
+            successor_witness(chain, t)
 
 
 def test_z_variant_requires_nondecreasing_schedule():
     chain = generate_chain(1, 2000, [4, 2])
-    with pytest.raises(PreconditionViolation):
-        successor_witness(
-            chain.levels[0], chain.levels[1], chain.schedules[0], z_variant=True
-        )
+    with pytest.raises(PreconditionViolation, match="nondecreasing"):
+        build_tree(chain, z_variant=True)
+    build_tree(chain)
 
 
-def _branch(chain, depth, eps=1.5, j0=2):
-    tree = build_tree(chain, depth, eps=eps, j0=j0)
-    labels = ["1" * k for k in range(1, depth + 1)]
+def _branch(chain, eps=1.5, j0=2):
+    tree = build_tree(chain, eps=eps, j0=j0)
+    labels = ["1" * k for k in range(1, chain.depth + 1)]
     return tree, [tree.nodes[l] for l in labels]
 
 
@@ -287,7 +286,7 @@ def test_sparsify_limit_two_equal_levels():
 
 def test_sparsify_limit_branch_recheck():
     chain = generate_chain(3, 20000, [32, 36, 40])
-    tree, alphas = _branch(chain, 3, eps=0.15, j0=10)
+    tree, alphas = _branch(chain, eps=0.15, j0=10)
     alphas = [constant_one(chain.horizon)] + alphas
     beta, x_inf, worst = limit_stage(alphas, list(chain.levels), eps=0.15, j0=10)
     assert worst < 1.0
@@ -321,7 +320,7 @@ def _count_fx_profile(monkeypatch):
 
 def test_sparsify_limit_profiles_each_pair_once(monkeypatch):
     chain = generate_chain(2, 20000, [32, 36])
-    _, alphas = _branch(chain, 2, eps=0.15, j0=10)
+    _, alphas = _branch(chain, eps=0.15, j0=10)
     calls = _count_fx_profile(monkeypatch)
     limit_stage([constant_one(chain.horizon)] + alphas, list(chain.levels), eps=0.15, j0=10)
     # the three pairs n < k once each, then beta against the first two elements
@@ -341,7 +340,7 @@ def test_sparsify_limit_checks_only_earlier_levels(monkeypatch):
     # beta is rechecked against element n from the pair of level n that
     # crosses into block n+1 on, so a wrong gluing constant is caught there
     chain = generate_chain(2, 2000, [32, 36, 40])
-    _, alphas = _branch(chain, 2, eps=0.1, j0=10)
+    _, alphas = _branch(chain, eps=0.1, j0=10)
     alphas = [constant_one(chain.horizon)] + alphas
     _, x_inf, _ = limit_stage(alphas, list(chain.levels))
     b1 = int(x_inf.elements[0])
@@ -366,8 +365,8 @@ def test_limit_stage_at_the_tightest_coherence_tolerance(horizon):
     # direction the tree certifies, so a tree that passes passes the stage
     eps = 0.09813534865483663
     chain = generate_chain(2, horizon, [32, 36, 40])
-    tree = build_tree(chain, 2, z_variant=True, eps=eps, j0=10)
-    assert max(c.payload["tail_max"] for c in tree.certificates if c.kind == "coherence") == eps
+    tree = build_tree(chain, z_variant=True, eps=eps, j0=10)
+    assert max(c["tail_max"] for c in tree.certificates if c["kind"] == "coherence") == eps
     branch = [tree.nodes[l] for l in ("", "1", "11")]
     _, _, worst = limit_stage(branch, chain.levels, eps=eps, j0=10)
     assert worst == pytest.approx(0.1963, abs=1e-4)
@@ -378,7 +377,7 @@ def test_limit_stage_ignores_the_tolerance():
     chain = generate_chain(2, 2000, [32, 36, 40])
     results = set()
     for eps, j0 in [(0.1, 10), (0.1, 0), (0.1, 1), (0.3, 3), (1.5, 2), (0.1, 10**5)]:
-        tree = build_tree(chain, 2, eps=eps, j0=j0)
+        tree = build_tree(chain, eps=eps, j0=j0)
         branch = [tree.nodes[l] for l in ("", "1", "11")]
         beta, x_inf, worst = limit_stage(branch, chain.levels, eps=eps, j0=j0)
         results.add((tuple(x_inf.elements.tolist()), worst, beta.run_phases.tobytes()))
@@ -440,7 +439,7 @@ def _merge_inputs(case):
         alphas = [TorusElement(rng.uniform(0, 2 * np.pi, 32)) for _ in range(3)]
         return alphas, SparseSet([8, 16, 31]), 32
     chain = generate_chain(3, 20000, [32, 36, 40])
-    _, alphas = _branch(chain, 3, eps=0.15, j0=10)
+    _, alphas = _branch(chain, eps=0.15, j0=10)
     alphas = [constant_one(chain.horizon)] + alphas
     x_inf = limit_stage(alphas, list(chain.levels), eps=0.15, j0=10)[1]
     return alphas, x_inf, chain.horizon
@@ -457,29 +456,29 @@ def test_merge_limit_matches_dense_construction(case):
 
 def test_tree_depth1():
     chain = generate_chain(1, 3000, [32])
-    tree = build_tree(chain, 1)
+    tree = build_tree(chain)
     assert set(tree.nodes) == {"", "0", "1"}
-    divs = [c for c in tree.certificates if c.kind == "divergence"]
-    assert len(divs) == 1 and len(divs[0].payload["blocks"]) == 1
+    divs = [c for c in tree.certificates if c["kind"] == "divergence"]
+    assert len(divs) == 1 and len(divs[0]["blocks"]) == 1
 
 
 def test_tree_depth2_certificates():
     chain = generate_chain(2, 30000, [32, 36])
-    tree = build_tree(chain, 2, z_variant=True)
+    tree = build_tree(chain, z_variant=True)
     assert len(tree.nodes) == 7
-    coh = [c for c in tree.certificates if c.kind == "coherence"]
-    div = [c for c in tree.certificates if c.kind == "divergence"]
-    jmp = [c for c in tree.certificates if c.kind == "jump_bound"]
-    assert all(c.payload["holds"] for c in coh)
-    assert all(c.payload["blocks"] for c in div)
-    assert all(c.payload["holds"] for c in jmp)
+    coh = [c for c in tree.certificates if c["kind"] == "coherence"]
+    div = [c for c in tree.certificates if c["kind"] == "divergence"]
+    jmp = [c for c in tree.certificates if c["kind"] == "jump_bound"]
+    assert all(c["holds"] for c in coh)
+    assert all(c["blocks"] for c in div)
+    assert all(c["holds"] for c in jmp)
     # independent recomputation of a divergence value from raw phases
     c = div[0]
-    lvl = c.payload["level"]
-    s0 = tree.nodes[c.payload["s0"]]
-    s1 = tree.nodes[c.payload["s1"]]
+    lvl = c["level"]
+    s0 = tree.nodes[c["s0"]]
+    s1 = tree.nodes[c["s1"]]
     diff = s0.mul(s1.inverse())
-    blk = c.payload["blocks"][0]["block"]
+    blk = c["blocks"][0]["block"]
     iv0 = _interval(chain.levels[lvl + 1], blk)
     iv1 = _interval(chain.levels[lvl + 1], blk + 1)
     d = delta_one(diff, list(iv0) + [iv1.start])
@@ -488,7 +487,7 @@ def test_tree_depth2_certificates():
 
 def test_tree_coherence_transport():
     chain = generate_chain(2, 30000, [32, 36])
-    tree = build_tree(chain, 2)
+    tree = build_tree(chain)
     a0 = tree.nodes[""]
     a1 = tree.nodes["1"]
     a2 = tree.nodes["11"]
@@ -505,7 +504,7 @@ _TREE_CONFIGS = [(d, z) for d in (2, 3, 4) for z in (False, True)]
 def _past_w0(chain):
     # the first window of level 0 past the jumps of the level-0 witness;
     # later witnesses still jump inside the tails of their levels
-    w = successor_witness(chain.levels[0], chain.levels[1], chain.schedules[0])
+    w = successor_witness(chain, 0)
     return int(np.nonzero(fx_profile(w, chain.levels[0]).d)[0].max()) + 1
 
 
@@ -516,8 +515,8 @@ def test_coherence_certificates_match_their_own_pairs(depth, z_variant, tail):
     # bitwise against that of the first pair in node order with its key
     chain = generate_chain(depth, 5000, [32, 36, 40, 48][:depth])
     j0 = 10 if tail == "j0-10" else _past_w0(chain)
-    tree = build_tree(chain, depth, z_variant=z_variant, j0=j0)
-    coh = [c.payload for c in tree.certificates if c.kind == "coherence"]
+    tree = build_tree(chain, z_variant=z_variant, j0=j0)
+    coh = [c for c in tree.certificates if c["kind"] == "coherence"]
     assert len(coh) == (depth - 1) * 2 ** (depth + 1) + 2
 
     def tail_of(s, t):
@@ -555,7 +554,7 @@ def test_build_tree_profiles_each_difference_once(monkeypatch, depth, z_variant)
     chain = generate_chain(depth, 5000, [32, 36, 40, 48][: max(depth, 1)])
     profiles = _count_fx_profile(monkeypatch)
     rows = _count_rows(monkeypatch)
-    build_tree(chain, depth, z_variant=z_variant)
+    build_tree(chain, z_variant=z_variant)
     # one row per (cut, t[cut:] without trailing zeros), one batch per cut
     assert len(rows) == depth and sum(rows) == 2 ** (depth + 1) - 2
     assert rows == [2 ** (depth - cut) for cut in range(depth)]
@@ -565,25 +564,22 @@ def test_build_tree_profiles_each_difference_once(monkeypatch, depth, z_variant)
 def test_build_tree_row_batches_change_no_certificate(monkeypatch):
     # one row per batch, as in a tree too deep for DIAMETER_CHUNK phases
     chain = generate_chain(3, 5000, [32, 36, 40])
-    want = json.dumps([c.to_json() for c in build_tree(chain, 3, z_variant=True).certificates])
+    want = json.dumps(build_tree(chain, z_variant=True).certificates)
     rows = _count_rows(monkeypatch)
     monkeypatch.setattr(tree_mod, "DIAMETER_CHUNK", 1)
-    tree = build_tree(chain, 3, z_variant=True)
+    tree = build_tree(chain, z_variant=True)
     assert rows == [1] * 14
-    assert json.dumps([c.to_json() for c in tree.certificates]) == want
+    assert json.dumps(tree.certificates) == want
 
 
-def _pairwise_tree(chain, depth, z_variant, j0):
+def _pairwise_tree(chain, j0):
     """The tree's nodes, coherence tail maxes by key and jump maxima, built
     pair by pair: nodes by TorusElement.mul, and each distinct difference by
     mul, inverse and fx_profile from the first pair in node order with its
     key."""
-    witnesses = [
-        successor_witness(chain.levels[t], chain.levels[t + 1], chain.schedules[t], z_variant)
-        for t in range(depth)
-    ]
+    witnesses = [successor_witness(chain, t) for t in range(chain.depth)]
     nodes = {"": constant_one(chain.horizon)}
-    for level in range(depth):
+    for level in range(chain.depth):
         for label in [l for l in nodes if len(l) == level]:
             nodes[label + "0"] = nodes[label]
             nodes[label + "1"] = nodes[label].mul(witnesses[level])
@@ -605,11 +601,16 @@ def _pairwise_tree(chain, depth, z_variant, j0):
 @pytest.mark.parametrize("tail", ["0", "10", "past-w0"])
 @pytest.mark.parametrize("depth, z_variant", [(d, z) for d in range(5) for z in (False, True)])
 def test_build_tree_is_bitwise_the_pairwise_construction(depth, z_variant, tail):
-    # a depth-0 tree grows over a depth-1 chain, which has a jump schedule
-    chain = generate_chain(max(depth, 1), 5000, [32, 36, 40, 48][: max(depth, 1)])
-    j0 = _past_w0(chain) if tail == "past-w0" else int(tail)
-    tree = build_tree(chain, depth, z_variant=z_variant, eps=2.5, j0=j0)
-    nodes, tails, jumps = _pairwise_tree(chain, depth, z_variant, j0)
+    chain = generate_chain(depth, 5000, [32, 36, 40, 48][: max(depth, 1)])
+    # a depth-0 tree has no witness to pass and no coherence pair to read j0
+    j0 = int(tail) if tail != "past-w0" else _past_w0(chain) if depth else 0
+    if depth == 0 and z_variant:
+        # nor a schedule to bound its jumps by
+        with pytest.raises(PreconditionViolation, match="no jump bound"):
+            build_tree(chain, z_variant=True, eps=2.5, j0=j0)
+        return
+    tree = build_tree(chain, z_variant=z_variant, eps=2.5, j0=j0)
+    nodes, tails, jumps = _pairwise_tree(chain, j0)
     assert list(tree.nodes) == list(nodes)
     for label, alpha in nodes.items():
         got = tree.nodes[label]
@@ -618,7 +619,7 @@ def test_build_tree_is_bitwise_the_pairwise_construction(depth, z_variant, tail)
         # nodes that share an element share one object, as to_json expects
         if label:
             assert (got is tree.nodes[label[:-1]]) == label.endswith("0")
-    certs = [c.payload for c in tree.certificates]
+    certs = tree.certificates
     coh = [c for c in certs if "tail_max" in c]
     assert len(coh) == sum(len(t) for t in nodes)
     for c in coh:
@@ -637,29 +638,15 @@ def test_tree_reads_no_dense_phases(monkeypatch):
 
     monkeypatch.setattr(TorusElement, "phases", property(dense))
     chain = generate_chain(3, 5000, [32, 36, 40])
-    tree = build_tree(chain, 3, z_variant=True)
+    tree = build_tree(chain, z_variant=True)
     tree.to_json()
     diff = tree.nodes["101"].mul(tree.nodes["1"].inverse())
     fx_profile(diff, chain.levels[1])
 
 
-def test_tree_depth_exceeds_chain():
-    chain = generate_chain(1, 3000, [32])
-    with pytest.raises(PreconditionViolation):
-        build_tree(chain, 2)
-
-
-@pytest.mark.parametrize("depth", [-1, -3])
-def test_tree_negative_depth_is_refused(depth):
-    # a negative depth is not a one-node tree with no certificates
-    chain = generate_chain(1, 3000, [32])
-    with pytest.raises(PreconditionViolation, match="depth must be >= 0"):
-        build_tree(chain, depth)
-
-
 def test_tree_json():
     chain = generate_chain(1, 3000, [32])
-    tree = build_tree(chain, 1)
+    tree = build_tree(chain)
     doc = tree.to_json()
     assert doc["eps"] == 0.1 and len(doc["nodes"]) == 3
     assert all("kind" in c for c in doc["certificates"])
