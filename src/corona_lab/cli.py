@@ -463,17 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "seed"):
-        env_seed = os.environ.get("CORONA_LAB_SEED")
-        if env_seed is not None:
-            try:
-                args.seed = int(env_seed)
-            except ValueError:
-                print(f"bad CORONA_LAB_SEED: {env_seed!r}", file=sys.stderr)
-                return 2
-        if args.seed < 0:
-            print(f"seed must be >= 0, got {args.seed}", file=sys.stderr)
-            return 2
+    if getattr(args, "seed", 0) < 0:
+        print(f"seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except CoronaLabError as exc:

@@ -285,15 +285,21 @@ def ad_sandwich(
     # matrix-unit witnesses between (first coordinates of) block pairs
     per_block = vals[:, None] * vals.conj()[None, :] - 1.0
     lower_witness = float(np.abs(per_block).max())
-    rng = np.random.default_rng(seed)
-    D = sub.dim
-    sampled = 0.0
-    for _ in range(samples):
-        a = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-        a /= op_norm(a)
-        sampled = max(sampled, op_norm(coeff * a))
     return {
         "delta": delta,
         "lower_witness": lower_witness,
-        "sampled_max": sampled,
+        "sampled_max": sampled_norm(coeff, samples, seed),
     }
+
+
+def sampled_norm(coeff: np.ndarray, samples: int, seed: int) -> float:
+    """The largest ``op_norm(coeff * a)`` over ``samples`` seeded complex
+    Gaussian matrices ``a``, each scaled to norm one; 0.0 for none."""
+    rng = np.random.default_rng(seed)
+    n = coeff.shape[0]
+    sampled = 0.0
+    for _ in range(samples):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a /= op_norm(a)
+        sampled = max(sampled, op_norm(coeff * a))
+    return sampled

@@ -26,6 +26,10 @@ from .torus import DIAMETER_CHUNK, TWO_PI, TorusElement, circle_diameters, sorte
 
 DIVERGENCE_TOL = 1e-9
 
+#: horizons must be below 2^HORIZON_BITS: numpy's arange refuses lengths
+#: that round to 2^60 int64 samples, and no memory holds a chain that long
+HORIZON_BITS = 59
+
 
 @dataclass(frozen=True)
 class ScheduleEntry:
@@ -146,8 +150,19 @@ def generate_chain(depth: int, horizon: int, m_schedule) -> Chain:
 
     The scheduled regions of distinct transitions occupy disjoint stretches of
     the horizon, so witnesses of distinct levels never jump at the same point.
+    A horizon of 2^59 or more is refused, and with it every depth from 58 on.
     """
     horizon = as_int(horizon, "horizon")
+    if horizon >= 1 << HORIZON_BITS:
+        raise PreconditionViolation(f"horizon {horizon} must be below 2^{HORIZON_BITS}")
+    # past its region's start, each transition needs its blocks (at least two
+    # points each) and twice what the next needs past its own, so depth d >= 1
+    # needs a horizon of at least 5 * 2^(d - 1) - 1 >= 2^(d + 1)
+    if as_int(depth, "depth") + 1 >= HORIZON_BITS:
+        raise PreconditionViolation(
+            f"depth {depth} needs a horizon of at least 2^{depth + 1}, "
+            f"and horizons must be below 2^{HORIZON_BITS}"
+        )
     need = min_sufficient_horizon(depth, m_schedule)
     if horizon < need:
         raise HorizonTooSmall(
@@ -345,18 +360,18 @@ def build_tree(
     jump bound at every node.
 
     Every element of the tree is a sum of witnesses, so its runs start on
-    one grid: 0 and the witnesses' jump points.  Nodes and differences are
-    held as rows of phases over the grid's cells, a node ``s + "1"`` being
-    mod(s + w) and a difference mod(s + mod(-t)), the float steps of
-    :meth:`TorusElement.mul` and :meth:`TorusElement.inverse`.
+    one grid: 0 and the witnesses' jump points.  Nodes are held as rows of
+    phases over the grid's cells, a node ``s + "1"`` being mod(s + w), the
+    float step of :meth:`TorusElement.mul`.
 
-    The coherence difference of an ancestor pair (s, t), with s = t[:cut],
-    is the product of the witnesses w_k at the positions k >= cut where t
-    has a 1, so it depends only on (cut, t[cut:] without trailing zeros).
-    Each such key gets one row, from the first pair that has it, and every
-    later pair with that key reuses its tail max: 2^(depth+1) - 2 rows for
-    the 2^(depth+1)(depth-1) + 2 certificates.  The rows of one cut are
-    profiled in one batch, on the windows past j0 that meet a grid break.
+    The coherence difference of an ancestor pair (t[:cut], t) is the product
+    of the inverse witnesses at the positions k >= cut where t has a 1: the
+    inverse of the node z = "0" * cut + t[cut:].  So each cut profiles the
+    2^(depth-cut) distinct rows of the nodes whose first cut bits are 0, as
+    mod(mod(-z)), the float steps of :meth:`TorusElement.inverse` and of a
+    product with the root: 2^(depth+1) - 2 rows for the
+    2^(depth+1)(depth-1) + 2 certificates.  The rows of one cut are profiled
+    in one batch, on the windows past j0 that meet a grid break.
     """
     check_tolerance(eps, j0)
     if z_variant and any(
@@ -381,35 +396,30 @@ def build_tree(
     elements = [TorusElement.from_runs(grid, phases, horizon) for phases in R]
     nodes = {label: elements[r] for label, r in row.items()}
 
-    # ancestor coherence, profiled against the ancestor's own level: one
-    # row per distinct difference, from the first pair (s, t) that has it
-    first = {}
-    for label_t in row:
-        for cut in range(len(label_t)):
-            key = (cut, label_t[cut:].rstrip("0"))
-            first.setdefault(key, (row[label_t[:cut]], row[label_t]))
-    # rows go in batches of at most DIAMETER_CHUNK phases, which bounds the
-    # memory of deep trees
+    # ancestor coherence, profiled against the ancestor's own level: the
+    # difference of (t[:cut], t) is the inverse of z = "0" * cut + t[cut:],
+    # so each cut profiles the distinct rows of the nodes whose first cut
+    # bits are 0, in batches of at most DIAMETER_CHUNK phases, which bounds
+    # the memory of deep trees
     per = max(1, DIAMETER_CHUNK // grid.size)
     tail_maxes = {}
     for cut in range(depth):
         j, lo, hi = break_windows(grid, chain.levels[cut].enumeration, 2)
         # the tail's other windows meet no break, and their 0.0 is the initial max
         lo, hi = lo[j >= j0], hi[j >= j0]
-        keys = [key for key in first if key[0] == cut]
-        for k0 in range(0, len(keys), per):
-            batch = keys[k0 : k0 + per]
-            s, t = np.array([first[key] for key in batch]).T
-            # two reductions, as in s.mul(t.inverse()): a tiny t has mod(-t) = 2π
-            diff = np.mod(R[s] + np.mod(-R[t], TWO_PI), TWO_PI)
-            d = circle_diameters(diff, lo, hi)
-            tail_maxes.update(zip(batch, d.max(axis=1, initial=0.0).tolist()))
+        zrows = sorted({r for label, r in row.items() if label.startswith("0" * cut)})
+        for k0 in range(0, len(zrows), per):
+            batch = zrows[k0 : k0 + per]
+            # two reductions, as in root.mul(z.inverse()): a tiny z has mod(-z) = 2π
+            diff = np.mod(np.mod(-R[batch], TWO_PI), TWO_PI)
+            d = circle_diameters(diff, lo, hi).max(axis=1, initial=0.0)
+            tail_maxes.update(zip([(cut, r) for r in batch], d.tolist()))
 
     certs = []
     for label_t in nodes:
         for cut in range(len(label_t)):
             label_s = label_t[:cut]
-            tail_max = tail_maxes[cut, label_t[cut:].rstrip("0")]
+            tail_max = tail_maxes[cut, row["0" * cut + label_t[cut:]]]
             # d[j0:] <= eps exactly when its max is, also for an empty or NaN tail
             holds = bool(tail_max <= eps)
             certs.append({
@@ -459,13 +469,8 @@ def build_tree(
             )
     if z_variant:
         bound = 2.0 * float(np.sin(np.pi / (2.0 * chain.min_jump_m())))
-        # neighbouring samples differ only where a cell ends
-        max_jumps = []
-        for r0 in range(0, len(R), per):
-            v = np.exp(1j * R[r0 : r0 + per])
-            max_jumps += np.abs(np.diff(v, axis=1)).max(axis=1, initial=0.0).tolist()
-        for label, r in row.items():
-            max_jump = max_jumps[r]
+        for label, alpha in nodes.items():
+            max_jump = float(np.abs(np.diff(np.exp(1j * alpha.run_phases))).max(initial=0.0))
             certs.append({
                 "kind": "jump_bound",
                 "node": label,

@@ -19,7 +19,7 @@ from .errors import (
     PreconditionViolation,
     WitnessNotFound,
 )
-from .operators import BlockStructure, op_norm
+from .operators import BlockStructure, op_norm, sampled_norm
 from .torus import TorusElement, delta_one
 
 PLATEAU_TOL = 1e-12
@@ -258,17 +258,10 @@ def weak_sandwich(
             sub = w[np.ix_(coords, coords)]
             moved = op_norm(coeff * sub)
             achieved = max(achieved, moved)
-    rng = np.random.default_rng(seed)
-    n = coords.size
-    sampled = 0.0
-    for _ in range(SANDWICH_SAMPLES):
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        a /= op_norm(a)
-        sampled = max(sampled, op_norm(coeff * a))
     return {
         "delta": delta,
         "achieved": achieved,
-        "sampled_max": sampled,
+        "sampled_max": sampled_norm(coeff, SANDWICH_SAMPLES, seed),
         "lower_slack": (len(idx) + 2) * eps_probe,
     }
 

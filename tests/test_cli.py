@@ -192,6 +192,60 @@ def test_huge_horizon_exits_2_within_2gb():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--depth", "3", "--horizon", str(2**59)],
+        ["--depth", "3", "--horizon", str(2**60)],
+        ["--depth", "3", "--horizon", str(2**62)],
+        ["--depth", "3", "--horizon", str(2**63 - 1)],
+        ["--depth", "3", "--horizon", str(10**21)],
+        ["--depth", "58", "--horizon", "100"],
+        ["--depth", "59", "--horizon", "100"],
+        ["--depth", "30000", "--horizon", "100"],
+        ["--depth", str(10**9), "--horizon", "100"],
+    ],
+    ids=["horizon-2^59", "horizon-2^60", "horizon-2^62", "horizon-2^63-1",
+         "horizon-10^21", "depth-58", "depth-59", "depth-30000", "depth-10^9"],
+)
+def test_horizon_and_depth_past_the_limit_exit_2(tmp_path, flags):
+    # numpy refuses an arange of 2^60 samples, and a depth-d chain needs a
+    # horizon of at least 2^(d + 1): both are refused in under 1 s, before
+    # any work; the child times its own main() and runs within 2 GB, so a
+    # regression that loops over the depth fails rather than fills memory
+    out = tmp_path / "tree.json"
+    timed_main = (
+        "import sys, time\n"
+        "from corona_lab.cli import main\n"
+        "t0 = time.perf_counter()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(time.perf_counter() - t0)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", timed_main, "tree", *flags, "--out", str(out)],
+        capture_output=True, env=_subprocess_env(), text=True, timeout=60,
+        preexec_fn=_address_space_2gb,
+    )
+    assert proc.returncode == 2 and proc.stderr == "", proc.stderr
+    assert float(proc.stdout) < 1.0
+    doc = json.loads(out.read_text())
+    assert doc["error"] == "PreconditionViolation" and "below 2^59" in doc["message"]
+
+
+def test_horizon_below_the_limit_runs_out_of_memory():
+    # the largest horizon taken still fits no machine: one line, exit 2
+    proc = subprocess.run(
+        [sys.executable, "-m", "corona_lab.cli", "tree", "--depth", "3",
+         "--horizon", str(2**59 - 1)],
+        capture_output=True, env=_subprocess_env(), text=True, timeout=60,
+        preexec_fn=_address_space_2gb,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("out of memory: tree, in generate_chain")
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
+
 def test_out_of_memory_names_the_subcommand_and_function(tmp_path, monkeypatch, capsys):
     # a bare MemoryError has no message; the line still says where it was
     def exhausted(*args, **kwargs):
@@ -446,16 +500,15 @@ def test_limits_writes_answers_of_more_than_4300_digits(tmp_path, case):
     assert "\n" + " " * 8 + _decimal(torsion) + "\n" in out.read_text()
 
 
-def test_env_seed_override(tmp_path, monkeypatch):
-    out = tmp_path / "v.json"
-    monkeypatch.setenv("CORONA_LAB_SEED", "123")
-    run(["sandwich", "--samples", "2", "--seed", "0", "--out", str(out)])
-    # determinism under the env seed: repeating gives identical bytes
-    out2 = tmp_path / "v2.json"
-    run(["sandwich", "--samples", "2", "--seed", "55", "--out", str(out2)])
-    assert out.read_bytes() == out2.read_bytes()
-    monkeypatch.setenv("CORONA_LAB_SEED", "notanint")
-    assert run(["sandwich", "--samples", "1", "--out", str(out)]) == 2
+@pytest.mark.parametrize("value", ["123", "notanint"])
+def test_seed_variable_in_the_environment_changes_nothing(tmp_path, monkeypatch, value):
+    # only --seed chooses the inputs; a CORONA_LAB_SEED left set is not read
+    want = tmp_path / "want.csv"
+    assert run(["sandwich", "--samples", "2", "--seed", "5", "--out", str(want)]) == 0
+    monkeypatch.setenv("CORONA_LAB_SEED", value)
+    out = tmp_path / "s.csv"
+    assert run(["sandwich", "--samples", "2", "--seed", "5", "--out", str(out)]) == 0
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_verify_fast(tmp_path):

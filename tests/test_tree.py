@@ -157,6 +157,17 @@ def test_min_sufficient_horizon_is_least(depth, schedule, data):
             assert np.array_equal(a.elements, b.elements)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    depth=st.integers(0, 64),
+    schedule=st.lists(st.integers(1, 64), min_size=1, max_size=5),
+)
+def test_min_sufficient_horizon_is_at_least_two_to_the_depth_plus_one(depth, schedule):
+    # the bound by which generate_chain refuses a depth d whose 2^(d + 1)
+    # reaches the horizon limit
+    assert min_sufficient_horizon(depth, schedule) >= 2 ** (depth + 1)
+
+
 def test_min_sufficient_horizon_rejects_bad_schedule():
     with pytest.raises(PreconditionViolation):
         min_sufficient_horizon(2, [3, 0])
@@ -555,14 +566,18 @@ def test_build_tree_profiles_each_difference_once(monkeypatch, depth, z_variant)
     profiles = _count_fx_profile(monkeypatch)
     rows = _count_rows(monkeypatch)
     build_tree(chain, z_variant=z_variant)
-    # one row per (cut, t[cut:] without trailing zeros), one batch per cut
+    # the difference of (t[:cut], t) is the inverse of "0" * cut + t[cut:], so
+    # each cut profiles, in one batch, the 2^(depth - cut) distinct rows of
+    # the nodes whose first cut bits are 0
     assert len(rows) == depth and sum(rows) == 2 ** (depth + 1) - 2
     assert rows == [2 ** (depth - cut) for cut in range(depth)]
     assert profiles == []
 
 
 def test_build_tree_row_batches_change_no_certificate(monkeypatch):
-    # one row per batch, as in a tree too deep for DIAMETER_CHUNK phases
+    # one row per batch, as in a tree too deep for DIAMETER_CHUNK phases: the
+    # 8 + 4 + 2 zero-prefix rows of cuts 0, 1 and 2; the jump bounds read
+    # each node's own runs and profile no row
     chain = generate_chain(3, 5000, [32, 36, 40])
     want = json.dumps(build_tree(chain, z_variant=True).certificates)
     rows = _count_rows(monkeypatch)
