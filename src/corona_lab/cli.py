@@ -184,9 +184,8 @@ def _config_echo(args) -> dict:
 
 
 def cmd_tree(args) -> int:
-    schedule = list(DEFAULT_SCHEDULE[: max(args.depth, 1)])
     try:
-        chain = generate_chain(args.depth, args.horizon, schedule)
+        chain = generate_chain(args.depth, args.horizon, DEFAULT_SCHEDULE[: args.depth])
         tree = build_tree(chain, z_variant=args.z_variant, eps=args.epsilon, j0=args.j0)
     except HorizonTooSmall as exc:
         _emit(
@@ -336,7 +335,7 @@ def cmd_verify(args) -> int:
         failures.append("union bound fuzz")
 
     try:
-        chain = generate_chain(2, horizon, [32, 36, 40])
+        chain = generate_chain(2, horizon, DEFAULT_SCHEDULE[:3])
         tree = build_tree(chain, z_variant=True, eps=args.epsilon, j0=args.j0)
     except CoronaLabError as exc:
         failures.append(f"tree: {exc}")

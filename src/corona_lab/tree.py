@@ -17,6 +17,7 @@ it, the step the construction takes at a limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -150,7 +151,8 @@ def generate_chain(depth: int, horizon: int, m_schedule) -> Chain:
 
     The scheduled regions of distinct transitions occupy disjoint stretches of
     the horizon, so witnesses of distinct levels never jump at the same point.
-    A horizon of 2^59 or more is refused, and with it every depth from 58 on.
+    A horizon of 2^59 or more is refused, and with it every depth whose least
+    horizon is that large: with the schedule of the CLI, every depth past 51.
     """
     horizon = as_int(horizon, "horizon")
     if horizon >= 1 << HORIZON_BITS:
@@ -164,6 +166,10 @@ def generate_chain(depth: int, horizon: int, m_schedule) -> Chain:
             f"and horizons must be below 2^{HORIZON_BITS}"
         )
     need = min_sufficient_horizon(depth, m_schedule)
+    if need >= 1 << HORIZON_BITS:
+        raise PreconditionViolation(
+            f"depth {depth} needs horizon {need}; horizons must be below 2^{HORIZON_BITS}"
+        )
     if horizon < need:
         raise HorizonTooSmall(
             f"horizon {horizon} too small; need >= {need}", min_horizon=need
@@ -360,18 +366,19 @@ def build_tree(
     jump bound at every node.
 
     Every element of the tree is a sum of witnesses, so its runs start on
-    one grid: 0 and the witnesses' jump points.  Nodes are held as rows of
-    phases over the grid's cells, a node ``s + "1"`` being mod(s + w), the
+    one grid: 0 and the witnesses' jump points.  A node's row of phases over
+    the grid's cells is its label's bits: row r holds the node with a 1 at
+    position k where bit k of r is set, so ``s + "0"`` shares the row of s,
+    and witness k doubles the rows, row r + 2^k being mod(row r + w_k), the
     float step of :meth:`TorusElement.mul`.
 
     The coherence difference of an ancestor pair (t[:cut], t) is the product
-    of the inverse witnesses at the positions k >= cut where t has a 1: the
-    inverse of the node z = "0" * cut + t[cut:].  So each cut profiles the
-    2^(depth-cut) distinct rows of the nodes whose first cut bits are 0, as
-    mod(mod(-z)), the float steps of :meth:`TorusElement.inverse` and of a
-    product with the root: 2^(depth+1) - 2 rows for the
-    2^(depth+1)(depth-1) + 2 certificates.  The rows of one cut are profiled
-    in one batch, on the windows past j0 that meet a grid break.
+    of the inverse witnesses where t has a 1 past cut: the inverse of row(t)
+    with its low cut bits cleared.  So each cut profiles every 2^cut-th row,
+    as mod(mod(-z)), the float steps of :meth:`TorusElement.inverse` and of
+    a product with the root, on the windows past j0 that meet a grid break,
+    and t reads the profile of row(t) >> cut: 2^(depth+1) - 2 rows for the
+    2^(depth+1)(depth-1) + 2 certificates.
     """
     check_tolerance(eps, j0)
     if z_variant and any(
@@ -382,44 +389,35 @@ def build_tree(
     witnesses = [successor_witness(chain, t) for t in range(depth)]
     grid = sorted_unique(np.concatenate([[0], *(w.starts for w in witnesses)]))
 
-    # R[row[label]] holds the node's phase on each cell of the grid, and a
-    # node s + "0" shares the row of s
-    row = {"": 0}
+    # R[r]: the phases, on the grid's cells, of the nodes with 1s at r's set bits
     R = np.zeros((1, grid.size))
-    for level, w in enumerate(witnesses):
-        parents = [label for label in row if len(label) == level]
-        for k, label in enumerate(parents):
-            row[label + "0"] = row[label]
-            row[label + "1"] = len(R) + k
-        grown = np.mod(R[[row[label] for label in parents]] + w.phase_at(grid), TWO_PI)
-        R = np.concatenate((R, grown))
+    for w in witnesses:
+        R = np.concatenate((R, np.mod(R + w.phase_at(grid), TWO_PI)))
     elements = [TorusElement.from_runs(grid, phases, horizon) for phases in R]
-    nodes = {label: elements[r] for label, r in row.items()}
+    # level by level, lexicographic within a level
+    labels = ["".join(b) for level in range(depth + 1) for b in product("01", repeat=level)]
+    nodes = {label: elements[int("0" + label[::-1], 2)] for label in labels}
 
-    # ancestor coherence, profiled against the ancestor's own level: the
-    # difference of (t[:cut], t) is the inverse of z = "0" * cut + t[cut:],
-    # so each cut profiles the distinct rows of the nodes whose first cut
-    # bits are 0, in batches of at most DIAMETER_CHUNK phases, which bounds
-    # the memory of deep trees
+    # ancestor coherence, profiled against the ancestor's own level in batches
+    # of at most DIAMETER_CHUNK phases, which bounds the memory of deep trees
     per = max(1, DIAMETER_CHUNK // grid.size)
-    tail_maxes = {}
+    tail_maxes = [[] for _ in range(depth)]
     for cut in range(depth):
         j, lo, hi = break_windows(grid, chain.levels[cut].enumeration, 2)
         # the tail's other windows meet no break, and their 0.0 is the initial max
         lo, hi = lo[j >= j0], hi[j >= j0]
-        zrows = sorted({r for label, r in row.items() if label.startswith("0" * cut)})
-        for k0 in range(0, len(zrows), per):
-            batch = zrows[k0 : k0 + per]
+        Z = R[:: 1 << cut]
+        for k0 in range(0, len(Z), per):
             # two reductions, as in root.mul(z.inverse()): a tiny z has mod(-z) = 2π
-            diff = np.mod(np.mod(-R[batch], TWO_PI), TWO_PI)
-            d = circle_diameters(diff, lo, hi).max(axis=1, initial=0.0)
-            tail_maxes.update(zip([(cut, r) for r in batch], d.tolist()))
+            diff = np.mod(np.mod(-Z[k0 : k0 + per], TWO_PI), TWO_PI)
+            tail_maxes[cut] += circle_diameters(diff, lo, hi).max(axis=1, initial=0.0).tolist()
 
     certs = []
     for label_t in nodes:
+        r = int("0" + label_t[::-1], 2)
         for cut in range(len(label_t)):
             label_s = label_t[:cut]
-            tail_max = tail_maxes[cut, row["0" * cut + label_t[cut:]]]
+            tail_max = tail_maxes[cut][r >> cut]
             # d[j0:] <= eps exactly when its max is, also for an empty or NaN tail
             holds = bool(tail_max <= eps)
             certs.append({
@@ -451,10 +449,9 @@ def build_tree(
             for entry, d in zip(sched, deltas)
             if d >= 2.0 - DIVERGENCE_TOL
         ])
-    for label in nodes:
+    # the first 2^depth - 1 labels are those above the leaves
+    for label in labels[: (1 << depth) - 1]:
         lvl = len(label)
-        if lvl >= depth:
-            continue
         blocks = level_blocks[lvl]
         certs.append({
             "kind": "divergence",

@@ -1,9 +1,11 @@
 import hashlib
+import io
 import json
 import os
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
@@ -163,7 +165,7 @@ def _address_space_2gb():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.parametrize("depth", [21, 40])
+@pytest.mark.parametrize("depth", [21, 40, 51])
 def test_deep_tree_reports_min_horizon_within_2gb(depth):
     # from depth 21 on, a doubling search for the minimal horizon would build
     # chains of 2^29 samples or more; the search must allocate no horizon
@@ -200,19 +202,23 @@ def test_huge_horizon_exits_2_within_2gb():
         ["--depth", "3", "--horizon", str(2**62)],
         ["--depth", "3", "--horizon", str(2**63 - 1)],
         ["--depth", "3", "--horizon", str(10**21)],
+        ["--depth", "52", "--horizon", "100"],
+        ["--depth", "57", "--horizon", "100"],
         ["--depth", "58", "--horizon", "100"],
         ["--depth", "59", "--horizon", "100"],
         ["--depth", "30000", "--horizon", "100"],
         ["--depth", str(10**9), "--horizon", "100"],
     ],
     ids=["horizon-2^59", "horizon-2^60", "horizon-2^62", "horizon-2^63-1",
-         "horizon-10^21", "depth-58", "depth-59", "depth-30000", "depth-10^9"],
+         "horizon-10^21", "depth-52", "depth-57", "depth-58", "depth-59", "depth-30000",
+         "depth-10^9"],
 )
 def test_horizon_and_depth_past_the_limit_exit_2(tmp_path, flags):
     # numpy refuses an arange of 2^60 samples, and a depth-d chain needs a
-    # horizon of at least 2^(d + 1): both are refused in under 1 s, before
-    # any work; the child times its own main() and runs within 2 GB, so a
-    # regression that loops over the depth fails rather than fills memory
+    # horizon of at least 2^(d + 1), from depth 52 on one of 2^59 or more:
+    # all are refused in under 1 s, before any work; the child times its
+    # own main() and runs within 2 GB, so a regression that loops over the
+    # depth fails rather than fills memory
     out = tmp_path / "tree.json"
     timed_main = (
         "import sys, time\n"
@@ -709,6 +715,63 @@ def test_sandwich_exit_code_contract(tmp_path_factory, samples, seed):
     code = _exit_code(["sandwich", "--samples", str(samples), "--seed", str(seed),
                        "--out", str(out)])
     assert code == (2 if samples < 0 or seed < 0 else 0)
+
+
+def _usage_exit_code(argv):
+    # the exit code of main, or of argparse's SystemExit on a usage error
+    err = io.StringIO()
+    with redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), err.getvalue()
+    return code
+
+
+_NOT_NUMBERS = st.sampled_from(["", "x", "1e", "0x10"])
+_EPSILONS = ["nan", "inf", "-inf", "-0.0", "0", "1e-320", "1e400", "0.05", "0.1", "1.9"]
+_J0S = [-1, 0, 10, 2**63, 10**21]
+
+
+@st.composite
+def _flags(draw, **values):
+    # a value from each flag's set, and at most one flag given no number
+    drawn = {name: str(draw(st.sampled_from(vals))) for name, vals in values.items()}
+    word = draw(st.none() | st.tuples(st.sampled_from(sorted(values)), _NOT_NUMBERS))
+    if word:
+        drawn[word[0]] = word[1]
+    return [f"--{name}={value}" for name, value in drawn.items()]
+
+
+@_CONTRACT
+@given(
+    flags=_flags(
+        depth=[-1, 0, 1, 2, 3, 51, 52, 57, 58, 30000],
+        # no horizon that allocates, such as 2^31: those are the 2 GB child tests'
+        horizon=[-1, 0, 3, 100, 3000, 2**59, 2**63 - 1, 10**21],
+        epsilon=_EPSILONS,
+        j0=_J0S,
+    ),
+    z_variant=st.booleans(),
+)
+@example(flags=["--depth=3", "--horizon=3000", f"--j0={2**63}"], z_variant=True)
+@example(flags=["--depth=1", "--horizon=100", "--epsilon=0"], z_variant=False)
+@example(flags=["--depth=52", "--horizon=100"], z_variant=False)
+@example(flags=["--depth=30000", "--horizon=100"], z_variant=False)
+def test_tree_exit_code_contract(tmp_path_factory, flags, z_variant):
+    out = tmp_path_factory.mktemp("tree") / "t.json"
+    argv = ["tree", *flags, "--out", str(out)] + ["--z-variant"] * z_variant
+    if _usage_exit_code(argv) == 2 and out.exists():
+        # a horizon that is too small names one that can be given
+        assert json.loads(out.read_text()).get("min_horizon", 0) < 2**59
+
+
+@_CONTRACT
+@given(flags=_flags(seed=[-1, 0, 7, 2**63], epsilon=_EPSILONS, j0=_J0S))
+def test_verify_exit_code_contract(tmp_path_factory, flags):
+    out = tmp_path_factory.mktemp("verify") / "v.json"
+    _usage_exit_code(["verify", "--fast", *flags, "--out", str(out)])
 
 
 # The emitter writes what json.dumps(doc, indent=2, sort_keys=True) writes.
