@@ -337,6 +337,8 @@ def cmd_verify(args) -> int:
     try:
         chain = generate_chain(2, horizon, DEFAULT_SCHEDULE[:3])
         tree = build_tree(chain, z_variant=True, eps=args.epsilon, j0=args.j0)
+    except PreconditionViolation:
+        raise  # invalid input, such as a j0 past every window: exit 2, not a failure
     except CoronaLabError as exc:
         failures.append(f"tree: {exc}")
     else:

@@ -9,7 +9,6 @@ evidence for the subgroup of sequences that flatten out along X.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +18,9 @@ from .torus import TorusElement, circle_diameters, sorted_unique
 
 @dataclass(frozen=True)
 class SparseSet:
-    """Strictly increasing finite truncation of an infinite subset of ℕ."""
+    """Strictly increasing finite truncation of an infinite subset of ℕ.
+    ``enumeration``, {0} ∪ X in increasing order, is one read-only buffer that
+    the set owns; ``elements`` is a view of it, past any prepended 0."""
 
     elements: np.ndarray
 
@@ -34,20 +35,10 @@ class SparseSet:
             raise PreconditionViolation("elements must be naturals")
         if np.any(np.diff(el) <= 0):
             raise PreconditionViolation("elements must be strictly increasing")
-        el.setflags(write=False)
-        object.__setattr__(self, "elements", el)
-
-    @cached_property
-    def enumeration(self) -> np.ndarray:
-        """Increasing enumeration of {0} ∪ X (0 prepended unless present),
-        read-only.  It is built on the first access, and every later access
-        returns the same array."""
-        el = self.elements
-        if el[0] == 0:
-            return el
-        pts = np.concatenate([[0], el])
+        pts = np.concatenate(([0], el)) if el[0] else el.copy()
         pts.setflags(write=False)
-        return pts
+        object.__setattr__(self, "enumeration", pts)
+        object.__setattr__(self, "elements", pts[pts.size - el.size :])
 
     @property
     def num_points(self) -> int:

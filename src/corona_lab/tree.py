@@ -386,6 +386,12 @@ def build_tree(
     ):
         raise PreconditionViolation("z-variant requires a nondecreasing jump schedule")
     depth, horizon = chain.depth, chain.horizon
+    # level depth - 1, the sparsest that a certificate profiles, has n - 2 windows
+    windows = chain.levels[depth - 1].num_points - 2
+    if depth and j0 >= windows:
+        raise PreconditionViolation(
+            f"j0={j0} leaves no window on level {depth - 1}, which has {windows}"
+        )
     witnesses = [successor_witness(chain, t) for t in range(depth)]
     grid = sorted_unique(np.concatenate([[0], *(w.starts for w in witnesses)]))
 

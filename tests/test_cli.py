@@ -58,9 +58,10 @@ def test_tree_horizon_too_small(tmp_path):
         ["--depth", "-1"],
         ["--depth", "0", "--j0", "-5", "--epsilon", "nan"],
         ["--depth", "0", "--z-variant"],
+        ["--j0", "3000"],
     ],
     ids=["negative-j0", "nan-epsilon", "negative-depth", "depth0-bad-tolerance",
-         "depth0-z-variant"],
+         "depth0-z-variant", "j0-past-every-window"],
 )
 def test_tree_invalid_input(tmp_path, flags):
     out = tmp_path / "tree.json"
@@ -68,9 +69,23 @@ def test_tree_invalid_input(tmp_path, flags):
     assert json.loads(out.read_text())["error"] == "PreconditionViolation"
 
 
-@pytest.mark.parametrize("flags", [["--j0", "-5"], ["--epsilon", "nan"]])
+@pytest.mark.parametrize("flags", [["--j0", "-5"], ["--epsilon", "nan"], ["--j0", "100000"]])
 def test_verify_invalid_tolerance(tmp_path, flags):
     assert run(["verify", "--fast", *flags, "--out", str(tmp_path / "v.json")]) == 2
+    assert not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.parametrize("j0, code", [(33, 2), (32, 0)])
+def test_tree_j0_must_leave_a_window(tmp_path, j0, code):
+    # level 0 of horizon 35 is {0, ..., 34}: 35 points, so 33 windows
+    out = tmp_path / "tree.json"
+    argv = ["tree", "--depth", "1", "--horizon", "35", "--j0", str(j0), "--out", str(out)]
+    assert run(argv) == code
+    doc = json.loads(out.read_text())
+    if code == 2:
+        assert doc["error"] == "PreconditionViolation" and "33" in doc["message"]
+    else:
+        assert all(c["holds"] for c in doc["certificates"] if c["kind"] == "coherence")
 
 
 # Z with doubling bonds and a doubling tail: its image chain needs two steps
@@ -717,15 +732,28 @@ def test_sandwich_exit_code_contract(tmp_path_factory, samples, seed):
     assert code == (2 if samples < 0 or seed < 0 else 0)
 
 
+_FAILED_CERTIFICATE = ("coherence failed", "divergence failed", "jump bound failed")
+
+
 def _usage_exit_code(argv):
-    # the exit code of main, or of argparse's SystemExit on a usage error
+    # the exit code of main, or of argparse's SystemExit on a usage error,
+    # which writes no --out; exit 1 comes only with a document of what failed
+    out = Path(argv[argv.index("--out") + 1])
     err = io.StringIO()
     with redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+            assert not out.exists()
     assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), err.getvalue()
+    if code == 1:
+        doc = json.loads(out.read_text())
+        if argv[0] == "tree":
+            assert doc.keys() >= {"error", "message"}
+            assert any(failed in doc["message"] for failed in _FAILED_CERTIFICATE)
+        else:
+            assert doc["ok"] is False and doc["failures"]
     return code
 
 
@@ -754,24 +782,32 @@ def _flags(draw, **values):
         j0=_J0S,
     ),
     z_variant=st.booleans(),
+    expect=st.none(),
 )
-@example(flags=["--depth=3", "--horizon=3000", f"--j0={2**63}"], z_variant=True)
-@example(flags=["--depth=1", "--horizon=100", "--epsilon=0"], z_variant=False)
-@example(flags=["--depth=52", "--horizon=100"], z_variant=False)
-@example(flags=["--depth=30000", "--horizon=100"], z_variant=False)
-def test_tree_exit_code_contract(tmp_path_factory, flags, z_variant):
+@example(flags=["--depth=3", "--horizon=3000", f"--j0={2**63}"], z_variant=True, expect=2)
+@example(flags=["--depth=1", "--horizon=100", "--epsilon=0"], z_variant=False, expect=1)
+@example(flags=["--depth=52", "--horizon=100"], z_variant=False, expect=2)
+@example(flags=["--depth=30000", "--horizon=100"], z_variant=False, expect=2)
+# a j0 that leaves no window on the sparsest certified level certifies nothing
+@example(flags=["--depth=1", "--horizon=35", "--j0=33"], z_variant=False, expect=2)
+@example(flags=["--depth=2", "--horizon=20000", "--j0=100000"], z_variant=True, expect=2)
+def test_tree_exit_code_contract(tmp_path_factory, flags, z_variant, expect):
     out = tmp_path_factory.mktemp("tree") / "t.json"
     argv = ["tree", *flags, "--out", str(out)] + ["--z-variant"] * z_variant
-    if _usage_exit_code(argv) == 2 and out.exists():
+    code = _usage_exit_code(argv)
+    assert expect is None or code == expect
+    if code == 2 and out.exists():
         # a horizon that is too small names one that can be given
         assert json.loads(out.read_text()).get("min_horizon", 0) < 2**59
 
 
 @_CONTRACT
-@given(flags=_flags(seed=[-1, 0, 7, 2**63], epsilon=_EPSILONS, j0=_J0S))
-def test_verify_exit_code_contract(tmp_path_factory, flags):
+@given(flags=_flags(seed=[-1, 0, 7, 2**63], epsilon=_EPSILONS, j0=_J0S), expect=st.none())
+@example(flags=["--j0=100000"], expect=2)
+def test_verify_exit_code_contract(tmp_path_factory, flags, expect):
     out = tmp_path_factory.mktemp("verify") / "v.json"
-    _usage_exit_code(["verify", "--fast", *flags, "--out", str(out)])
+    code = _usage_exit_code(["verify", "--fast", *flags, "--out", str(out)])
+    assert expect is None or code == expect
 
 
 # The emitter writes what json.dumps(doc, indent=2, sort_keys=True) writes.

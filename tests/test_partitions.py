@@ -74,12 +74,21 @@ def test_tolerance_refuses_non_integer_j0_and_bool_eps(check, message):
 
 @pytest.mark.parametrize("elements", [[2, 5, 9], [0, 3]])
 def test_enumeration_is_one_read_only_array(elements):
-    X = SparseSet(np.array(elements))
+    given = np.array(elements)
+    X = SparseSet(given)
     pts = X.enumeration
     assert X.enumeration is pts and not pts.flags.writeable
     assert pts.tolist() == sorted({0, *elements})
     with pytest.raises(ValueError):
         pts[0] = 1
+    # elements is a view of the same buffer, not a second copy
+    assert np.shares_memory(X.elements, pts) and not X.elements.flags.writeable
+    assert X.elements.tolist() == elements
+    # the set owns its buffer: the caller's array stays writeable, and
+    # writing to it leaves the set as it was
+    assert given.flags.writeable
+    given[:] = 7
+    assert X.elements.tolist() == elements and pts.tolist() == sorted({0, *elements})
 
 
 def test_enumeration_prepends_zero():

@@ -1,6 +1,7 @@
 """Every function, class and method of the package has a caller outside the
-tests: the package itself or the benchmark; and every parameter of a
-package function is read by its body.  The demos do not count as callers:
+tests: the package itself or the benchmark; every parameter of a package
+function is read by its body; and every name a package module imports is
+read in that module.  The demos do not count as callers:
 they narrate, and a name that only a demo reaches has no checked use.
 
 A top-level definition counts as used when its name appears, outside its
@@ -161,6 +162,24 @@ def unraised_errors() -> list:
     return sorted(family - raised)
 
 
+def unused_imports() -> list:
+    """Names that a package module imports and never reads, as
+    ``module.name``; ``from __future__`` imports are exempt."""
+    out = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text())
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        out.append(f"{path.stem}.{name}")
+    return out
+
+
 def test_every_package_definition_has_a_caller_outside_the_tests():
     assert unreached() == []
 
@@ -176,3 +195,8 @@ def test_every_parameter_is_read():
 def test_every_error_class_is_raised():
     # an error class outlives the check that raised it only as dead weight
     assert unraised_errors() == []
+
+
+def test_every_import_is_used():
+    # pyflakes' unused-import check, which the test environment may lack
+    assert unused_imports() == []

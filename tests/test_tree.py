@@ -387,7 +387,7 @@ def test_limit_stage_ignores_the_tolerance():
     # the thresholds are 1/k per block, whatever (eps, j0) the tree used
     chain = generate_chain(2, 2000, [32, 36, 40])
     results = set()
-    for eps, j0 in [(0.1, 10), (0.1, 0), (0.1, 1), (0.3, 3), (1.5, 2), (0.1, 10**5)]:
+    for eps, j0 in [(0.1, 10), (0.1, 0), (0.1, 1), (0.3, 3), (1.5, 2), (0.1, 946)]:
         tree = build_tree(chain, eps=eps, j0=j0)
         branch = [tree.nodes[l] for l in ("", "1", "11")]
         beta, x_inf, worst = limit_stage(branch, chain.levels, eps=eps, j0=j0)
