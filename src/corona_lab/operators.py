@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import PreconditionViolation
 from .partitions import SparseSet
-from .torus import TorusElement, delta_one
+from .torus import TorusElement, as_indices, delta_one
 
 # unused here; perfbench/tracing.py splits its op_norm counters at this size
 DENSE_NORM_DIM = 512
@@ -274,11 +274,11 @@ def ad_sandwich(
     The matrix-unit witnesses realize the lower bound exactly; random samples
     stay below twice the pseudometric distance.
     """
-    idx = sorted(set(int(i) for i in I))
+    idx = as_indices(I)
     if any(i < 0 or i >= blocks.num_blocks for i in idx):
         raise PreconditionViolation("index set outside the block range")
     sub = BlockStructure(tuple(blocks.sizes[i] for i in idx))
-    vals = alpha.values(np.asarray(idx))
+    vals = alpha.values(idx)
     u = sub.expand(vals)
     coeff = u[:, None] * u.conj()[None, :] - 1.0
     delta = delta_one(alpha, idx)

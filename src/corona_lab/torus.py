@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, product, repeat
 from math import prod
 
 import numpy as np
@@ -177,15 +177,18 @@ def constant_one(horizon: int) -> TorusElement:
     return TorusElement.from_runs([0], [0.0], horizon)
 
 
-def _as_indices(I) -> np.ndarray:
-    return np.asarray(sorted(set(int(i) for i in I)), dtype=int)
+def as_indices(I) -> np.ndarray:
+    """The index set ``I``, any iterable of integers, as a sorted array of
+    its distinct entries; a float, a bool or a string is refused with
+    :class:`PreconditionViolation`, not truncated or parsed."""
+    return np.asarray(sorted({as_int(i, "index") for i in I}), dtype=int)
 
 
 def delta_set(alpha: TorusElement, beta: TorusElement, I) -> float:
     """Max of |alpha(i) conj(alpha(j)) - beta(i) conj(beta(j))| over all pairs
     drawn from the indices ``I``: the diameter of gamma = alpha * conj(beta)
     on ``I``."""
-    idx = _as_indices(I)
+    idx = as_indices(I)
     gamma = alpha.phase_at(idx) - beta.phase_at(idx)
     return float(circle_diameters(gamma, [0], [gamma.size])[0])
 
@@ -241,45 +244,79 @@ def circle_diameters(phases, starts, ends) -> np.ndarray:
     return diam.reshape(phases.shape[:-1] + (starts.size,))
 
 
+def ranked_subsets(u: np.ndarray, horizon: int) -> np.ndarray:
+    """Ordered subsets of ``range(horizon)`` drawn by rank, one per column
+    of the doubles ``u`` (shape (k, c), each in [0, 1)).
+
+    Pick q of a column is the index of rank ``floor(u[q] * (horizon - q))``
+    among the indices not yet picked in that column: the rank is shifted
+    past each earlier pick p, in increasing order of p, by ``x += x >= p``.
+    With u uniform, each column is a uniform ordered k-subset, up to the
+    2^-53 grid of one double; for ``horizon`` <= 2^53 the largest double
+    below 1 gives rank ``horizon - q - 1``, so every rank lies in range.
+    """
+    k, c = u.shape
+    picks = np.empty((k, c), dtype=np.int64)
+    for q in range(k):
+        x = (u[q] * (horizon - q)).astype(np.int64)
+        for p in np.sort(picks[:q], axis=0):
+            x += x >= p
+        picks[q] = x
+    return picks
+
+
 def fuzz_lij(n: int, seed: int = 0, horizon: int = 16, set_size: int = 3) -> int:
     """Vectorized fuzz of the union bound; returns the number of violations.
 
-    Each of the ``n`` cases draws two sequences of length ``horizon`` and two
-    ``set_size``-subsets I, J of their indices.  The four distances of a case
-    are diameters of windows nested in the one sequence gamma = pa - pb at I
-    followed by J (duplicated indices do not change maxima).  Row r of a
-    (2 set_size, c) array holds the value of gamma at point r of every case,
-    and each distinct pair of points a < b gives one row |v_a - v_b|: running
-    maxima over the pairs give Delta_{I u J}, Delta_I and Delta_J, and the
-    pair (0, set_size) gives Delta_{i0 j0}.  These are the distances that
-    :func:`circle_diameters` computes for each window.
+    Each of the ``n`` cases draws two uniform ordered ``set_size``-subsets
+    I, J of ``range(horizon)``, independently, by :func:`ranked_subsets`,
+    and one phase gamma = pa - pb (pa, pb each uniform on [0, 2π)) for each
+    of its 2 set_size points, I's then J's.  A point of J that is also in I
+    takes I's phase.  So gamma is iid over the distinct indices of a case
+    and shared where I and J meet, which is the law of a case drawn as two
+    whole sequences pa, pb of length ``horizon`` read at two uniform random
+    subsets of their indices: the check is as strong, case for case, at
+    6 set_size doubles and no sort over the horizon per case, whatever the
+    horizon.
+
+    Row r of a (2 set_size, c) array holds the value of gamma at point r of
+    every case, and each distinct pair of points a < b gives one row
+    |v_a - v_b|: running maxima over the pairs give Delta_{I u J}, Delta_I
+    and Delta_J, and the pair (0, set_size) gives Delta_{i0 j0}.  These are
+    the distances that :func:`circle_diameters` computes for each window.
 
     Cases are streamed in chunks of at most :data:`FUZZ_CHUNK`, so memory
-    does not grow with ``n``.  They are the same draws as one (n, horizon)
-    draw each of pa, pb and the keys of I and J from ``default_rng(seed)``:
-    each double takes one 64-bit output, so stream s starts at that
-    generator's state advanced by s * n * horizon outputs.
+    grows with neither ``n`` nor ``horizon``.  They are the same draws as
+    one draw each, case-major, of pa and pb ((n, 2 set_size) doubles) and
+    of the ranks of I and J ((n, set_size) doubles) from
+    ``default_rng(seed)``: each double takes one 64-bit output, so each of
+    the four streams starts at that generator's state advanced past the
+    outputs of the streams before it.
     """
-    if n < 0 or not 1 <= set_size <= horizon:
+    n, seed = as_int(n, "n"), as_int(seed, "seed")
+    horizon, k = as_int(horizon, "horizon"), as_int(set_size, "set_size")
+    if n < 0 or seed < 0 or not 1 <= k <= horizon <= 1 << 53:
         raise PreconditionViolation(
-            f"need n >= 0 and 1 <= set_size <= horizon, got n={n}, "
-            f"set_size={set_size}, horizon={horizon}"
+            "need n >= 0, seed >= 0 and 1 <= set_size <= horizon <= 2^53, got "
+            f"n={n}, seed={seed}, set_size={k}, horizon={horizon}"
         )
-    # PCG64(seed) is the bit generator of default_rng(seed)
+    # PCG64(seed) is the bit generator of default_rng(seed); pa and pb take
+    # 2 set_size doubles a case, the ranks of I and J set_size each
     g_pa, g_pb, g_i, g_j = (
-        np.random.Generator(np.random.PCG64(seed).advance(s * n * horizon)) for s in range(4)
+        np.random.Generator(np.random.PCG64(seed).advance(s * n * k)) for s in (0, 2, 4, 5)
     )
-    k = set_size
     violations = 0
     for c0 in range(0, n, FUZZ_CHUNK):
         c = min(FUZZ_CHUNK, n - c0)
-        pa = g_pa.uniform(0.0, TWO_PI, size=(c, horizon))
-        pb = g_pb.uniform(0.0, TWO_PI, size=(c, horizon))
-        # uniform set_size-subsets of range(horizon), in random order
-        I = np.argsort(g_i.random((c, horizon)), axis=1)[:, :k]
-        J = np.argsort(g_j.random((c, horizon)), axis=1)[:, :k]
-        gamma = pa - pb
-        v = np.exp(1j * gamma[np.arange(c), np.concatenate([I, J], axis=1).T])
+        I = ranked_subsets(g_i.random((c, k)).T, horizon)
+        J = ranked_subsets(g_j.random((c, k)).T, horizon)
+        pa = g_pa.uniform(0.0, TWO_PI, size=(c, 2 * k))
+        pb = g_pb.uniform(0.0, TWO_PI, size=(c, 2 * k))
+        # row r holds gamma at point r of every case: I's points, then J's
+        gamma = (pa - pb).T
+        for q, p in product(range(k), repeat=2):
+            np.copyto(gamma[k + q], gamma[p], where=J[q] == I[p])
+        v = np.exp(1j * gamma)
         lhs, d_i, d_j = np.zeros(c), np.zeros(c), np.zeros(c)
         for a, b in combinations(range(2 * k), 2):
             d = np.abs(v[a] - v[b])

@@ -20,7 +20,7 @@ from .errors import (
     WitnessNotFound,
 )
 from .operators import BlockStructure, op_norm, sampled_norm
-from .torus import TorusElement, delta_one
+from .torus import TorusElement, as_indices, delta_one
 
 PLATEAU_TOL = 1e-12
 
@@ -234,7 +234,7 @@ def weak_sandwich(
 ) -> dict:
     """Sandwich estimate for conjugation by u = sum alpha(i) r_i, probed on
     the corner where the selected units act as the identity."""
-    idx = sorted(set(int(x) for x in I))
+    idx = as_indices(I)
     if any(x < 0 or x >= unit.count for x in idx):
         raise PreconditionViolation("index set outside the unit range")
     coords = []

@@ -388,6 +388,13 @@ def test_ad_sandwich_constant():
     assert rep["sampled_max"] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("I", [[0.5, 1], ["1", 2], [True, 2]])
+def test_ad_sandwich_refuses_non_integer_indices(I):
+    # [0.5, 1] was read as [0, 1], "1" as 1 and True as 1
+    with pytest.raises(PreconditionViolation):
+        ad_sandwich(constant_one(4), BlockStructure((2, 2, 1, 1)), I)
+
+
 def test_ad_sandwich_antipodal_two_blocks():
     alpha = TorusElement([0.0, np.pi])
     rep = ad_sandwich(alpha, BlockStructure((2, 2)), [0, 1])

@@ -22,6 +22,7 @@ from corona_lab.torus import (
     RunList,
     circle_diameters,
     fuzz_lij,
+    ranked_subsets,
     sorted_unique,
 )
 
@@ -125,22 +126,30 @@ def test_lij_fuzz_small():
 
 
 def _fuzz_lij_reference(n, seed, slack, horizon=16, set_size=3):
-    # the same draws, each distance from its own circle_diameters call
+    # the same draws from one generator, case by case: each pick is popped
+    # from a list of the indices left, a point of J in I reads I's phase,
+    # and each distance comes from its own circle_diameters call
+    k = set_size
     rng = np.random.default_rng(seed)
-    pa = rng.uniform(0.0, 2 * np.pi, size=(n, horizon))
-    pb = rng.uniform(0.0, 2 * np.pi, size=(n, horizon))
-    I = np.argsort(rng.random((n, horizon)), axis=1)[:, :set_size]
-    J = np.argsort(rng.random((n, horizon)), axis=1)[:, :set_size]
+    pa = rng.uniform(0.0, 2 * np.pi, size=(n, 2 * k))
+    pb = rng.uniform(0.0, 2 * np.pi, size=(n, 2 * k))
+    ranks = [rng.random((n, k)), rng.random((n, k))]
     gamma = pa - pb
-    rows = np.arange(n)[:, None]
+    for case in range(n):
+        points = []
+        for u in ranks:
+            left = list(range(horizon))
+            points += [left.pop(int(x * (horizon - q))) for q, x in enumerate(u[case])]
+        phase = {}
+        for r, i in enumerate(points):
+            gamma[case, r] = phase.setdefault(i, gamma[case, r])
 
-    def delta(idx):
-        k = idx.shape[1]
-        starts = np.arange(n) * k
-        return circle_diameters(gamma[rows, idx].ravel(), starts, starts + k)
+    def delta(cols):
+        starts = np.arange(n) * len(cols)
+        return circle_diameters(gamma[:, cols].ravel(), starts, starts + len(cols))
 
-    lhs = delta(np.concatenate([I, J], axis=1))
-    rhs = delta(I) + delta(J) + delta(np.stack([I[:, 0], J[:, 0]], axis=1))
+    lhs = delta(list(range(2 * k)))
+    rhs = delta(list(range(k))) + delta(list(range(k, 2 * k))) + delta([0, k])
     return int(np.sum(lhs > rhs + slack))
 
 
@@ -153,8 +162,10 @@ def test_lij_fuzz_matches_four_diameter_reference(monkeypatch, slack, seed, hori
     from corona_lab import torus
 
     monkeypatch.setattr(torus, "SLACK", slack)
-    want = _fuzz_lij_reference(3000, seed, slack, horizon, set_size)
-    assert fuzz_lij(3000, seed=seed, horizon=horizon, set_size=set_size) == want
+    # at horizon 8 and set_size 4, slack -0.25 meets about one case in 6,000
+    n = 20_000 if (horizon, set_size) == (8, 4) else 3000
+    want = _fuzz_lij_reference(n, seed, slack, horizon, set_size)
+    assert fuzz_lij(n, seed=seed, horizon=horizon, set_size=set_size) == want
     # with I and J the whole horizon, lhs = Delta_I <= rhs - Delta_I, so only
     # the widest slack meets near-tight cases
     assert want > 0 or slack > 0 or (set_size == horizon and slack > -1.0)
@@ -199,8 +210,69 @@ def test_lij_fuzz_rejects_bad_shapes(n, horizon, set_size):
         fuzz_lij(n, horizon=horizon, set_size=set_size)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n": 10, "set_size": True},
+        {"n": True},
+        {"n": 10, "seed": True},
+        {"n": 2.5},
+        {"n": 10, "seed": -1},
+        {"n": 10, "horizon": 2**53 + 1},
+    ],
+)
+def test_lij_fuzz_refuses_bad_arguments(kwargs):
+    # set_size=True used to index the points as a boolean mask and count
+    # 9 violations in 10 cases; 2^53 is the widest exact rank draw
+    with pytest.raises(PreconditionViolation):
+        fuzz_lij(**kwargs)
+
+
+def test_lij_fuzz_memory_does_not_grow_with_horizon():
+    tracemalloc.start()
+    try:
+        assert fuzz_lij(2000, horizon=2**40) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_lij_fuzz_of_no_cases():
     assert fuzz_lij(0) == 0
+
+
+def test_ranked_subsets_follow_the_case_law():
+    n, h = 200_000, 16
+    rng = np.random.default_rng(1)
+    I = ranked_subsets(rng.random((3, n)), h)
+    J = ranked_subsets(rng.random((3, n)), h)
+    assert I.min() >= 0 and I.max() < h
+    assert np.all((I[0] != I[1]) & (I[0] != I[2]) & (I[1] != I[2]))
+
+    def within_4_sigma(counts, p):
+        return np.all(np.abs(counts / n - p) < 4 * np.sqrt(p * (1 - p) / n))
+
+    # |I n J| of two independent uniform 3-subsets of 16 is hypergeometric:
+    # C(3, m) C(13, 3 - m) / C(16, 3)
+    meet = (I[:, None] == J[None]).sum(axis=(0, 1))
+    assert within_4_sigma(np.bincount(meet, minlength=4), np.array([286, 234, 39, 1]) / 560)
+    assert within_4_sigma(np.bincount(I[0], minlength=h), 1 / h)
+    # every ordered triple is equally likely: chi-square over 16 * 15 * 14 cells
+    a, b, c = np.unravel_index(np.arange(h**3), (h, h, h))
+    counts = np.bincount((I[0] * h + I[1]) * h + I[2], minlength=h**3)
+    cells = counts[(a != b) & (a != c) & (b != c)]
+    expected = n / cells.size
+    chi2 = ((cells - expected) ** 2).sum() / expected
+    assert chi2 < cells.size - 1 + 4 * np.sqrt(2 * (cells.size - 1))
+
+
+@pytest.mark.parametrize("horizon", [3, 16, 2**40, 2**53])
+def test_ranked_subsets_take_every_rank_of_a_double(horizon):
+    # the largest double below 1 takes the last rank left, 0 the first
+    top = np.full((3, 1), 1 - 2**-53)
+    assert ranked_subsets(top, horizon)[:, 0].tolist() == [horizon - 1, horizon - 2, horizon - 3]
+    assert ranked_subsets(np.zeros((3, 1)), horizon)[:, 0].tolist() == [0, 1, 2]
 
 
 def test_index_set_invariants():
@@ -209,8 +281,17 @@ def test_index_set_invariants():
     a, b = rand_elem(rng), rand_elem(rng)
     assert delta_set(a, b, (3, 1, 2, 3)) == delta_set(a, b, [1, 2, 3])
     assert delta_set(a, b, iter(range(4))) == delta_set(a, b, range(4))
+    assert delta_set(a, b, np.array([3, 1, 2])) == delta_set(a, b, [1, 2, 3])
     with pytest.raises(IndexOutOfRange):
         delta_set(a, b, (-1, 2))
+
+
+@pytest.mark.parametrize("I", [[2.7, 5], ["3"], [True, 2], np.array([1.0, 2.0])])
+def test_index_set_refuses_what_it_would_truncate(I):
+    # [2.7, 5] was read as [2, 5], "3" as 3 and True as 1
+    rng = np.random.default_rng(9)
+    with pytest.raises(PreconditionViolation):
+        delta_set(rand_elem(rng), rand_elem(rng), I)
 
 
 def test_tail_conventions():

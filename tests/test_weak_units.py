@@ -157,6 +157,12 @@ def test_weak_sandwich_constant(tent12):
     assert rep["sampled_max"] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("I", [[2.5, 5], ["2", 5], [True, 5]])
+def test_weak_sandwich_refuses_non_integer_indices(tent12, I):
+    with pytest.raises(PreconditionViolation):
+        weak_sandwich(constant_one(12), tent12, I)
+
+
 def test_weak_sandwich_fuzz(tent12):
     rng = np.random.default_rng(0)
     for run in range(10):
