@@ -30,9 +30,9 @@ from .operators import (
     save_matrix,
     stratify,
 )
-from .partitions import check_tolerance
-from .torus import RunList, TorusElement, fuzz_lij
-from .tree import build_tree, generate_chain, limit_stage
+from .partitions import check_tolerance, fx_profile
+from .torus import SLACK, RunList, TorusElement
+from .tree import build_tree, generate_chain, limit_stage, successor_witness
 from .weak_units import (
     build_tent_unit,
     hyp_check,
@@ -329,10 +329,6 @@ def cmd_verify(args) -> int:
     check_tolerance(args.epsilon, args.j0)
     failures = []
     horizon = 2000 if args.fast else 20000
-    fuzz_n = 2000 if args.fast else 20000
-
-    if fuzz_lij(fuzz_n, seed=args.seed) != 0:
-        failures.append("union bound fuzz")
 
     try:
         chain = generate_chain(2, horizon, DEFAULT_SCHEDULE[:3])
@@ -342,6 +338,13 @@ def cmd_verify(args) -> int:
     except CoronaLabError as exc:
         failures.append(f"tree: {exc}")
     else:
+        # the union bound on every window of each witness against each level;
+        # a NaN excess fails too
+        for t in range(chain.depth):
+            witness = successor_witness(chain, t)
+            for n, level in enumerate(chain.levels):
+                if not fx_profile(witness, level).union_excess() <= SLACK:
+                    failures.append(f"union bound {t}/{n}")
         # the element above the all-ones branch, as at a limit stage
         branch = [tree.nodes[label] for label in ("", "1", "11")]
         try:

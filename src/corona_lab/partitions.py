@@ -68,14 +68,18 @@ def n_of(X: SparseSet, j: int) -> int:
 
 
 def check_tolerance(eps: float, j0: int) -> None:
-    """Reject a tolerance (eps, j0) unless j0 is a natural and eps a finite
-    number >= 0, not bools (a negative j0 would count from the end of a profile)."""
+    """Reject a tolerance (eps, j0) unless j0 is a natural and eps a number
+    in [0, 2), not bools (a negative j0 would count from the end of a
+    profile).  No diameter exceeds 2, so an eps of 2 or more would make every
+    coherence certificate hold whatever the elements."""
     if as_int(j0, "j0") < 0:
         raise PreconditionViolation(f"j0 must be >= 0, got {j0}")
     if isinstance(eps, (bool, np.bool_)):
         raise PreconditionViolation(f"eps must be a number, got {eps!r}")
-    if not 0.0 <= eps < np.inf:
-        raise PreconditionViolation(f"eps must be finite and >= 0, got {eps}")
+    if not 0.0 <= eps < 2.0:
+        raise PreconditionViolation(
+            f"eps must be >= 0 and below 2, the largest diameter, got {eps}"
+        )
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,17 @@ class FxProfile:
         """Whether ``d[j0:] <= eps``, after ``check_tolerance(eps, j0)``."""
         check_tolerance(eps, j0)
         return bool(np.all(self.d[j0:] <= eps))
+
+    def union_excess(self) -> float:
+        """The largest ``d[j] - (d_single[j] + d_single[j+1] + d_endpoints[j])``,
+        -inf on a profile with no window.
+
+        A double window is I(X,j) ∪ I(X,j+1) and the endpoint pair is the
+        first point of each interval, so the union bound
+        Δ_{I∪J} <= Δ_I + Δ_J + Δ_{i0 j0} makes every term at most 0, up to
+        rounding."""
+        rhs = self.d_single[:-1] + self.d_single[1:] + self.d_endpoints
+        return float((self.d - rhs).max(initial=-np.inf))
 
 
 def break_windows(grid: np.ndarray, pts: np.ndarray, span: int):

@@ -268,6 +268,10 @@ def ranked_subsets(u: np.ndarray, horizon: int) -> np.ndarray:
 def fuzz_lij(n: int, seed: int = 0, horizon: int = 16, set_size: int = 3) -> int:
     """Vectorized fuzz of the union bound; returns the number of violations.
 
+    It backs acceptance criterion 3.  ``verify`` does not run it: it checks
+    the bound on the profiles the lab builds, by
+    :meth:`~corona_lab.partitions.FxProfile.union_excess`.
+
     Each of the ``n`` cases draws two uniform ordered ``set_size``-subsets
     I, J of ``range(horizon)``, independently, by :func:`ranked_subsets`,
     and one phase gamma = pa - pb (pa, pb each uniform on [0, 2π)) for each

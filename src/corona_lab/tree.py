@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConstructionError, HorizonTooSmall, PreconditionViolation, as_int
 from .partitions import SparseSet, break_windows, check_tolerance, fx_profile, n_of
-from .torus import DIAMETER_CHUNK, TWO_PI, TorusElement, circle_diameters, sorted_unique
+from .torus import DIAMETER_CHUNK, SLACK, TWO_PI, TorusElement, circle_diameters, sorted_unique
 
 DIVERGENCE_TOL = 1e-9
 
@@ -233,7 +233,9 @@ def limit_stage(alphas, levels, eps: float = 0.1, j0: int = 10):
     The coherence of each pair n < k at (eps, j0) is checked first, on the
     difference ``alphas[n] * alphas[k]^-1`` that :func:`build_tree`
     certifies.  A failed recheck raises :class:`ConstructionError` naming
-    the element and the block.
+    the element and the block, and so does a pair or recheck profile whose
+    :meth:`~corona_lab.partitions.FxProfile.union_excess` is above ``SLACK``,
+    naming the union bound.
     """
     K = len(alphas)
     if K < 2 or K != len(levels):
@@ -244,6 +246,7 @@ def limit_stage(alphas, levels, eps: float = 0.1, j0: int = 10):
         for n in range(k):
             diff = alphas[n].mul(alphas[k].inverse())
             prof = profiles[n, k] = fx_profile(diff, levels[n])
+            _check_union_bound(prof, f"inputs {n} and {k}", n)
             if not prof.in_fx(eps, j0):
                 raise PreconditionViolation(
                     f"inputs {n} and {k} not coherent at eps={eps}, j0={j0}"
@@ -254,6 +257,7 @@ def limit_stage(alphas, levels, eps: float = 0.1, j0: int = 10):
     worst = 0.0
     for n in range(K - 1):
         prof = fx_profile(beta.mul(alphas[n].inverse()), levels[n])
+        _check_union_bound(prof, f"beta and input {n}", n)
         pts = levels[n].enumeration
         # pairs j (and intervals j) from the one crossing into block n+1 on,
         # each in the block of its left point, the crossing pair in n+1
@@ -269,6 +273,16 @@ def limit_stage(alphas, levels, eps: float = 0.1, j0: int = 10):
             )
         worst = max(worst, float((d * k).max(initial=0.0)))
     return beta, x_inf, worst
+
+
+def _check_union_bound(prof, pair: str, level: int) -> None:
+    """Raise :class:`ConstructionError` unless ``prof`` meets the union bound
+    on every window, within ``SLACK``; a NaN excess fails too."""
+    excess = prof.union_excess()
+    if not excess <= SLACK:
+        raise ConstructionError(
+            f"union bound exceeded by {excess} on the profile of {pair} on level {level}"
+        )
 
 
 def _sparsify_limit(profiles, levels) -> SparseSet:

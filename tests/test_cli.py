@@ -13,12 +13,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corona_lab import cli
+from corona_lab import cli, partitions
 from corona_lab import tree as tree_mod
 from corona_lab.cli import main
 from corona_lab.limits import constant_tower, free_group
 from corona_lab.operators import save_matrix
-from corona_lab.torus import RunList, TorusElement
+from corona_lab.partitions import FxProfile
+from corona_lab.torus import RunList, TorusElement, sorted_unique
 from corona_lab.tree import min_sufficient_horizon
 from corona_lab.weak_units import PositiveUnit, tensor_unit
 
@@ -73,6 +74,30 @@ def test_tree_invalid_input(tmp_path, flags):
 def test_verify_invalid_tolerance(tmp_path, flags):
     assert run(["verify", "--fast", *flags, "--out", str(tmp_path / "v.json")]) == 2
     assert not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.parametrize("eps, code", [("2.0", 2), ("2.5", 2), ("1.99", 0)])
+def test_tree_refuses_an_eps_of_2_or_more(tmp_path, eps, code):
+    # no diameter exceeds 2, so such an eps would make every coherence
+    # certificate hold whatever the tree
+    out = tmp_path / "tree.json"
+    argv = ["tree", "--depth", "2", "--horizon", "20000", "--epsilon", eps, "--out", str(out)]
+    assert run(argv) == code
+    doc = json.loads(out.read_text())
+    if code == 2:
+        assert doc["error"] == "PreconditionViolation" and "below 2" in doc["message"]
+    else:
+        assert all(c["holds"] for c in doc["certificates"] if c["kind"] == "coherence")
+
+
+@pytest.mark.parametrize("eps, code", [("2.0", 2), ("2.5", 2), ("1.99", 0)])
+def test_verify_refuses_an_eps_of_2_or_more(tmp_path, capsys, eps, code):
+    out = tmp_path / "v.json"
+    assert run(["verify", "--fast", "--epsilon", eps, "--out", str(out)]) == code
+    if code == 2:
+        assert not out.exists() and "below 2" in capsys.readouterr().err
+    else:
+        assert json.loads(out.read_text())["ok"]
 
 
 @pytest.mark.parametrize("j0, code", [(33, 2), (32, 0)])
@@ -595,6 +620,58 @@ def test_verify_fails_on_a_wrong_limit_stage(tmp_path, monkeypatch, mutant, fail
     assert message.startswith("limit stage: ") and failure in message
 
 
+def _skips_first_window(grid, pts, span):
+    # break_windows with each break's first window dropped: np.arange(1, span)
+    b = grid[1:]
+    first = np.searchsorted(pts, b, side="right") - span
+    last = np.minimum(np.searchsorted(pts, b, side="left") - 1, pts.size - span - 1)
+    j = first[:, None] + np.arange(1, span)
+    j = sorted_unique(j[(j >= 0) & (j <= last[:, None])])
+    lo = np.searchsorted(grid, pts[j], side="right") - 1
+    hi = np.searchsorted(grid, pts[j + span] - 1, side="right")
+    return j, lo, hi
+
+
+def _endpoints_shifted(alpha, X, profile=partitions.fx_profile):
+    # fx_profile with each endpoint pair one to the right: the pair of a run
+    # start s is searchsorted(pts, s), its "- 1" dropped
+    prof = profile(alpha, X)
+    pts = X.enumeration
+    d_endpoints = np.zeros_like(prof.d_endpoints)
+    j = np.searchsorted(pts, alpha.starts[1:], side="left")
+    j = j[j < d_endpoints.size]
+    v = np.exp(1j * alpha.run_phases)
+    d_endpoints[j] = np.abs(v[alpha.run_index(pts[j])] - v[alpha.run_index(pts[j + 1])])
+    return FxProfile(prof.d, prof.d_single, d_endpoints)
+
+
+@pytest.mark.parametrize("fast", [["--fast"], []], ids=["fast", "full"])
+@pytest.mark.parametrize(
+    "name, mutant, witnesses",
+    [
+        ("break_windows", _skips_first_window, ["0/2"]),
+        ("fx_profile", _endpoints_shifted, ["0/0", "1/0", "1/1"]),
+    ],
+    ids=["first-window-skipped", "endpoints-shifted"],
+)
+def test_verify_fails_on_a_wrong_window_finder(
+    tmp_path, monkeypatch, name, mutant, witnesses, fast
+):
+    # each mutant replaces the function wherever the package holds it, as an
+    # edit of partitions.py would; every other check of verify passes
+    for module in (partitions, tree_mod, cli):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, mutant)
+    out = tmp_path / "v.json"
+    assert run(["verify", *fast, "--out", str(out)]) == 1
+    failures = json.loads(out.read_text())["failures"]
+    assert [f for f in failures if not f.startswith("limit stage: ")] == [
+        f"union bound {w}" for w in witnesses
+    ]
+    # the limit stage's own profiles catch the shifted endpoints too
+    assert all(f.startswith(("union bound ", "limit stage: union bound ")) for f in failures)
+
+
 def _halved(unit, qs):
     return PositiveUnit(tensor_unit(unit, qs).rs * 0.5)
 
@@ -791,6 +868,8 @@ def _flags(draw, **values):
 # a j0 that leaves no window on the sparsest certified level certifies nothing
 @example(flags=["--depth=1", "--horizon=35", "--j0=33"], z_variant=False, expect=2)
 @example(flags=["--depth=2", "--horizon=20000", "--j0=100000"], z_variant=True, expect=2)
+# no diameter exceeds 2, so an eps of 2 or more certifies nothing
+@example(flags=["--depth=1", "--horizon=100", "--epsilon=2"], z_variant=False, expect=2)
 def test_tree_exit_code_contract(tmp_path_factory, flags, z_variant, expect):
     out = tmp_path_factory.mktemp("tree") / "t.json"
     argv = ["tree", *flags, "--out", str(out)] + ["--z-variant"] * z_variant
@@ -804,6 +883,7 @@ def test_tree_exit_code_contract(tmp_path_factory, flags, z_variant, expect):
 @_CONTRACT
 @given(flags=_flags(seed=[-1, 0, 7, 2**63], epsilon=_EPSILONS, j0=_J0S), expect=st.none())
 @example(flags=["--j0=100000"], expect=2)
+@example(flags=["--epsilon=2"], expect=2)
 def test_verify_exit_code_contract(tmp_path_factory, flags, expect):
     out = tmp_path_factory.mktemp("verify") / "v.json"
     code = _usage_exit_code(["verify", "--fast", *flags, "--out", str(out)])

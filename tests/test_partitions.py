@@ -18,7 +18,7 @@ from corona_lab import (
 )
 from corona_lab.operators import BlockStructure
 from corona_lab.partitions import FxProfile, break_windows
-from corona_lab.torus import circle_diameters
+from corona_lab.torus import SLACK, circle_diameters
 from corona_lab.tree import build_tree, generate_chain
 
 
@@ -171,14 +171,14 @@ def test_fx_profile_matches_brute_force():
 
 
 @st.composite
-def _runs_and_points(draw):
+def _runs_and_points(draw, phase=st.sampled_from([0.0, 1.0, 2.5, np.pi])):
     # a step function with few runs and a sparse set within its horizon;
-    # phases from a small set, so runs apart from each other can repeat one
+    # by default phases from a small set, so runs apart from each other can
+    # repeat one
     horizon = draw(st.integers(2, 300))
     inner = draw(st.sets(st.integers(1, horizon - 1), max_size=12))
     starts = [0, *sorted(inner)]
-    phases = draw(st.lists(st.sampled_from([0.0, 1.0, 2.5, np.pi]),
-                           min_size=len(starts), max_size=len(starts)))
+    phases = draw(st.lists(phase, min_size=len(starts), max_size=len(starts)))
     alpha = TorusElement.from_runs(starts, phases, horizon)
     points = draw(st.sets(st.integers(0, horizon), min_size=2, max_size=60))
     return alpha, SparseSet(np.array(sorted(points)))
@@ -223,6 +223,27 @@ def test_break_windows_match_every_window(case):
         assert j.tolist() == meets.tolist()
         assert lo.tolist() == alpha.run_index(s[j]).tolist()
         assert hi.tolist() == (alpha.run_index(e[j] - 1) + 1).tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_runs_and_points(phase=st.floats(0.0, 2 * np.pi)))
+def test_profiles_meet_the_union_bound(case):
+    # Δ_{I∪J} <= Δ_I + Δ_J + Δ_{i0 j0} on every double window of the profile
+    alpha, X = case
+    assert fx_profile(alpha, X).union_excess() <= SLACK
+
+
+def test_union_excess_is_the_largest_excess():
+    # entry 1 is 0.5 above 0.25 + 0.25 + 0.5; entries 0 and 2 are below theirs
+    prof = FxProfile(
+        d=np.array([0.5, 1.5, 0.0]),
+        d_single=np.array([0.25, 0.25, 0.25, 0.0]),
+        d_endpoints=np.array([0.5, 0.5, 0.0]),
+    )
+    assert prof.union_excess() == 0.5
+    below = FxProfile(np.array([0.5]), np.array([0.25, 0.25]), np.array([0.5]))
+    assert below.union_excess() == -0.5
+    assert FxProfile(np.zeros(0), np.zeros(1), np.zeros(0)).union_excess() == -np.inf
 
 
 def test_fx_profile_horizon_guard():

@@ -23,7 +23,7 @@ from corona_lab import (
 )
 from corona_lab import tree as tree_mod
 from corona_lab.cli import DEFAULT_SCHEDULE
-from corona_lab.partitions import n_of
+from corona_lab.partitions import FxProfile, n_of
 from corona_lab.torus import TWO_PI
 from corona_lab.tree import ScheduleEntry
 
@@ -383,6 +383,31 @@ def test_limit_stage_at_the_tightest_coherence_tolerance(horizon):
     assert worst == pytest.approx(0.1963, abs=1e-4)
 
 
+@pytest.mark.parametrize(
+    "kept, pair", [(0, "inputs 0 and 1"), (3, "beta and input 0")], ids=["pairs", "recheck"]
+)
+def test_limit_stage_checks_the_union_bound(monkeypatch, kept, pair):
+    # profiles without their endpoint terms, from call `kept` on: the first
+    # three profile the pairs, the next ones beta.  Element 1 jumps at points
+    # of level 0, whose intervals are single points, so there only the
+    # endpoint terms bound a double window
+    chain = generate_chain(2, 2000, [32, 36, 40])
+    tree = build_tree(chain)
+    branch = [tree.nodes[l] for l in ("", "1", "11")]
+    calls = []
+
+    def dropped_endpoints(alpha, X, profile=tree_mod.fx_profile):
+        prof = profile(alpha, X)
+        calls.append(alpha)
+        if len(calls) <= kept:
+            return prof
+        return FxProfile(prof.d, prof.d_single, np.zeros_like(prof.d_endpoints))
+
+    monkeypatch.setattr(tree_mod, "fx_profile", dropped_endpoints)
+    with pytest.raises(ConstructionError, match=f"^union bound exceeded by .* {pair} on level 0$"):
+        limit_stage(branch, chain.levels)
+
+
 def test_limit_stage_ignores_the_tolerance():
     # the thresholds are 1/k per block, whatever (eps, j0) the tree used
     chain = generate_chain(2, 2000, [32, 36, 40])
@@ -619,12 +644,14 @@ def test_build_tree_is_bitwise_the_pairwise_construction(depth, z_variant, tail)
     chain = generate_chain(depth, 5000, [32, 36, 40, 48][: max(depth, 1)])
     # a depth-0 tree has no witness to pass and no coherence pair to read j0
     j0 = int(tail) if tail != "past-w0" else _past_w0(chain) if depth else 0
+    # an eps that every tail max here stays below, so every certificate holds
+    eps = 1.99
     if depth == 0 and z_variant:
         # nor a schedule to bound its jumps by
         with pytest.raises(PreconditionViolation, match="no jump bound"):
-            build_tree(chain, z_variant=True, eps=2.5, j0=j0)
+            build_tree(chain, z_variant=True, eps=eps, j0=j0)
         return
-    tree = build_tree(chain, z_variant=z_variant, eps=2.5, j0=j0)
+    tree = build_tree(chain, z_variant=z_variant, eps=eps, j0=j0)
     nodes, tails, jumps = _pairwise_tree(chain, j0)
     assert list(tree.nodes) == list(nodes)
     for label, alpha in nodes.items():
