@@ -32,7 +32,7 @@ from .operators import (
 )
 from .partitions import check_tolerance, fx_profile
 from .torus import SLACK, RunList, TorusElement
-from .tree import build_tree, generate_chain, limit_stage, successor_witness
+from .tree import build_tree, generate_chain, limit_stage
 from .weak_units import (
     build_tent_unit,
     hyp_check,
@@ -340,8 +340,7 @@ def cmd_verify(args) -> int:
     else:
         # the union bound on every window of each witness against each level;
         # a NaN excess fails too
-        for t in range(chain.depth):
-            witness = successor_witness(chain, t)
+        for t, witness in enumerate(tree.witnesses):
             for n, level in enumerate(chain.levels):
                 if not fx_profile(witness, level).union_excess() <= SLACK:
                     failures.append(f"union bound {t}/{n}")

@@ -84,33 +84,82 @@ def check_tolerance(eps: float, j0: int) -> None:
 
 @dataclass(frozen=True)
 class FxProfile:
-    """Double-interval profile of a torus element against a sparse set.
+    """Double-interval profile of a torus element against a sparse set, as
+    sparse lists.
 
-    ``d[j]`` is the distance to constant-one over I(X,j) ∪ I(X,j+1),
-    ``d_single[j]`` over I(X,j) and ``d_endpoints[j]`` between the points
-    n(X,j) and n(X,j+1).  The (eps, j0) verdict is a finite-horizon proxy
+    ``windows`` counts the double windows I(X,j) ∪ I(X,j+1), which is also
+    the count of endpoint pairs (n(X,j), n(X,j+1)); there is one single
+    window I(X,j) more.  ``double``, ``single`` and ``endpoints`` each hold
+    ``(j, value)``: increasing distinct window indices and the distance to
+    constant-one on those windows (on the pair, for an endpoint entry).
+    Every window that meets a run break has an entry, and every window
+    without one is 0.0.  The (eps, j0) verdict is a finite-horizon proxy
     only: it says nothing about the limit condition past the truncation.
     """
 
-    d: np.ndarray
-    d_single: np.ndarray
-    d_endpoints: np.ndarray
+    windows: int
+    double: tuple
+    single: tuple
+    endpoints: tuple
+
+    @property
+    def d(self) -> np.ndarray:
+        """The double-window distances as one read-only dense array, built
+        on request for the benchmark's tracer; the package reads only the
+        entries."""
+        return _dense(self.windows, *self.double)
+
+    @property
+    def d_single(self) -> np.ndarray:
+        """The single-window distances as one read-only dense array, as
+        :attr:`d`."""
+        return _dense(self.windows + 1, *self.single)
 
     def in_fx(self, eps: float, j0: int) -> bool:
-        """Whether ``d[j0:] <= eps``, after ``check_tolerance(eps, j0)``."""
+        """Whether every double window from j0 on is within eps, after
+        ``check_tolerance(eps, j0)``; a j0 that leaves no window is refused,
+        as a verdict on no window would certify nothing."""
         check_tolerance(eps, j0)
-        return bool(np.all(self.d[j0:] <= eps))
+        if j0 >= self.windows:
+            raise PreconditionViolation(
+                f"j0={j0} leaves no window of a profile with {self.windows} windows"
+            )
+        j, v = self.double
+        # the windows past j0 without an entry are 0.0, within any eps
+        return bool(v[np.searchsorted(j, j0) :].max(initial=0.0) <= eps)
 
     def union_excess(self) -> float:
-        """The largest ``d[j] - (d_single[j] + d_single[j+1] + d_endpoints[j])``,
-        -inf on a profile with no window.
+        """The largest ``d[j] - (s[j] + s[j+1] + e[j])`` over the double
+        windows j, with d, s and e the double, single and endpoint
+        distances, -inf on a profile with no window.
 
         A double window is I(X,j) ∪ I(X,j+1) and the endpoint pair is the
         first point of each interval, so the union bound
         Δ_{I∪J} <= Δ_I + Δ_J + Δ_{i0 j0} makes every term at most 0, up to
-        rounding."""
-        rhs = self.d_single[:-1] + self.d_single[1:] + self.d_endpoints
-        return float((self.d - rhs).max(initial=-np.inf))
+        rounding.  Only the windows with an entry are evaluated; each other
+        window's term is 0.0 - (0.0 + 0.0 + 0.0), the initial max."""
+        n = self.windows
+        (dj, dv), (sj, sv), (ej, ev) = self.double, self.single, self.endpoints
+        # single window j is the first half of double window j, the second of j - 1
+        first, second = sj < n, sj > 0
+        at = sorted_unique(np.concatenate((dj, sj[first], sj[second] - 1, ej)))
+
+        def on(j, v):
+            out = np.zeros(at.size)
+            out[np.searchsorted(at, j)] = v
+            return out
+
+        rhs = on(sj[first], sv[first]) + on(sj[second] - 1, sv[second]) + on(ej, ev)
+        excess = on(dj, dv) - rhs
+        return float(excess.max(initial=0.0 if at.size < n else -np.inf))
+
+
+def _dense(size: int, j: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``size`` zeros with ``v`` at ``j``, read-only."""
+    out = np.zeros(size)
+    out[j] = v
+    out.setflags(write=False)
+    return out
 
 
 def break_windows(grid: np.ndarray, pts: np.ndarray, span: int):
@@ -139,32 +188,34 @@ def fx_profile(alpha: TorusElement, X: SparseSet) -> FxProfile:
 
     Each window's distance is the diameter of the runs of ``alpha`` that it
     meets, and only the windows that :func:`break_windows` finds meet two
-    runs; every other entry is 0.0.  So a profile costs O(runs * log h)
-    besides filling its dense arrays, and an endpoint distance is computed
-    only for a pair of points with a run start between them."""
+    runs, so only those get an entry; every other window is 0.0.  An
+    endpoint distance is computed only for a pair of points with a run
+    start between them.  So a profile costs O(runs * log h), whatever the
+    number of points."""
     pts = X.enumeration
     if int(pts[-1]) > alpha.horizon:
         raise HorizonTooSmall(
             f"sparse set ends at {int(pts[-1])} past horizon {alpha.horizon}",
             min_horizon=int(pts[-1]),
         )
-    d = _window_diameters(alpha, pts, 2)
-    d_single = _window_diameters(alpha, pts, 1)
     # pair j = (pts[j], pts[j + 1]) spans two runs only if a run starts in
-    # (pts[j], pts[j + 1]]; every other pair lies in one run and keeps 0.0
-    d_endpoints = np.zeros(pts.size - 2)
-    j = np.searchsorted(pts, alpha.starts[1:], side="left") - 1
-    j = j[j < d_endpoints.size]
+    # (pts[j], pts[j + 1]]; two run starts can fall in one pair
+    j = sorted_unique(np.searchsorted(pts, alpha.starts[1:], side="left") - 1)
+    j = j[j < pts.size - 2]
     # one exp per run, not per point
     v = np.exp(1j * alpha.run_phases)
-    d_endpoints[j] = np.abs(v[alpha.run_index(pts[j])] - v[alpha.run_index(pts[j + 1])])
-    return FxProfile(d=d, d_single=d_single, d_endpoints=d_endpoints)
+    endpoints = j, np.abs(v[alpha.run_index(pts[j])] - v[alpha.run_index(pts[j + 1])])
+    return FxProfile(
+        windows=pts.size - 2,
+        double=_window_diameters(alpha, pts, 2),
+        single=_window_diameters(alpha, pts, 1),
+        endpoints=endpoints,
+    )
 
 
-def _window_diameters(alpha: TorusElement, pts: np.ndarray, span: int) -> np.ndarray:
-    """The diameters of ``alpha`` on every window [pts[j], pts[j + span]),
-    the runs of ``alpha`` taken as the cells."""
-    d = np.zeros(pts.size - span)
+def _window_diameters(alpha: TorusElement, pts: np.ndarray, span: int):
+    """``(j, diameters)``: the windows [pts[j], pts[j + span]) that meet a
+    run break of ``alpha``, and the diameters of ``alpha`` on them, the runs
+    of ``alpha`` taken as the cells."""
     j, lo, hi = break_windows(alpha.starts, pts, span)
-    d[j] = circle_diameters(alpha.run_phases, lo, hi)
-    return d
+    return j, circle_diameters(alpha.run_phases, lo, hi)

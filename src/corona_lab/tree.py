@@ -230,6 +230,10 @@ def limit_stage(alphas, levels, eps: float = 0.1, j0: int = 10):
        1/k between ``beta`` and ``alphas[n]``, k being the pair's block.
        ``worst`` is the largest distance times k.
 
+    Steps 1 and 3 read the profiles' sparse entries only, since a pair
+    without one is 0.0 apart, so the stage costs O(runs * log h), whatever
+    the number of level points.
+
     The coherence of each pair n < k at (eps, j0) is checked first, on the
     difference ``alphas[n] * alphas[k]^-1`` that :func:`build_tree`
     certifies.  A failed recheck raises :class:`ConstructionError` naming
@@ -260,10 +264,19 @@ def limit_stage(alphas, levels, eps: float = 0.1, j0: int = 10):
         _check_union_bound(prof, f"beta and input {n}", n)
         pts = levels[n].enumeration
         # pairs j (and intervals j) from the one crossing into block n+1 on,
-        # each in the block of its left point, the crossing pair in n+1
-        j = np.arange(np.searchsorted(pts, bounds[n + 1]) - 1, pts.size - 2)
+        # short of the last, each in the block of its left point, the
+        # crossing pair in n+1; a pair without an entry is 0.0 apart on both
+        # counts, within every 1/k and adding 0.0 to the initial max
+        first = np.searchsorted(pts, bounds[n + 1]) - 1
+        (sj, sv), (ej, ev) = prof.single, prof.endpoints
+        s = (sj >= first) & (sj < prof.windows)
+        e = ej >= first
+        j = sorted_unique(np.concatenate((sj[s], ej[e])))
+        d_single, d_endpoints = np.zeros(j.size), np.zeros(j.size)
+        d_single[np.searchsorted(j, sj[s])] = sv[s]
+        d_endpoints[np.searchsorted(j, ej[e])] = ev[e]
         k = np.maximum(np.searchsorted(bounds, pts[j], side="right") - 1, n + 1)
-        d = np.maximum(prof.d_single[j], prof.d_endpoints[j])
+        d = np.maximum(d_single, d_endpoints)
         bad = np.nonzero(d >= 1.0 / k)[0]
         if bad.size:
             at = bad[0]
@@ -299,15 +312,17 @@ def _sparsify_limit(profiles, levels) -> SparseSet:
         last_bad = 0
         for n in range(k):
             prof = profiles[n, k]
-            bad = np.nonzero((prof.d_single[:-1] >= th) | (prof.d_endpoints >= th))[0]
+            (sj, sv), (ej, ev) = prof.single, prof.endpoints
+            bad = np.concatenate((sj[(sv >= th) & (sj < prof.windows)], ej[ev >= th]))
             if bad.size:
                 last_bad = max(last_bad, int(levels[n].enumeration[bad.max() + 1]))
-        cands = last_pts[(last_pts > prev) & (last_pts > last_bad)]
-        if cands.size == 0:
+        # the first point of the last level past both prev and last_bad
+        at = np.searchsorted(last_pts, max(prev, last_bad), side="right")
+        if at == last_pts.size:
             raise HorizonTooSmall(
                 f"no boundary candidate for block {k} within horizon"
             )
-        prev = int(cands[0])
+        prev = int(last_pts[at])
         bounds.append(prev)
     final = int(last_pts[-1])
     if final <= prev:
@@ -343,9 +358,11 @@ def _merge_limit(alphas, x_inf: SparseSet) -> TorusElement:
 @dataclass(frozen=True)
 class CoherenceTree:
     """``nodes`` maps each label, a string of 0s and 1s whose length is its
-    level, to its element."""
+    level, to its element; ``witnesses[t]`` is the chain's witness of
+    transition t, which the tree multiplies in at level t."""
 
     nodes: dict
+    witnesses: tuple
     certificates: tuple
     eps: float
     j0: int
@@ -501,5 +518,10 @@ def build_tree(
                     f"jump bound failed at node {label!r}: {max_jump} > {bound}"
                 )
     return CoherenceTree(
-        nodes=nodes, certificates=tuple(certs), eps=eps, j0=j0, z_variant=z_variant
+        nodes=nodes,
+        witnesses=tuple(witnesses),
+        certificates=tuple(certs),
+        eps=eps,
+        j0=j0,
+        z_variant=z_variant,
     )

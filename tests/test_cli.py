@@ -637,12 +637,11 @@ def _endpoints_shifted(alpha, X, profile=partitions.fx_profile):
     # start s is searchsorted(pts, s), its "- 1" dropped
     prof = profile(alpha, X)
     pts = X.enumeration
-    d_endpoints = np.zeros_like(prof.d_endpoints)
-    j = np.searchsorted(pts, alpha.starts[1:], side="left")
-    j = j[j < d_endpoints.size]
+    j = sorted_unique(np.searchsorted(pts, alpha.starts[1:], side="left"))
+    j = j[j < prof.windows]
     v = np.exp(1j * alpha.run_phases)
-    d_endpoints[j] = np.abs(v[alpha.run_index(pts[j])] - v[alpha.run_index(pts[j + 1])])
-    return FxProfile(prof.d, prof.d_single, d_endpoints)
+    endpoints = j, np.abs(v[alpha.run_index(pts[j])] - v[alpha.run_index(pts[j + 1])])
+    return FxProfile(prof.windows, prof.double, prof.single, endpoints)
 
 
 @pytest.mark.parametrize("fast", [["--fast"], []], ids=["fast", "full"])
@@ -670,6 +669,21 @@ def test_verify_fails_on_a_wrong_window_finder(
     ]
     # the limit stage's own profiles catch the shifted endpoints too
     assert all(f.startswith(("union bound ", "limit stage: union bound ")) for f in failures)
+
+
+def test_verify_builds_each_witness_once(tmp_path, monkeypatch):
+    # the union check reads the witnesses the tree already built
+    calls = []
+    witness = tree_mod.successor_witness
+
+    def counted(chain, t):
+        calls.append(t)
+        return witness(chain, t)
+
+    monkeypatch.setattr(tree_mod, "successor_witness", counted)
+    out = tmp_path / "v.json"
+    assert run(["verify", "--fast", "--out", str(out)]) == 0
+    assert calls == [0, 1]
 
 
 def _halved(unit, qs):

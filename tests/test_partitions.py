@@ -27,6 +27,42 @@ def interval(X, j):
     return range(n_of(X, j), n_of(X, j + 1))
 
 
+def _sparse(d, d_single, d_endpoints):
+    """The profile whose dense arrays are ``d``, ``d_single`` and
+    ``d_endpoints``, with an entry at each nonzero (or NaN) window."""
+
+    def entries(x):
+        j = np.flatnonzero(x)
+        return j, np.asarray(x, dtype=float)[j]
+
+    return FxProfile(len(d), entries(d), entries(d_single), entries(d_endpoints))
+
+
+def _endpoints(prof):
+    """The endpoint distances of ``prof`` as one dense array."""
+    out = np.zeros(prof.windows)
+    out[prof.endpoints[0]] = prof.endpoints[1]
+    return out
+
+
+def _dense_profile(alpha, X):
+    """The dense (d, d_single, d_endpoints) of ``alpha`` on ``X``, one float
+    per window, as fx_profile filled them before its profiles were sparse."""
+    pts = X.enumeration
+    dense = []
+    for span in (2, 1):
+        d = np.zeros(pts.size - span)
+        j, lo, hi = break_windows(alpha.starts, pts, span)
+        d[j] = circle_diameters(alpha.run_phases, lo, hi)
+        dense.append(d)
+    d_endpoints = np.zeros(pts.size - 2)
+    j = np.searchsorted(pts, alpha.starts[1:], side="left") - 1
+    j = j[j < d_endpoints.size]
+    v = np.exp(1j * alpha.run_phases)
+    d_endpoints[j] = np.abs(v[alpha.run_index(pts[j])] - v[alpha.run_index(pts[j + 1])])
+    return (*dense, d_endpoints)
+
+
 def test_sparse_set_validation():
     with pytest.raises(PreconditionViolation):
         SparseSet(np.array([5]))
@@ -60,9 +96,9 @@ def test_integer_arguments_are_refused_not_truncated(build, message):
     [
         (lambda: build_tree(generate_chain(1, 3000, [32]), j0=2.5), "j0 must be an integer"),
         (lambda: build_tree(generate_chain(1, 3000, [32]), eps=True), "eps must be a number"),
-        (lambda: FxProfile(np.zeros(3), np.zeros(3), np.zeros(3)).in_fx(0.1, 2.5),
+        (lambda: _sparse(np.zeros(3), np.zeros(4), np.zeros(3)).in_fx(0.1, 2.5),
          "j0 must be an integer"),
-        (lambda: FxProfile(np.zeros(3), np.zeros(3), np.zeros(3)).in_fx(0.1, True),
+        (lambda: _sparse(np.zeros(3), np.zeros(4), np.zeros(3)).in_fx(0.1, True),
          "j0 must be an integer"),
     ],
     ids=["tree-j0", "tree-eps-bool", "in-fx-j0", "in-fx-j0-bool"],
@@ -160,13 +196,14 @@ def test_fx_profile_matches_brute_force():
         d = delta_one(alpha, range(int(pts[j]), int(pts[j + 2])))
         assert prof.d[j] == pytest.approx(d, abs=1e-12)
     # split/joint consistency (union bound instance)
+    d_endpoints = _endpoints(prof)
     for j in range(pts.size - 2):
         assert prof.d_single[j] <= prof.d[j] + 1e-12
         assert prof.d_single[j + 1] <= prof.d[j] + 1e-12
-        assert prof.d_endpoints[j] <= prof.d[j] + 1e-12
+        assert d_endpoints[j] <= prof.d[j] + 1e-12
         assert (
             prof.d[j]
-            <= prof.d_single[j] + prof.d_single[j + 1] + prof.d_endpoints[j] + 1e-12
+            <= prof.d_single[j] + prof.d_single[j + 1] + d_endpoints[j] + 1e-12
         )
 
 
@@ -192,7 +229,7 @@ def test_split_endpoints_match_dense_formula(case):
     pts = X.enumeration
     v = np.exp(1j * alpha.run_phases)[alpha.run_index(pts[:-1])]
     dense = np.abs(v[:-1] - v[1:])
-    got = fx_profile(alpha, X).d_endpoints
+    got = _endpoints(fx_profile(alpha, X))
     assert got.dtype == dense.dtype and got.tobytes() == dense.tobytes()
 
 
@@ -235,15 +272,66 @@ def test_profiles_meet_the_union_bound(case):
 
 def test_union_excess_is_the_largest_excess():
     # entry 1 is 0.5 above 0.25 + 0.25 + 0.5; entries 0 and 2 are below theirs
-    prof = FxProfile(
+    prof = _sparse(
         d=np.array([0.5, 1.5, 0.0]),
         d_single=np.array([0.25, 0.25, 0.25, 0.0]),
         d_endpoints=np.array([0.5, 0.5, 0.0]),
     )
     assert prof.union_excess() == 0.5
-    below = FxProfile(np.array([0.5]), np.array([0.25, 0.25]), np.array([0.5]))
+    below = _sparse(np.array([0.5]), np.array([0.25, 0.25]), np.array([0.5]))
     assert below.union_excess() == -0.5
-    assert FxProfile(np.zeros(0), np.zeros(1), np.zeros(0)).union_excess() == -np.inf
+    assert _sparse(np.zeros(0), np.zeros(1), np.zeros(0)).union_excess() == -np.inf
+    # a window without an entry adds its 0.0, above every negative excess
+    # (window 2 here; windows 0 and 1 read -0.5 and -0.25)
+    gap = _sparse(
+        np.array([0.5, 0.0, 0.0]), np.array([0.25, 0.25, 0.0, 0.0]), np.array([0.5, 0.0, 0.0])
+    )
+    assert gap.single[0].tolist() == [0, 1] and gap.union_excess() == 0.0
+
+
+def test_in_fx_refuses_a_j0_past_every_window():
+    # a verdict on no window would hold for any element, certifying nothing
+    prof = _sparse(np.array([0.0, 0.0, 1.5]), np.zeros(4), np.zeros(3))
+    assert prof.in_fx(0.1, 0) is False and prof.in_fx(0.1, 2) is False
+    for j0 in (3, 10**9):
+        with pytest.raises(
+            PreconditionViolation, match=f"^j0={j0} leaves no window of a profile with 3 windows$"
+        ):
+            prof.in_fx(0.1, j0)
+    with pytest.raises(PreconditionViolation, match="with 0 windows"):
+        _sparse(np.zeros(0), np.zeros(1), np.zeros(0)).in_fx(1.0, 0)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_runs_and_points(phase=st.sampled_from([0.0, 1.0, 2.5, np.pi, np.nan])))
+# no window: the excess is -inf
+@example(case=(TorusElement.from_runs([0, 3], [0.0, np.pi], 8), SparseSet(np.array([0, 5]))))
+# no run break: every window is 0.0, and so is the excess
+@example(case=(TorusElement.from_runs([0], [2.5], 9), SparseSet(np.array([2, 4, 9]))))
+# a NaN phase propagates to the excess
+@example(case=(TorusElement.from_runs([0, 3], [0.0, np.nan], 8), SparseSet(np.array([2, 4, 8]))))
+def test_sparse_profile_matches_the_dense_oracle(case):
+    # the dense views, the endpoint entries, the union excess and every
+    # in_fx verdict bitwise those of one float per window
+    alpha, X = case
+    d, d_single, d_endpoints = _dense_profile(alpha, X)
+    prof = fx_profile(alpha, X)
+    assert prof.windows == d.size
+    assert _same_bits(prof.d, d) and _same_bits(prof.d_single, d_single)
+    assert not prof.d.flags.writeable and not prof.d_single.flags.writeable
+    for j, v in (prof.double, prof.single, prof.endpoints):
+        assert j.size == v.size and np.all(np.diff(j) > 0)
+    assert _same_bits(_endpoints(prof), d_endpoints)
+    want = (d - (d_single[:-1] + d_single[1:] + d_endpoints)).max(initial=-np.inf)
+    assert _same_bits(prof.union_excess(), want)
+    for j0 in range(d.size):
+        for eps in (0.0, 0.5, 1.0, 1.99):
+            assert prof.in_fx(eps, j0) == bool(np.all(d[j0:] <= eps))
 
 
 def test_fx_profile_horizon_guard():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -401,11 +402,135 @@ def test_limit_stage_checks_the_union_bound(monkeypatch, kept, pair):
         calls.append(alpha)
         if len(calls) <= kept:
             return prof
-        return FxProfile(prof.d, prof.d_single, np.zeros_like(prof.d_endpoints))
+        no_entries = np.empty(0, dtype=np.int64), np.empty(0)
+        return FxProfile(prof.windows, prof.double, prof.single, no_entries)
 
     monkeypatch.setattr(tree_mod, "fx_profile", dropped_endpoints)
     with pytest.raises(ConstructionError, match=f"^union bound exceeded by .* {pair} on level 0$"):
         limit_stage(branch, chain.levels)
+
+
+def _dense_limit_stage(alphas, levels):
+    """(beta, x_inf, worst) by the sparsify and recheck steps of limit_stage
+    as they read one float per window of dense profiles, before profiles
+    were sparse; the coherence and union-bound checks are left out."""
+
+    def dense(prof):
+        d_endpoints = np.zeros(prof.windows)
+        d_endpoints[prof.endpoints[0]] = prof.endpoints[1]
+        return prof.d_single, d_endpoints
+
+    K = len(alphas)
+    last_pts = levels[-1].elements
+    bounds, prev = [], 0
+    for k in range(1, K):
+        th, last_bad = 1.0 / k, 0
+        for n in range(k):
+            d_single, d_endpoints = dense(fx_profile(alphas[n].mul(alphas[k].inverse()), levels[n]))
+            bad = np.nonzero((d_single[:-1] >= th) | (d_endpoints >= th))[0]
+            if bad.size:
+                last_bad = max(last_bad, int(levels[n].enumeration[bad.max() + 1]))
+        prev = int(last_pts[(last_pts > prev) & (last_pts > last_bad)][0])
+        bounds.append(prev)
+    bounds.append(int(last_pts[-1]))
+    x_inf = SparseSet(np.asarray(bounds, dtype=np.int64))
+    beta = tree_mod._merge_limit(alphas, x_inf)
+    bounds, worst = x_inf.enumeration, 0.0
+    for n in range(K - 1):
+        d_single, d_endpoints = dense(fx_profile(beta.mul(alphas[n].inverse()), levels[n]))
+        pts = levels[n].enumeration
+        j = np.arange(np.searchsorted(pts, bounds[n + 1]) - 1, pts.size - 2)
+        k = np.maximum(np.searchsorted(bounds, pts[j], side="right") - 1, n + 1)
+        d = np.maximum(d_single[j], d_endpoints[j])
+        assert not np.any(d >= 1.0 / k)
+        worst = max(worst, float((d * k).max(initial=0.0)))
+    return beta, x_inf, worst
+
+
+def _branches(depth, horizon, z_variant):
+    chain = generate_chain(depth, horizon, DEFAULT_SCHEDULE[:depth])
+    tree = build_tree(chain, z_variant=z_variant)
+    leaves = [l for l in tree.nodes if len(l) == depth]
+    return chain, [[tree.nodes[leaf[:n]] for n in range(depth + 1)] for leaf in leaves]
+
+
+@pytest.mark.parametrize(
+    "depth, horizon, z_variant, all_branches",
+    [(2, 20000, True, False), (3, 100000, False, True), (3, 100000, True, True)],
+    ids=["verify-branch", "depth-3", "depth-3-z"],
+)
+def test_limit_stage_is_bitwise_the_dense_oracle(depth, horizon, z_variant, all_branches):
+    # the sparse sparsify and recheck read only the profiles' entries; the
+    # blocks, the glued element and worst are bitwise those of every window
+    chain, branches = _branches(depth, horizon, z_variant)
+    if not all_branches:
+        branches = [branches[-1]]  # the all-ones branch, as verify checks it
+    for branch in branches:
+        beta, x_inf, worst = limit_stage(branch, chain.levels)
+        want_beta, want_x, want_worst = _dense_limit_stage(branch, chain.levels)
+        assert beta.starts.tobytes() == want_beta.starts.tobytes()
+        assert beta.run_phases.tobytes() == want_beta.run_phases.tobytes()
+        assert x_inf.elements.tolist() == want_x.elements.tolist()
+        assert np.float64(worst).tobytes() == np.float64(want_worst).tobytes()
+
+
+def test_limit_stage_skips_the_interval_at_the_truncation():
+    # element 1 swings by 0.6 inside the last interval of level 0, which ends
+    # at the truncation and is not rechecked; every other pair is 0.0 apart
+    X0, X1 = SparseSet(np.array([4, 8, 12, 16])), SparseSet(np.array([8, 16]))
+    alphas = [constant_one(17), TorusElement.from_runs([0, 13, 15], [0.0, 0.3, 0.6], 17)]
+    beta, x_inf, worst = limit_stage(alphas, [X0, X1], eps=0.65, j0=0)
+    assert x_inf.elements.tolist() == [8, 16] and worst == 0.0
+    assert _dense_limit_stage(alphas, [X0, X1])[2] == 0.0
+
+
+def test_limit_stage_refuses_a_j0_past_every_window():
+    # verify's branch with a last element that is not coherent with the
+    # root: a j0 past every window of the pair's profile certified it before
+    chain = generate_chain(2, 20000, DEFAULT_SCHEDULE[:3])
+    tree = build_tree(chain, z_variant=True)
+    branch = [tree.nodes[l] for l in ("", "1", "11")]
+    branch[-1] = branch[-1].mul(TorusElement.from_runs([0, 5000], [0.0, 3.0], 20000))
+    with pytest.raises(PreconditionViolation, match="^inputs 0 and 2 not coherent"):
+        limit_stage(branch, chain.levels, j0=10)
+    with pytest.raises(
+        PreconditionViolation,
+        match="^j0=1000000000 leaves no window of a profile with 19998 windows$",
+    ):
+        limit_stage(branch, chain.levels, j0=10**9)
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_profiles_and_the_limit_stage_scale_with_run_breaks():
+    # at h = 2e6, level 0 has 2e6 points; a dense profile of it held 76 MB
+    # and the limit stage peaked at 236 MB
+    chain = generate_chain(2, 2_000_000, DEFAULT_SCHEDULE[:3])
+    tree = build_tree(chain, z_variant=True)
+    branch = [tree.nodes[l] for l in ("", "1", "11")]
+    assert _traced_peak_mb(lambda: limit_stage(branch, chain.levels)) < 1.0
+    peak = _traced_peak_mb(
+        lambda: fx_profile(successor_witness(chain, 0), chain.levels[0]).union_excess()
+    )
+    assert peak < 0.1
+
+
+def test_tree_keeps_the_witnesses_it_multiplies():
+    chain = generate_chain(3, 5000, [32, 36, 40])
+    tree = build_tree(chain)
+    assert len(tree.witnesses) == chain.depth
+    for t, w in enumerate(tree.witnesses):
+        want = successor_witness(chain, t)
+        assert w.starts.tobytes() == want.starts.tobytes() and w.horizon == want.horizon
+        assert w.run_phases.tobytes() == want.run_phases.tobytes()
+    assert "witnesses" not in tree.to_json()
 
 
 def test_limit_stage_ignores_the_tolerance():
