@@ -77,13 +77,14 @@ def _encode(x, level: int, out: list, memo: dict) -> None:
     """Append the text of ``json.dumps(x, indent=2, sort_keys=True)``, nested
     ``level`` deep, to ``out`` in pieces.
 
-    ``memo`` maps each :class:`RunList` run value formatted so far to its
-    text, and ``(id(runlist), level)`` of each RunList encoded so far to the
-    slice of ``out`` its pieces fill: a RunList met again at the same level,
-    as tree nodes that hold one element share one, appends those pieces
-    again.  A list of ints only (a tree level) is formatted by one ``%``.
-    In other dicts and lists each scalar is formatted once and joins the
-    text before it, so a dict of scalars (a certificate) is one piece.
+    A :class:`RunList` is formatted into one string, one text per run, and
+    ``memo`` maps each run value formatted so far to its text, and
+    ``(id(runlist), level)`` of each RunList met so far to its string: a
+    RunList met again at the same level, as tree nodes that hold one element
+    share one, appends that same string again.  A list of ints only (a tree
+    level) is formatted by one ``%``.  In other dicts and lists each scalar
+    is formatted once and joins the text before it, so a dict of scalars (a
+    certificate) is one piece.
     """
     if not isinstance(x, (list, tuple, dict, RunList)):
         text = _scalar(x)
@@ -97,25 +98,23 @@ def _encode(x, level: int, out: list, memo: dict) -> None:
     pad = "\n" + "  " * (level + 1)
     end = "\n" + "  " * level
     if isinstance(x, RunList):
-        span = memo.get((id(x), level))
-        if span is not None:
-            out += out[span[0] : span[1]]
-            return
-        start = len(out)
-        out.append("[" + pad)
-        # one piece per run; the last item takes no separator
-        sep = "," + pad
-        values, counts = x.runs
-        for value, count in zip(values, counts):
-            text = memo.get(value)
-            if text is None:
-                text = _float(value)
-                if value:  # 0.0 and -0.0 are one key with two texts
-                    memo[value] = text
-            out.append((text + sep) * count)
-        out[-1] = out[-1][: -len(sep)]
-        out.append(end + "]")
-        memo[id(x), level] = (start, len(out))
+        text = memo.get((id(x), level))
+        if text is None:
+            # one piece per run; the last item takes no separator
+            sep = "," + pad
+            pieces = ["[" + pad]
+            values, counts = x.runs
+            for value, count in zip(values, counts):
+                item = memo.get(value)
+                if item is None:
+                    item = _float(value)
+                    if value:  # 0.0 and -0.0 are one key with two texts
+                        memo[value] = item
+                pieces.append((item + sep) * count)
+            pieces[-1] = pieces[-1][: -len(sep)]
+            pieces.append(end + "]")
+            text = memo[id(x), level] = "".join(pieces)
+        out.append(text)
         return
     keyed = isinstance(x, dict)
     if not keyed and set(map(type, x)) == {int}:
@@ -144,9 +143,10 @@ def _encode(x, level: int, out: list, memo: dict) -> None:
 def _emit(doc: dict, out: str | None) -> None:
     """Write ``doc`` as ``json.dumps(doc, indent=2, sort_keys=True)`` would,
     byte for byte.  A :class:`RunList` costs one formatted text per run,
-    not per item, and none where it is met again at the same level.  Its
-    ints were computed here, not parsed, so Python's limit on the digits of
-    an int as text, where it has one, is lifted while it is formatted."""
+    not per item, joined into one string, which is written again wherever
+    the RunList is met again at the same level.  Its ints were computed
+    here, not parsed, so Python's limit on the digits of an int as text,
+    where it has one, is lifted while it is formatted."""
     pieces = []
     digits = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
     if digits:
@@ -473,6 +473,11 @@ def main(argv=None) -> int:
         return args.fn(args)
     except CoronaLabError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # an --out that cannot be written, such as one in a missing directory
+        # or naming a directory: invalid input, not a failed check
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         # a configuration too large for this machine, such as a huge horizon

@@ -191,7 +191,8 @@ def fx_profile(alpha: TorusElement, X: SparseSet) -> FxProfile:
     runs, so only those get an entry; every other window is 0.0.  An
     endpoint distance is computed only for a pair of points with a run
     start between them.  So a profile costs O(runs * log h), whatever the
-    number of points."""
+    number of points, and one exponential per run, which the single
+    windows, the double windows and the endpoint pairs share."""
     pts = X.enumeration
     if int(pts[-1]) > alpha.horizon:
         raise HorizonTooSmall(
@@ -202,20 +203,20 @@ def fx_profile(alpha: TorusElement, X: SparseSet) -> FxProfile:
     # (pts[j], pts[j + 1]]; two run starts can fall in one pair
     j = sorted_unique(np.searchsorted(pts, alpha.starts[1:], side="left") - 1)
     j = j[j < pts.size - 2]
-    # one exp per run, not per point
     v = np.exp(1j * alpha.run_phases)
     endpoints = j, np.abs(v[alpha.run_index(pts[j])] - v[alpha.run_index(pts[j + 1])])
     return FxProfile(
         windows=pts.size - 2,
-        double=_window_diameters(alpha, pts, 2),
-        single=_window_diameters(alpha, pts, 1),
+        double=_window_diameters(alpha.starts, v, pts, 2),
+        single=_window_diameters(alpha.starts, v, pts, 1),
         endpoints=endpoints,
     )
 
 
-def _window_diameters(alpha: TorusElement, pts: np.ndarray, span: int):
+def _window_diameters(starts: np.ndarray, values: np.ndarray, pts: np.ndarray, span: int):
     """``(j, diameters)``: the windows [pts[j], pts[j + span]) that meet a
-    run break of ``alpha``, and the diameters of ``alpha`` on them, the runs
-    of ``alpha`` taken as the cells."""
-    j, lo, hi = break_windows(alpha.starts, pts, span)
-    return j, circle_diameters(alpha.run_phases, lo, hi)
+    run break of a step function whose runs start at ``starts`` and hold the
+    unit ``values``, and its diameters on them, the runs taken as the
+    cells."""
+    j, lo, hi = break_windows(starts, pts, span)
+    return j, circle_diameters(values, lo, hi)

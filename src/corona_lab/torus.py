@@ -10,7 +10,7 @@ diameter of the value set on those indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, product, repeat
 from math import prod
 
@@ -190,7 +190,7 @@ def delta_set(alpha: TorusElement, beta: TorusElement, I) -> float:
     on ``I``."""
     idx = as_indices(I)
     gamma = alpha.phase_at(idx) - beta.phase_at(idx)
-    return float(circle_diameters(gamma, [0], [gamma.size])[0])
+    return float(circle_diameters(np.exp(1j * gamma), [0], [gamma.size])[0])
 
 
 def delta_one(alpha: TorusElement, I) -> float:
@@ -198,10 +198,12 @@ def delta_one(alpha: TorusElement, I) -> float:
     return delta_set(alpha, constant_one(1), I)
 
 
-def circle_diameters(phases, starts, ends) -> np.ndarray:
-    """Diameter of {exp(i*phases[..., k]) : s <= k < e} for every window
-    [s, e), in each row of ``phases`` (shape (..., N)); the result has shape
-    (..., number of windows).
+def circle_diameters(values, starts, ends) -> np.ndarray:
+    """Diameter of {values[..., k] : s <= k < e} for every window [s, e), in
+    each row of the unit values ``values`` (complex, shape (..., N)); the
+    result has shape (..., number of windows).  Callers pass
+    ``np.exp(1j * phases)``, so each exponential is taken once however many
+    windows read it.
 
     Every distance Delta_I of the package is such a diameter, because
     |alpha(i) conj(alpha(j)) - beta(i) conj(beta(j))| = |gamma(i) - gamma(j)|
@@ -212,36 +214,48 @@ def circle_diameters(phases, starts, ends) -> np.ndarray:
     that meet a run break.  A constant window still gets 0.0 from the
     pairwise maximum, and a window of one sample or none keeps 0.0.  The
     windows are short, so distances are computed pairwise, grouped by window
-    length (the lengths found by :func:`sorted_unique`), in batches of at
-    most :data:`DIAMETER_CHUNK` distances over all rows (or one row of one
-    window, where that is longer).  A maximum does not depend on the order
-    of its terms, so each row's diameters are bitwise those of a call on that
-    row alone.
+    length L (the lengths found by :func:`sorted_unique`): each unordered
+    pair a < b of a window once, as |v_a - v_b|, which is bitwise
+    |v_b - v_a|, in batches of at most :data:`DIAMETER_CHUNK` distances over
+    all rows (or pairs of one row of one window, where that has more).  A
+    maximum does not depend on the order of its terms, so each row's
+    diameters are bitwise those of a call on that row alone.
     """
-    phases = np.asarray(phases, dtype=float)
-    rows = phases.reshape(prod(phases.shape[:-1]), phases.shape[-1])
+    values = np.asarray(values)
+    if values.dtype.kind != "c":
+        raise PreconditionViolation("circle_diameters takes unit values exp(1j * phases)")
+    rows = values.reshape(prod(values.shape[:-1]), values.shape[-1])
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
     lengths = ends - starts
     diam = np.zeros((rows.shape[0], starts.size))
-    # e[k] holds exp(i phase) of sample k in every row
-    e = np.exp(1j * rows.T)
     for L in sorted_unique(lengths[lengths > 1]):
         win = np.nonzero(lengths == L)[0]
         # v[k] holds sample k of each line, one line per (window, row), so
-        # the distances of many short lines are reduced along their last axis
-        v = e[starts[win] + np.arange(L)[:, None]].reshape(L, -1)
+        # the distances of many short lines are reduced along their first axis
+        v = rows.T[starts[win] + np.arange(L)[:, None]].reshape(L, -1)
         d = np.zeros(v.shape[1])
-        # a batch holds whole lines while they fit, else rows of one line
-        chunk = max(1, DIAMETER_CHUNK // L)
-        per = max(1, chunk // L)
+        a, b = _pairs(int(L))
+        # a batch holds every pair of whole lines while they fit, else some
+        # pairs of one line
+        per = max(1, DIAMETER_CHUNK // a.size)
         for w0 in range(0, d.size, per):
-            vw, dw = v[:, w0 : w0 + per], d[w0 : w0 + per]
-            for r0 in range(0, L, chunk):
-                dist = np.abs(vw[r0 : r0 + chunk, None] - vw[None])
-                np.maximum(dw, dist.max(axis=(0, 1)), out=dw)
+            lines, dw = slice(w0, w0 + per), d[w0 : w0 + per]
+            for p0 in range(0, a.size, DIAMETER_CHUNK):
+                pa, pb = a[p0 : p0 + DIAMETER_CHUNK], b[p0 : p0 + DIAMETER_CHUNK]
+                np.maximum(dw, np.abs(v[pa, lines] - v[pb, lines]).max(axis=0), out=dw)
         diam[:, win] = d.reshape(win.size, rows.shape[0]).T
-    return diam.reshape(phases.shape[:-1] + (starts.size,))
+    return diam.reshape(values.shape[:-1] + (starts.size,))
+
+
+@lru_cache(maxsize=64)
+def _pairs(L: int):
+    """The unordered pairs a < b of ``range(L)``, as ``np.triu_indices(L, 1)``,
+    read-only, since every call for L shares them."""
+    pairs = np.triu_indices(L, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
 
 
 def ranked_subsets(u: np.ndarray, horizon: int) -> np.ndarray:

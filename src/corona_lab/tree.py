@@ -408,8 +408,13 @@ def build_tree(
     with its low cut bits cleared.  So each cut profiles every 2^cut-th row,
     as mod(mod(-z)), the float steps of :meth:`TorusElement.inverse` and of
     a product with the root, on the windows past j0 that meet a grid break,
-    and t reads the profile of row(t) >> cut: 2^(depth+1) - 2 rows for the
-    2^(depth+1)(depth-1) + 2 certificates.
+    and t reads the profile of row(t) >> cut: 2^(depth+1) - 2 profiled rows
+    for the 2^(depth+1)(depth-1) + 2 certificates.  The rows are reduced and
+    exponentiated once, 2^depth of them, in one pass over batches of at most
+    ``DIAMETER_CHUNK`` phases, and each cut reads its own rows of a batch.
+    The z-variant's jump maxima come from the same batches, one row per
+    distinct element: a node's runs are its row's cells with bitwise equal
+    neighbours merged, whose exact zero jumps change no maximum.
     """
     check_tolerance(eps, j0)
     if z_variant and any(
@@ -435,19 +440,28 @@ def build_tree(
     labels = ["".join(b) for level in range(depth + 1) for b in product("01", repeat=level)]
     nodes = {label: elements[int("0" + label[::-1], 2)] for label in labels}
 
-    # ancestor coherence, profiled against the ancestor's own level in batches
-    # of at most DIAMETER_CHUNK phases, which bounds the memory of deep trees
-    per = max(1, DIAMETER_CHUNK // grid.size)
-    tail_maxes = [[] for _ in range(depth)]
+    # ancestor coherence, profiled against the ancestor's own level, in one
+    # pass over batches of at most DIAMETER_CHUNK phases, which bounds the
+    # memory of deep trees; the z-variant's jump maxima come along
+    cut_windows = []
     for cut in range(depth):
         j, lo, hi = break_windows(grid, chain.levels[cut].enumeration, 2)
         # the tail's other windows meet no break, and their 0.0 is the initial max
-        lo, hi = lo[j >= j0], hi[j >= j0]
-        Z = R[:: 1 << cut]
-        for k0 in range(0, len(Z), per):
-            # two reductions, as in root.mul(z.inverse()): a tiny z has mod(-z) = 2π
-            diff = np.mod(np.mod(-Z[k0 : k0 + per], TWO_PI), TWO_PI)
-            tail_maxes[cut] += circle_diameters(diff, lo, hi).max(axis=1, initial=0.0).tolist()
+        cut_windows.append((lo[j >= j0], hi[j >= j0]))
+    per = max(1, DIAMETER_CHUNK // grid.size)
+    tail_maxes = [[] for _ in range(depth)]
+    jumps = []
+    for k0 in range(0, len(R), per):
+        rows = R[k0 : k0 + per]
+        if z_variant:
+            jumps += np.abs(np.diff(np.exp(1j * rows), axis=1)).max(axis=1, initial=0.0).tolist()
+        # two reductions, as in root.mul(z.inverse()): a tiny z has mod(-z) = 2π
+        diff = np.exp(1j * np.mod(np.mod(-rows, TWO_PI), TWO_PI))
+        for cut, (lo, hi) in enumerate(cut_windows):
+            # cut profiles the rows r with r % 2^cut == 0
+            Z = diff[-k0 % (1 << cut) :: 1 << cut]
+            if len(Z):
+                tail_maxes[cut] += circle_diameters(Z, lo, hi).max(axis=1, initial=0.0).tolist()
 
     certs = []
     for label_t in nodes:
@@ -479,7 +493,7 @@ def build_tree(
         sched = chain.schedules[lvl]
         at = np.asarray([entry.block for entry in sched], dtype=np.int64)
         deltas = circle_diameters(
-            w.run_phases, w.run_index(pts[at]), w.run_index(pts[at + 1] - 1) + 1
+            np.exp(1j * w.run_phases), w.run_index(pts[at]), w.run_index(pts[at + 1] - 1) + 1
         )
         level_blocks.append([
             {"block": entry.block, "m": entry.m, "delta": float(d)}
@@ -503,8 +517,8 @@ def build_tree(
             )
     if z_variant:
         bound = 2.0 * float(np.sin(np.pi / (2.0 * chain.min_jump_m())))
-        for label, alpha in nodes.items():
-            max_jump = float(np.abs(np.diff(np.exp(1j * alpha.run_phases))).max(initial=0.0))
+        for label in nodes:
+            max_jump = jumps[int("0" + label[::-1], 2)]
             certs.append({
                 "kind": "jump_bound",
                 "node": label,

@@ -304,6 +304,35 @@ def test_out_of_memory_names_the_subcommand_and_function(tmp_path, monkeypatch, 
     assert not out.exists()
 
 
+_UNWRITABLE_RUNS = {
+    "tree": ["tree", "--depth", "1", "--horizon", "100"],
+    "tree-built": ["tree", "--depth", "1", "--horizon", "3000"],
+    "verify": ["verify", "--fast"],
+    "limits": ["limits", "--paper-model"],
+    "sandwich": ["sandwich", "--samples", "1"],
+    "stratify": ["stratify"],
+}
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", list(_UNWRITABLE_RUNS))
+def test_unwritable_out_exits_2(tmp_path, capsys, command, where):
+    # an --out that cannot be opened is invalid input: one line on stderr
+    # naming it, exit 2, never the 1 of a failed check or a traceback
+    argv = list(_UNWRITABLE_RUNS[command])
+    if command == "stratify":
+        (tmp_path / "m.txt").write_text("0.5\n")
+        argv.append(str(tmp_path / "m.txt"))
+    out = tmp_path / "missing" / "x.json"
+    if where == "directory":
+        out = tmp_path / "dir"
+        out.mkdir()
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    # stratify's part files are named after --out: x.m_e.txt for x.json
+    assert "Traceback" not in err and err.count("\n") == 1 and str(out.with_suffix("")) in err
+
+
 # sha256 of format-1 tree documents, as written before tree elements were
 # stored as runs (the last two: before the emitter wrote a shared element's
 # text once); neither change may alter a byte

@@ -53,7 +53,7 @@ def _dense_profile(alpha, X):
     for span in (2, 1):
         d = np.zeros(pts.size - span)
         j, lo, hi = break_windows(alpha.starts, pts, span)
-        d[j] = circle_diameters(alpha.run_phases, lo, hi)
+        d[j] = circle_diameters(np.exp(1j * alpha.run_phases), lo, hi)
         dense.append(d)
     d_endpoints = np.zeros(pts.size - 2)
     j = np.searchsorted(pts, alpha.starts[1:], side="left") - 1
@@ -253,7 +253,7 @@ def test_break_windows_match_every_window(case):
     prof = fx_profile(alpha, X)
     for span, got in ((2, prof.d), (1, prof.d_single)):
         s, e = pts[:-span], pts[span:]
-        want = circle_diameters(dense, s, e)
+        want = circle_diameters(np.exp(1j * dense), s, e)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         j, lo, hi = break_windows(alpha.starts, pts, span)
         meets = np.nonzero(alpha.run_index(s) != alpha.run_index(e - 1))[0]

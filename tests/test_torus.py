@@ -146,7 +146,7 @@ def _fuzz_lij_reference(n, seed, slack, horizon=16, set_size=3):
 
     def delta(cols):
         starts = np.arange(n) * len(cols)
-        return circle_diameters(gamma[:, cols].ravel(), starts, starts + len(cols))
+        return circle_diameters(np.exp(1j * gamma[:, cols].ravel()), starts, starts + len(cols))
 
     lhs = delta(list(range(2 * k)))
     rhs = delta(list(range(k))) + delta(list(range(k, 2 * k))) + delta([0, k])
@@ -336,7 +336,7 @@ def test_circle_diameters_match_pairwise_reference():
                 zip(rng.integers(0, 2900, 300), rng.integers(0, 70, 300))]
     windows = [windows[k] for k in rng.permutation(len(windows))]
     lo, hi = np.array(windows).T
-    diam = circle_diameters(phases, lo, hi)
+    diam = circle_diameters(np.exp(1j * phases), lo, hi)
     for (s, e), d in zip(windows, diam):
         v = np.exp(1j * phases[s:e])
         ref = float(np.abs(v[:, None] - v[None, :]).max()) if e > s else 0.0
@@ -348,10 +348,12 @@ def test_circle_diameters_match_pairwise_reference():
 
 class _CountingNumpy:
     """numpy, with the size of every ``abs`` argument recorded: in
-    :func:`circle_diameters` that is one batch of pairwise distances."""
+    :func:`circle_diameters` that is one batch of pairwise distances; and
+    the size of every ``exp`` argument."""
 
     def __init__(self):
         self.sizes = []
+        self.exp_sizes = []
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -359,6 +361,10 @@ class _CountingNumpy:
     def abs(self, x):
         self.sizes.append(np.size(x))
         return np.abs(x)
+
+    def exp(self, x):
+        self.exp_sizes.append(np.size(x))
+        return np.exp(x)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -380,18 +386,49 @@ def test_circle_diameters_rows_are_one_row_calls(seed, shape, chunk):
         rng.uniform(0, TWO_PI, (R, N)),
     )
     lo, hi = np.sort(rng.integers(0, N + 1, (2, W)), axis=0)
-    want = np.array([circle_diameters(row, lo, hi) for row in phases])
+    want = np.array([circle_diameters(np.exp(1j * row), lo, hi) for row in phases])
     counting = _CountingNumpy()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(torus, "DIAMETER_CHUNK", chunk)
         mp.setattr(torus, "np", counting)
-        got = circle_diameters(phases, lo, hi)
+        got = circle_diameters(np.exp(1j * phases), lo, hi)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     # no window is longer than 24 samples, so every batch fits in the chunk
     assert all(size <= chunk for size in counting.sizes)
     # leading axes are rows too
-    stacked = circle_diameters(phases[None], lo, hi)
+    stacked = circle_diameters(np.exp(1j * phases[None]), lo, hi)
     assert stacked.shape == (1, *want.shape) and stacked.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 30), st.integers(0, 12)),
+    chunk=st.sampled_from([1, 7, 97, DIAMETER_CHUNK]),
+)
+def test_circle_diameters_measure_each_unordered_pair_once(seed, shape, chunk):
+    # rows * L(L - 1)/2 distances for a window of L >= 2 samples, where the
+    # full pairwise block takes rows * L^2; no exponential: values come in
+    from corona_lab import torus
+
+    rng = np.random.default_rng(seed)
+    R, N, W = shape
+    values = np.exp(1j * rng.uniform(0, TWO_PI, (R, N)))
+    lo, hi = np.sort(rng.integers(0, N + 1, (2, W)), axis=0)
+    counting = _CountingNumpy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(torus, "DIAMETER_CHUNK", chunk)
+        mp.setattr(torus, "np", counting)
+        circle_diameters(values, lo, hi)
+    L = hi - lo
+    assert sum(counting.sizes) == R * int(np.sum(L * (L - 1) // 2))
+    assert all(size <= chunk for size in counting.sizes)
+    assert counting.exp_sizes == []
+
+
+def test_circle_diameters_refuse_phases():
+    with pytest.raises(PreconditionViolation, match="unit values"):
+        circle_diameters(np.array([0.0, np.pi]), [0], [2])
 
 
 _INT64S = st.lists(st.integers(-8, 40) | st.integers(-(2**63), 2**63 - 1), max_size=40).map(
@@ -441,7 +478,7 @@ def test_circle_diameters_on_step_functions():
     windows = [(s, s + L) for L in (0, 1, 2, 3, 5, 8, 40) for s in range(0, n - L + 1, 3)]
     windows += [(0, n), (290, 320), (505, 585), (zero, zero + 1), (580, 680)]
     lo, hi = np.array(windows).T
-    diam = circle_diameters(phases, lo, hi)
+    diam = circle_diameters(np.exp(1j * phases), lo, hi)
     for (s, e), d in zip(windows, diam):
         v = np.exp(1j * phases[s:e])
         assert d == (np.abs(v[:, None] - v[None, :]).max() if e > s else 0.0)
@@ -525,8 +562,8 @@ def test_run_form_is_bitwise_the_dense_form(f, g, picks, points):
     X = SparseSet(np.array(sorted({p % (a.horizon + 1) for p in points} | {0, a.horizon})))
     pts = X.enumeration
     prof = fx_profile(a, X)
-    assert _same_bits(prof.d, circle_diameters(ref, pts[:-2], pts[2:]))
-    assert _same_bits(prof.d_single, circle_diameters(ref, pts[:-1], pts[1:]))
+    assert _same_bits(prof.d, circle_diameters(np.exp(1j * ref), pts[:-2], pts[2:]))
+    assert _same_bits(prof.d_single, circle_diameters(np.exp(1j * ref), pts[:-1], pts[1:]))
     assert _same_bits(
         _endpoints(prof),
         np.abs(np.exp(1j * ref[pts[:-2]]) - np.exp(1j * ref[pts[1:-1]])),
@@ -546,8 +583,8 @@ def test_level0_split_profile_matches_dense_diameters():
     ref = np.repeat(np.mod(run_phases, TWO_PI), np.diff(starts, append=horizon))
     pts = np.arange(horizon + 1)
     prof = fx_profile(a, SparseSet(pts[1:]))
-    assert _same_bits(prof.d, circle_diameters(ref, pts[:-2], pts[2:]))
-    assert _same_bits(prof.d_single, circle_diameters(ref, pts[:-1], pts[1:]))
+    assert _same_bits(prof.d, circle_diameters(np.exp(1j * ref), pts[:-2], pts[2:]))
+    assert _same_bits(prof.d_single, circle_diameters(np.exp(1j * ref), pts[:-1], pts[1:]))
     assert _same_bits(
         _endpoints(prof),
         np.abs(np.exp(1j * ref[pts[:-2]]) - np.exp(1j * ref[pts[1:-1]])),

@@ -25,7 +25,7 @@ from corona_lab import (
 from corona_lab import tree as tree_mod
 from corona_lab.cli import DEFAULT_SCHEDULE
 from corona_lab.partitions import FxProfile, n_of
-from corona_lab.torus import TWO_PI
+from corona_lab.torus import TWO_PI, sorted_unique
 from corona_lab.tree import ScheduleEntry
 
 
@@ -737,6 +737,41 @@ def test_build_tree_row_batches_change_no_certificate(monkeypatch):
     assert json.dumps(tree.certificates) == want
 
 
+def _grid_size(tree):
+    # 0 and the witnesses' jump points: the cells of build_tree's rows
+    starts = np.concatenate([[0], *(w.starts for w in tree.witnesses)])
+    return sorted_unique(starts).size
+
+
+@pytest.mark.parametrize("depth, z_variant", [(d, z) for d in (3, 4) for z in (False, True)])
+def test_build_tree_three_row_batches_change_no_certificate(monkeypatch, depth, z_variant):
+    # each batch of 3 rows starts at k0 = 0, 3, 6, ..., so cut c reads the
+    # rows r = 0 mod 2^c from batch offset -k0 mod 2^c, which moves with k0
+    chain = generate_chain(depth, 5000, [32, 36, 40, 48][:depth])
+    tree = build_tree(chain, z_variant=z_variant)
+    rows = _count_rows(monkeypatch)
+    monkeypatch.setattr(tree_mod, "DIAMETER_CHUNK", 3 * _grid_size(tree))
+    batched = build_tree(chain, z_variant=z_variant)
+    assert json.dumps(batched.certificates) == json.dumps(tree.certificates)
+    assert max(rows) <= 3 and sum(rows) == 2 ** (depth + 1) - 2
+
+
+@pytest.mark.parametrize("one_row_batches", [False, True])
+@pytest.mark.parametrize("horizon", ["5000", "min"])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_jump_bounds_are_each_nodes_own(monkeypatch, depth, horizon, one_row_batches):
+    # the batched jump maxima, bitwise against each node's own runs
+    ms = [32, 36, 40, 48][:depth]
+    h = min_sufficient_horizon(depth, ms) if horizon == "min" else int(horizon)
+    if one_row_batches:
+        monkeypatch.setattr(tree_mod, "DIAMETER_CHUNK", 1)
+    tree = build_tree(generate_chain(depth, h, ms), z_variant=True)
+    jmp = [c for c in tree.certificates if c["kind"] == "jump_bound"]
+    assert [c["node"] for c in jmp] == list(tree.nodes)
+    for c in jmp:
+        assert np.float64(c["max_jump"]).tobytes() == _max_jump(tree.nodes[c["node"]]).tobytes()
+
+
 def _pairwise_tree(chain, j0):
     """The tree's nodes, coherence tail maxes by key and jump maxima, built
     pair by pair: nodes by TorusElement.mul, and each distinct difference by
@@ -756,11 +791,14 @@ def _pairwise_tree(chain, j0):
                 diff = nodes[t[:cut]].mul(alpha.inverse())
                 d = fx_profile(diff, chain.levels[cut]).d[j0:]
                 tails[key] = d.max() if d.size else 0.0
-    jumps = {
-        label: np.abs(np.diff(np.exp(1j * alpha.run_phases))).max(initial=0.0)
-        for label, alpha in nodes.items()
-    }
+    jumps = {label: _max_jump(alpha) for label, alpha in nodes.items()}
     return nodes, tails, jumps
+
+
+def _max_jump(alpha):
+    """The largest jump |alpha(i + 1) - alpha(i)| of one node, from its own
+    runs, as build_tree certified it node by node."""
+    return np.abs(np.diff(np.exp(1j * alpha.run_phases))).max(initial=0.0)
 
 
 @pytest.mark.parametrize("tail", ["0", "10", "past-w0"])
