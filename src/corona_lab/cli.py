@@ -92,7 +92,7 @@ def _encode(x, level: int, out: list, memo: dict) -> None:
             raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
         out.append(text)
         return
-    if not x:
+    if not x or isinstance(x, RunList) and not x.runs[0]:
         out.append("{}" if isinstance(x, dict) else "[]")
         return
     pad = "\n" + "  " * (level + 1)
@@ -218,13 +218,11 @@ def cmd_stratify(args) -> int:
     w = stratify(m, blocks)
     residual = w.reconstruction_residual(m)
     dd_ok = dd_check(w.m_e + w.m_o, w.X, blocks)
+    mats = {"m_e": w.m_e, "m_o": w.m_o, "a": w.a}
     parts = {}
     if args.out:
         base = os.path.splitext(args.out)[0]
-        for name, mat in (("m_e", w.m_e), ("m_o", w.m_o), ("a", w.a)):
-            path = f"{base}.{name}.txt"
-            save_matrix(path, mat)
-            parts[name] = path
+        parts = {name: f"{base}.{name}.txt" for name in mats}
     doc = {
         "config": _config_echo(args),
         "X": w.X.to_json(),
@@ -234,7 +232,10 @@ def cmd_stratify(args) -> int:
         "dd_exact": dd_ok,
         "parts": parts,
     }
+    # the document first: an --out that cannot be written leaves no part file
     _emit(doc, args.out)
+    for name, path in parts.items():
+        save_matrix(path, mats[name])
     if not (dd_ok and w.tail_bound_ok() and residual <= 1e-12):
         return 1
     return 0

@@ -254,19 +254,8 @@ class AbGroupPresentation:
         """(free_rank, torsion coefficients > 1 in divisibility order)."""
         return _invariants(self.relations)
 
-    def canonical(self) -> "AbGroupPresentation":
-        free, torsion = self.invariants()
-        r = free + len(torsion)
-        rel = mat_zero(r, len(torsion))
-        for j, d in enumerate(torsion):
-            rel[j][j] = d
-        return AbGroupPresentation(rank=r, relations=rel)
-
     def is_finite(self) -> bool:
         return self.invariants()[0] == 0
-
-    def to_json(self) -> dict:
-        return {"rank": self.rank, "relations": [list(r) for r in self.relations]}
 
     @classmethod
     def from_json(cls, doc) -> "AbGroupPresentation":
@@ -364,18 +353,6 @@ class Tower:
             return None
         return _tail_analysis(self.tail_level, self.tail_bond)
 
-    def to_json(self) -> dict:
-        doc = {
-            "levels": [lv.to_json() for lv in self.levels],
-            "bonds": [[list(r) for r in b] for b in self.bonds],
-        }
-        if self.tail_level is not None:
-            doc["tail"] = {
-                "level": self.tail_level.to_json(),
-                "bond": [list(r) for r in self.tail_bond],
-            }
-        return doc
-
     @classmethod
     def from_json(cls, doc) -> "Tower":
         if not isinstance(doc, dict):
@@ -439,7 +416,7 @@ def _tail_analysis(level: AbGroupPresentation, bond) -> tuple:
     lim¹ is nonzero.  Then if G is torsion-free and a prime p divides every
     entry of L_f, R is 0 (nonzero relations in p Z^r would leave torsion),
     M^f = 0 mod p, the images meet in 0 and lim = 0, exact.  Any other lim
-    is reported as G itself, not exact.
+    is G itself, not exact; each lim is returned as that presentation.
     """
     free, torsion = level.invariants()
     bound = free + prod(torsion).bit_length()
@@ -450,11 +427,11 @@ def _tail_analysis(level: AbGroupPresentation, bond) -> tuple:
         chain.append(col_hermite(mat_hstack(mat_mul(M, chain[-1]), R)))
         stable = chain[-1] == chain[-2]
     if stable:
-        lim, exact = _quotient(chain[-1], R).canonical(), True
+        lim, exact = _quotient(chain[-1], R), True
     elif not torsion and gcd(*(x for row in chain[free] for x in row)) > 1:
         lim, exact = free_group(0), True
     else:
-        lim, exact = level.canonical(), False
+        lim, exact = level, False
     return tuple(tuple(map(tuple, H)) for H in chain), stable, lim, exact
 
 
@@ -464,7 +441,8 @@ def lim_tower(T: Tower) -> dict:
     A tail is cofinal, so it decides: see :func:`_tail_analysis`.  A tower
     without a tail gives its top level, ``stabilized`` when the last bond is
     an isomorphism; that is exact for the finite index set and a truncation
-    for an unknown longer tower.
+    for an unknown longer tower.  Either way lim is the presentation the
+    computation gives; its invariants are the answer.
     """
     if T._tail is not None:
         chain, _, lim, exact = T._tail
@@ -474,7 +452,7 @@ def lim_tower(T: Tower) -> dict:
         and _bond_surjective(T.bonds[-1], T.levels[-2])
         and _bond_injective(T.bonds[-1], T.levels[-1], T.levels[-2])
     )
-    return {"truncated_lim": T.levels[-1].canonical(), "stabilized": stabilized, "evidence": None}
+    return {"truncated_lim": T.levels[-1], "stabilized": stabilized, "evidence": None}
 
 
 def lim1_tower(T: Tower) -> dict:

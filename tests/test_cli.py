@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from corona_lab import cli, partitions
 from corona_lab import tree as tree_mod
 from corona_lab.cli import main
-from corona_lab.limits import constant_tower, free_group
+from corona_lab.limits import Tower, constant_tower, free_group
 from corona_lab.operators import save_matrix
 from corona_lab.partitions import FxProfile
 from corona_lab.torus import RunList, TorusElement, sorted_unique
@@ -331,6 +331,8 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command, where):
     err = capsys.readouterr().err
     # stratify's part files are named after --out: x.m_e.txt for x.json
     assert "Traceback" not in err and err.count("\n") == 1 and str(out.with_suffix("")) in err
+    # and none is written when the document cannot be
+    assert not [p for part in ("m_e", "m_o", "a") for p in tmp_path.rglob(f"*.{part}.txt")]
 
 
 # sha256 of format-1 tree documents, as written before tree elements were
@@ -451,6 +453,47 @@ def test_limits_paper_model_bytes_pinned(tmp_path, depth):
     assert _sha256(out) == _LIMITS_SHA256[depth]
 
 
+def _tail_tower(level, bond) -> dict:
+    """Three copies of ``level`` joined by ``bond``, which is also the tail's."""
+    return {"levels": [level] * 3, "bonds": [bond] * 2, "tail": {"level": level, "bond": bond}}
+
+
+# sha256 of `limits` on one tower file per way lim is found; relations are
+# column matrices, so [[0], [4]] presents Z + Z/4
+_LIMITS_TOWER_SHA256 = {
+    # stable images: lim is the last image modulo the relations, Z + Z/4
+    "stable-tail": (
+        _tail_tower({"rank": 2, "relations": [[0], [4]]}, [[1, 0], [0, 3]]),
+        "a0eaf3c59453154ab8fa4a79b8b602d4fa0996e051711e7fbdf2ed3951593f40",
+    ),
+    # Z under doubling: the images meet in 0
+    "p-divisible-tail": (
+        _tail_tower({"rank": 1, "relations": [[]]}, [[2]]),
+        "f8a498b0901dc05d487655d0fdd4ef01288c4b925d2687aa4f2636c1d2cb8050",
+    ),
+    # torsion and not Mittag-Leffler: the tail level, Z + Z/3, not exact
+    "torsion-not-mittag-leffler": (
+        _tail_tower({"rank": 2, "relations": [[0], [3]]}, [[2, 0], [0, 1]]),
+        "95dcb8671aa5e1d6c1a03a75de167e3137a08bd8ba2777d81a3351fa86ff50b7",
+    ),
+    # no tail: the top level, Z/2
+    "no-tail": (
+        {"levels": [{"rank": 1, "relations": [[4]]}, {"rank": 1, "relations": [[2]]}],
+         "bonds": [[[2]]]},
+        "1792abed7e550eeb3612f63268cc5ed7543d35185f0eecdb3dc5368296396fac",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_LIMITS_TOWER_SHA256))
+def test_limits_tower_file_bytes_pinned(tmp_path, name):
+    tower, digest = _LIMITS_TOWER_SHA256[name]
+    path, out = tmp_path / "t.json", tmp_path / "l.json"
+    path.write_text(json.dumps(tower))
+    assert run(["limits", str(path), "--out", str(out)]) == 0
+    assert _sha256(out) == digest
+
+
 @pytest.mark.parametrize("model", list(_SANDWICH_SHA256))
 def test_sandwich_bytes_pinned(tmp_path, model):
     out = tmp_path / "s.csv"
@@ -472,7 +515,10 @@ def test_stratify_bytes_pinned(tmp_path, monkeypatch):
 
 def test_limits_tower_file(tmp_path):
     path = tmp_path / "t.json"
-    path.write_text(json.dumps(constant_tower(free_group(1), 4).to_json()))
+    z = {"rank": 1, "relations": [[]]}
+    tower = {"levels": [z] * 4, "bonds": [[[1]]] * 3, "tail": {"level": z, "bond": [[1]]}}
+    assert Tower.from_json(tower) == constant_tower(free_group(1), 4)
+    path.write_text(json.dumps(tower))
     out = tmp_path / "l.json"
     assert run(["limits", str(path), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
@@ -941,7 +987,7 @@ _FLOAT_RUNS = st.lists(st.tuples(_FLOATS, st.integers(1, 40)), min_size=1, max_s
     lambda runs: [x for x, count in runs for _ in range(count)])
 # as tree elements carry them: single runs, runs of one item, NaN, ±inf, and
 # -0.0 next to 0.0
-_RUN_LISTS = st.lists(st.tuples(_FLOATS, st.integers(1, 40)), min_size=1, max_size=6).map(
+_RUN_LISTS = st.lists(st.tuples(_FLOATS, st.integers(1, 40)), min_size=0, max_size=6).map(
     lambda runs: RunList(np.array([x for x, _ in runs]), np.array([n for _, n in runs])))
 _MIXED = st.lists(st.sampled_from([True, False, 1, 0, 1.0, 0.0, -0.0, None]), max_size=8)
 _EMIT_DOCS = st.recursive(
@@ -966,6 +1012,7 @@ _NODE = {"horizon": 6, "phases": _RUNS, "tail": "constant"}
                               np.array([1, 3, 1, 2, 1, 1]))})
 @example(doc=[RunList(np.array([1.5]), np.array([7])), RunList(np.array([1.5]), np.array([1]))])
 @example(doc={"a": _RUNS, "b": [_RUNS, {"c": _RUNS}], "d": _RUNS, "e": [[_RUNS]]})
+@example(doc={"a": RunList(np.array([]), np.array([], dtype=int))})
 @example(doc={"nodes": {"": _NODE, "0": _NODE, "1": dict(_NODE, horizon=6)}, "again": _NODE})
 @example(doc={"levels": [[True, 1, 2], [-3, 0, 2**70, -(2**70)], [7], [1, 2.0], [-1, None]]})
 @example(doc={"flat": {"x": 1, "y": "z", "n": None}, "nested": {"k": {}, "a": 0.5, "z": []}})
