@@ -46,7 +46,8 @@ class Chain:
     """Nested levels X_0 ⊇ X_1 ⊇ ... with per-transition block schedules.
     Construction raises ConstructionError unless each level holds the next
     (one binary search of its points), which is strictly sparser, and each
-    scheduled block holds m + 1 intervals of the finer level, the m interior
+    schedule entry has an integer m >= 1 and names an interval of the coarser
+    level whose block holds m + 1 intervals of the finer level, the m interior
     boundaries that :func:`successor_witness` needs."""
 
     levels: tuple
@@ -70,6 +71,11 @@ class Chain:
             if len(hi) >= len(lo):
                 raise ConstructionError(f"level {t + 1} not strictly sparser")
             for entry in self.schedules[t]:
+                if not _fits(entry, hi.num_intervals):
+                    raise ConstructionError(
+                        f"transition {t}: {entry} needs an integer m >= 1 and a block "
+                        f"in 0 ... {hi.num_intervals - 1}"
+                    )
                 interior = _interior(lo.enumeration, hi, entry.block).size
                 if interior < entry.m:
                     raise ConstructionError(
@@ -83,6 +89,15 @@ class Chain:
         if not ms:
             raise PreconditionViolation("a depth-0 chain has no schedule, so no jump bound")
         return min(ms)
+
+
+def _fits(entry: ScheduleEntry, intervals: int) -> bool:
+    """Whether ``entry`` has an integer m >= 1 and an integer block in
+    0 ... intervals - 1; bools are not integers here."""
+    try:
+        return as_int(entry.m, "m") >= 1 and 0 <= as_int(entry.block, "block") < intervals
+    except PreconditionViolation:
+        return False
 
 
 def _interior(pts: np.ndarray, X_hi: SparseSet, block: int) -> np.ndarray:

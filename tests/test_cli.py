@@ -72,7 +72,7 @@ def test_tree_invalid_input(tmp_path, flags):
 
 @pytest.mark.parametrize("flags", [["--j0", "-5"], ["--epsilon", "nan"], ["--j0", "100000"]])
 def test_verify_invalid_tolerance(tmp_path, flags):
-    assert run(["verify", "--fast", *flags, "--out", str(tmp_path / "v.json")]) == 2
+    assert run(["verify", *flags, "--out", str(tmp_path / "v.json")]) == 2
     assert not (tmp_path / "v.json").exists()
 
 
@@ -93,7 +93,7 @@ def test_tree_refuses_an_eps_of_2_or_more(tmp_path, eps, code):
 @pytest.mark.parametrize("eps, code", [("2.0", 2), ("2.5", 2), ("1.99", 0)])
 def test_verify_refuses_an_eps_of_2_or_more(tmp_path, capsys, eps, code):
     out = tmp_path / "v.json"
-    assert run(["verify", "--fast", "--epsilon", eps, "--out", str(out)]) == code
+    assert run(["verify", "--epsilon", eps, "--out", str(out)]) == code
     if code == 2:
         assert not out.exists() and "below 2" in capsys.readouterr().err
     else:
@@ -307,15 +307,23 @@ def test_out_of_memory_names_the_subcommand_and_function(tmp_path, monkeypatch, 
 _UNWRITABLE_RUNS = {
     "tree": ["tree", "--depth", "1", "--horizon", "100"],
     "tree-built": ["tree", "--depth", "1", "--horizon", "3000"],
-    "verify": ["verify", "--fast"],
+    "verify": ["verify"],
     "limits": ["limits", "--paper-model"],
     "sandwich": ["sandwich", "--samples", "1"],
     "stratify": ["stratify"],
 }
 
 
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
-@pytest.mark.parametrize("command", list(_UNWRITABLE_RUNS))
+_STRATIFY_PARTS = ("m_e", "m_o", "a")
+
+
+@pytest.mark.parametrize(
+    "command, where",
+    [(c, w) for c in _UNWRITABLE_RUNS for w in ("directory", "missing-directory")]
+    # a part file that cannot be written: x.m_o.txt for x.json, say
+    + [("stratify", part) for part in _STRATIFY_PARTS],
+    ids=lambda v: v,
+)
 def test_unwritable_out_exits_2(tmp_path, capsys, command, where):
     # an --out that cannot be opened is invalid input: one line on stderr
     # naming it, exit 2, never the 1 of a failed check or a traceback
@@ -324,15 +332,21 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command, where):
         (tmp_path / "m.txt").write_text("0.5\n")
         argv.append(str(tmp_path / "m.txt"))
     out = tmp_path / "missing" / "x.json"
+    blocked = out
     if where == "directory":
-        out = tmp_path / "dir"
-        out.mkdir()
+        out = blocked = tmp_path / "dir"
+    elif where in _STRATIFY_PARTS:
+        out = tmp_path / "x.json"
+        blocked = tmp_path / f"x.{where}.txt"
+    made = {tmp_path / "m.txt"} if command == "stratify" else set()
+    if where != "missing-directory":
+        blocked.mkdir()
+        made.add(blocked)
     assert run([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    # stratify's part files are named after --out: x.m_e.txt for x.json
-    assert "Traceback" not in err and err.count("\n") == 1 and str(out.with_suffix("")) in err
-    # and none is written when the document cannot be
-    assert not [p for part in ("m_e", "m_o", "a") for p in tmp_path.rglob(f"*.{part}.txt")]
+    assert "Traceback" not in err and err.count("\n") == 1 and str(blocked) in err
+    # and the run leaves no file: neither the document nor any part
+    assert set(tmp_path.rglob("*")) == made
 
 
 # sha256 of format-1 tree documents, as written before tree elements were
@@ -632,23 +646,15 @@ def test_seed_variable_in_the_environment_changes_nothing(tmp_path, monkeypatch,
     assert out.read_bytes() == want.read_bytes()
 
 
-def test_verify_fast(tmp_path):
-    out = tmp_path / "v.json"
-    assert run(["verify", "--fast", "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["ok"] and doc["failures"] == []
-
-
 # sha256 of passing verify documents, as written before verify ran the limit
 # stage; a passing verify writes the same bytes
 _VERIFY_SHA256 = {
     ("--seed", "0"): "88823e18d76374ea8977face617bfef60ab6271cd3d4e172416a41db5bf0d8d7",
     ("--seed", "7"): "30298cfcd64d047eef75f8c068a1406a9052a835eab8eb37ecfbc128152aa1d3",
-    ("--fast",): "88823e18d76374ea8977face617bfef60ab6271cd3d4e172416a41db5bf0d8d7",
 }
 
 
-@pytest.mark.parametrize("flags", list(_VERIFY_SHA256), ids=["seed-0", "seed-7", "fast"])
+@pytest.mark.parametrize("flags", list(_VERIFY_SHA256), ids=["seed-0", "seed-7"])
 def test_verify_bytes_pinned(tmp_path, flags):
     out = tmp_path / "v.json"
     assert run(["verify", *flags, "--out", str(out)]) == 0
@@ -664,7 +670,7 @@ def test_verify_bytes_pinned(tmp_path, flags):
 def test_verify_limit_stage_passes_at_any_tolerance(tmp_path, flags):
     # the limit stage's thresholds are 1/k per block, not (eps, j0)
     out = tmp_path / "v.json"
-    assert run(["verify", "--fast", *flags, "--out", str(out)]) == 0
+    assert run(["verify", *flags, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["failures"] == []
 
 
@@ -690,7 +696,7 @@ def _shifted(alphas, x_inf, merge=tree_mod._merge_limit):
 def test_verify_fails_on_a_wrong_limit_stage(tmp_path, monkeypatch, mutant, failure):
     monkeypatch.setattr(tree_mod, "_merge_limit", mutant)
     out = tmp_path / "v.json"
-    assert run(["verify", "--fast", "--out", str(out)]) == 1
+    assert run(["verify", "--out", str(out)]) == 1
     (message,) = json.loads(out.read_text())["failures"]
     assert message.startswith("limit stage: ") and failure in message
 
@@ -719,17 +725,17 @@ def _endpoints_shifted(alpha, X, profile=partitions.fx_profile):
     return FxProfile(prof.windows, prof.double, prof.single, endpoints)
 
 
-@pytest.mark.parametrize("fast", [["--fast"], []], ids=["fast", "full"])
 @pytest.mark.parametrize(
     "name, mutant, witnesses",
     [
         ("break_windows", _skips_first_window, ["0/2"]),
         ("fx_profile", _endpoints_shifted, ["0/0", "1/0", "1/1"]),
     ],
-    ids=["first-window-skipped", "endpoints-shifted"],
+    # "full": the whole verify run, each mutant in place
+    ids=["first-window-skipped-full", "endpoints-shifted-full"],
 )
 def test_verify_fails_on_a_wrong_window_finder(
-    tmp_path, monkeypatch, name, mutant, witnesses, fast
+    tmp_path, monkeypatch, name, mutant, witnesses
 ):
     # each mutant replaces the function wherever the package holds it, as an
     # edit of partitions.py would; every other check of verify passes
@@ -737,7 +743,7 @@ def test_verify_fails_on_a_wrong_window_finder(
         if hasattr(module, name):
             monkeypatch.setattr(module, name, mutant)
     out = tmp_path / "v.json"
-    assert run(["verify", *fast, "--out", str(out)]) == 1
+    assert run(["verify", "--out", str(out)]) == 1
     failures = json.loads(out.read_text())["failures"]
     assert [f for f in failures if not f.startswith("limit stage: ")] == [
         f"union bound {w}" for w in witnesses
@@ -757,7 +763,7 @@ def test_verify_builds_each_witness_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(tree_mod, "successor_witness", counted)
     out = tmp_path / "v.json"
-    assert run(["verify", "--fast", "--out", str(out)]) == 0
+    assert run(["verify", "--out", str(out)]) == 0
     assert calls == [0, 1]
 
 
@@ -795,7 +801,7 @@ def _tall_ramps(unit, qs):
 def test_verify_fails_on_a_wrong_stable_unit(tmp_path, monkeypatch, mutant, failures):
     monkeypatch.setattr(cli, "tensor_unit", mutant)
     out = tmp_path / "v.json"
-    assert run(["verify", "--fast", "--out", str(out)]) == 1
+    assert run(["verify", "--out", str(out)]) == 1
     assert json.loads(out.read_text())["failures"] == failures
 
 
@@ -973,9 +979,11 @@ def test_tree_exit_code_contract(tmp_path_factory, flags, z_variant, expect):
 @given(flags=_flags(seed=[-1, 0, 7, 2**63], epsilon=_EPSILONS, j0=_J0S), expect=st.none())
 @example(flags=["--j0=100000"], expect=2)
 @example(flags=["--epsilon=2"], expect=2)
+# verify runs one configuration: --fast is a usage error
+@example(flags=["--fast"], expect=2)
 def test_verify_exit_code_contract(tmp_path_factory, flags, expect):
     out = tmp_path_factory.mktemp("verify") / "v.json"
-    code = _usage_exit_code(["verify", "--fast", *flags, "--out", str(out)])
+    code = _usage_exit_code(["verify", *flags, "--out", str(out)])
     assert expect is None or code == expect
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,22 @@ def test_chain_invariants_reject(hi, m, message):
     lo = SparseSet([1, 2, 4, 6])
     with pytest.raises(ConstructionError, match=message):
         Chain(levels=(lo, SparseSet(hi)), schedules=((ScheduleEntry(m=m, block=0),),))
+
+
+@pytest.mark.parametrize(
+    "m, block",
+    [(0, 3), (-3, 3), (2, 60), (2, -1), (True, 3), (2, False)],
+    ids=["m-0", "m-negative", "block-past-the-end", "block-negative", "m-bool", "block-bool"],
+)
+def test_chain_refuses_schedule_entries_it_cannot_honour(m, block):
+    # a witness takes m >= 1 steps across its block, one of level 1's 49
+    # intervals: blocks 0 ... 48
+    lo, hi = SparseSet(np.arange(1, 100)), SparseSet(np.arange(2, 100, 2))
+    entry = ScheduleEntry(m=m, block=block)
+    with pytest.raises(ConstructionError, match=rf"transition 0: {re.escape(repr(entry))}"):
+        Chain(levels=(lo, hi), schedules=((entry,),))
+    # the last interval is a block like any other
+    Chain(levels=(lo, hi), schedules=((ScheduleEntry(m=1, block=48),),))
 
 
 def test_chain_depth0():
