@@ -8,6 +8,7 @@ as the Schur multiplier (u m u* - m)_{kl} = (d_k conj(d_l) - 1) m_{kl}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,15 +19,31 @@ from .torus import TorusElement, as_indices, delta_one
 
 # unused here; perfbench/tracing.py splits its op_norm counters at this size
 DENSE_NORM_DIM = 512
+# the most entries a probe's corner may have for its Gram verdict to be
+# certified (see _norm_at_most)
+_GRAM_ENTRIES = 4096
 
 
 def op_norm(m: np.ndarray) -> float:
     """Operator (spectral) norm: the largest singular value from LAPACK's SVD,
-    accurate to rounding at every size; 0.0 for an empty or zero matrix."""
+    accurate to rounding at every size; 0.0 for an empty or zero matrix.
+
+    Every norm the package reports is this one.  ``_norm_at_most`` decides
+    some yes/no probes from a Gram matrix instead, only where its rounding
+    bound makes the verdict this norm's.  A NaN or infinite entry raises
+    PreconditionViolation: LAPACK fails on the one and returns NaN for the
+    other, so both are caught after the SVD, not looked for before it.
+    """
     m = np.atleast_2d(np.asarray(m))
     if m.size == 0 or not np.any(m):
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    try:
+        norm = float(np.linalg.svd(m, compute_uv=False).max())
+    except np.linalg.LinAlgError:  # LAPACK's answer to a NaN entry
+        norm = math.nan
+    if not math.isfinite(norm):
+        raise PreconditionViolation("op_norm of a matrix with a non-finite entry")
+    return norm
 
 
 @dataclass(frozen=True)
@@ -189,24 +206,47 @@ def _coords(chosen: set, bounds: list):
 
 
 def _norm_at_most(c: np.ndarray, bound: float) -> bool:
-    """``op_norm(c) <= bound``, settled by norm bounds where they can.
+    """``op_norm(c) <= bound``, settled without an SVD where that is certified.
 
-    A largest row or column norm <= op_norm(c) <= the Frobenius norm.  With
-    margins of 1e-12 relative, far above the rounding of either side (a sum
-    of n squares is off by less than n * 2^-53 relative, under 1e-13 up to
-    900 terms; LAPACK's largest singular value by about 1e-14), each bound
-    gives the verdict the SVD would; between them, and for a corner with a
+    Each estimate below decides only outside a band of 1e-12 relative
+    around ``bound``.  With LAPACK's largest singular value off by about
+    1e-14, each rounding bound stated here leaves the verdict the SVD's.
+    Write u = 2^-53 and s = op_norm(c).
+
+    - A largest row or column norm <= s <= the Frobenius norm; a sum of n
+      squares is off by less than n u relative, under 1e-13 up to 900 terms.
+    - For a corner of at most ``_GRAM_ENTRIES`` entries, the square root of
+      the largest ``eigvalsh`` eigenvalue of the Gram matrix of its smaller
+      side, c^H c for an n x k corner with k <= n.  Each Gram entry is a
+      complex dot product of length n, off by at most
+      sqrt(2) g (|c|^T |c|)_ij with g = (n + 1) u / (1 - (n + 1) u); as
+      op_norm(|c|)^2 <= ||c||_F^2 <= k s^2, the Gram matrix is off by at
+      most sqrt(2) g k s^2 in norm.  LAPACK's Hermitian eigensolver adds
+      p(k) u s^2, p(k) a modest function of k (LAPACK Users' Guide,
+      section 4.7) taken as <= k.  The square root halves the relative
+      error and rounds once, so the estimate is within
+      (0.71 (n + 1) k + k / 2 + 1) u < (n k + k + 1) u relative of s:
+      under 4.7e-13 for n k <= 4,096 (so k <= 64).  A Frobenius norm of at
+      least 2^-500 keeps what underflow can add under u.
+
+    Inside a band, for a larger or tinier corner, and for a corner with a
     non-finite sum of squares, the SVD decides.
     """
     with np.errstate(over="ignore"):  # an overflow leaves the verdict to the SVD
         sq = np.square(c.real) + np.square(c.imag)
     rows = sq.sum(axis=1)
     frob = float(np.sqrt(rows.sum()))
+    lo, hi = bound * (1.0 - 1e-12), bound * (1.0 + 1e-12)
     if np.isfinite(frob):
-        if frob <= bound * (1.0 - 1e-12):
+        if frob <= lo:
             return True
-        if np.sqrt(max(rows.max(), sq.sum(axis=0).max())) >= bound * (1.0 + 1e-12):
+        if np.sqrt(max(rows.max(), sq.sum(axis=0).max())) >= hi:
             return False
+        if c.size <= _GRAM_ENTRIES and frob >= 2.0**-500:
+            g = c.conj().T @ c if c.shape[0] >= c.shape[1] else c @ c.conj().T
+            gram = math.sqrt(np.linalg.eigvalsh(g)[-1])
+            if gram <= lo or gram >= hi:
+                return gram <= lo
     return op_norm(c) <= bound
 
 
@@ -218,10 +258,14 @@ def stratify(m: np.ndarray, blocks: BlockStructure) -> DDWitness:
     corner of m*) of norm <= 2^{-j}, cut being block n(j)'s first coordinate.
     These norms do not grow with row, so n(j+1) is found by bisection; the
     block count qualifies (its corners are empty), so the selection ends.
-    A probe takes an SVD only when a corner's Frobenius norm is above
-    bound·(1 − 1e-12) and its largest row and column norms are below
-    bound·(1 + 1e-12) (``_norm_at_most``); the margins exceed the rounding
-    of either side, so every verdict is the SVD's.
+    A probe (``_norm_at_most``) settles a corner by its Frobenius norm and
+    its largest row and column norms when one of them lies outside
+    bound·(1 ± 1e-12); failing that, a corner of at most 4,096 entries by
+    the largest eigenvalue of the Gram matrix of its smaller side, off by
+    under (n·k + k + 1)·2^-53 relative for an n×k corner, k <= n, again
+    outside that band.  The SVD decides only inside the band, for a larger
+    corner, and for a non-finite one.  The margins exceed the rounding of
+    every side, so every verdict is the SVD's.
     """
     m = np.asarray(m, dtype=complex)
     nb = blocks.num_blocks

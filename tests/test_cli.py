@@ -17,11 +17,11 @@ from corona_lab import cli, partitions
 from corona_lab import tree as tree_mod
 from corona_lab.cli import main
 from corona_lab.limits import Tower, constant_tower, free_group
-from corona_lab.operators import save_matrix
+from corona_lab.operators import DDWitness, save_matrix
 from corona_lab.partitions import FxProfile
 from corona_lab.torus import RunList, TorusElement, sorted_unique
 from corona_lab.tree import min_sufficient_horizon
-from corona_lab.weak_units import PositiveUnit, tensor_unit
+from corona_lab.weak_units import PositiveUnit, quasi_unitary_residual, tensor_unit
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -803,6 +803,34 @@ def test_verify_fails_on_a_wrong_stable_unit(tmp_path, monkeypatch, mutant, fail
     out = tmp_path / "v.json"
     assert run(["verify", "--out", str(out)]) == 1
     assert json.loads(out.read_text())["failures"] == failures
+
+
+def _nan_tail_at(call):
+    # quasi_unitary_residual with a NaN tail norm on its call-th call
+    calls = []
+
+    def residual(*args):
+        calls.append(args)
+        q = quasi_unitary_residual(*args)
+        return {**q, "tail_norm": np.nan} if len(calls) == call + 1 else q
+
+    return residual
+
+
+@pytest.mark.parametrize(
+    "nan_at, failure",
+    [(None, "stratification"), (0, "quasi-unitary bound"), (1, "stable quasi-unitary bound")],
+    ids=["residual", "quasi-unitary", "stable-quasi-unitary"],
+)
+def test_verify_fails_on_a_nan_check_value(tmp_path, monkeypatch, nan_at, failure):
+    # a NaN residual or tail norm fails its check, as a NaN union excess does
+    if nan_at is None:
+        monkeypatch.setattr(DDWitness, "reconstruction_residual", lambda w, m: np.nan)
+    else:
+        monkeypatch.setattr(cli, "quasi_unitary_residual", _nan_tail_at(nan_at))
+    out = tmp_path / "v.json"
+    assert run(["verify", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["failures"] == [failure]
 
 
 # Exit-code contract: every input ends in 0, 1 or 2, never in a traceback.

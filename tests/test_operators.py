@@ -56,6 +56,23 @@ def test_op_norm_near_degenerate_top_pair_large():
     assert op_norm(m) >= 1.0 - 1e-13
 
 
+def test_op_norm_is_the_float_of_numpy_2_norm():
+    rng = np.random.default_rng(3)
+    for shape in ((1, 1), (5, 3), (3, 5), (40, 40)):
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert op_norm(m) == float(np.linalg.norm(m, 2))
+    assert op_norm(np.arange(6).reshape(2, 3)) == float(np.linalg.norm(np.arange(6).reshape(2, 3), 2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf, -np.inf, complex(np.inf, 1.0)])
+def test_op_norm_refuses_a_non_finite_entry(bad):
+    # numpy's SVD raises LinAlgError on a NaN and returns nan on an inf
+    m = np.full((4, 3), 0.1, dtype=complex)
+    m[2, 1] = bad
+    with pytest.raises(PreconditionViolation):
+        op_norm(m)
+
+
 def test_block_structure():
     b = BlockStructure((2, 3, 1))
     assert b.dim == 6 and b.num_blocks == 3
@@ -180,6 +197,27 @@ def test_tail_bounds_are_the_full_tail_norms(case):
     assert w.tail_bound_ok() == all(b <= 2.0 ** (-i + 4) for i, b in enumerate(full))
 
 
+@pytest.mark.parametrize("i", range(4))
+def test_tail_bound_ok_at_its_bound(i):
+    X = SparseSet(np.array([1, 2, 3]))
+    z = np.zeros((3, 3))
+    at = [2.0 ** (4 - k) for k in range(4)]
+    above = [*at[:i], np.nextafter(at[i], np.inf), *at[i + 1 :]]
+    assert operators.DDWitness(X, z, z, z, tuple(at)).tail_bound_ok()
+    assert not operators.DDWitness(X, z, z, z, tuple(above)).tail_bound_ok()
+
+
+def test_tail_norm_between_its_bound_and_twice_it_fails():
+    # one entry of a, from interval 2 to interval 5, of norm 5: tail 2's
+    # bound is 2^(4 - 2) = 4, and 5 lies below twice that
+    blocks = BlockStructure((1,) * 8)
+    m = np.eye(8, dtype=complex)
+    m[2, 5] = 5.0
+    w = stratify_against(m, SparseSet(np.arange(1, 9)), blocks)
+    assert w.tail_bounds[:4] == (5.0, 5.0, 5.0, 0.0)
+    assert not w.tail_bound_ok()
+
+
 def _interval_of_coords(X, blocks):
     """X-interval index of every coordinate, or -1 past the truncation."""
     blk = np.repeat(np.arange(blocks.num_blocks), blocks.sizes)
@@ -295,6 +333,24 @@ def _probe_corners():
     heavy = 1e-9 * (rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8)))
     heavy[4] += rng.standard_normal(8) * 0.1  # one heavy row over 1e-9 noise
     corners += [heavy, heavy.conj().T]
+    return corners + _gram_corners()
+
+
+def _gram_corners():
+    """Corners of at most 4,096 entries whose norm bounds leave a verdict
+    near their norm open, so a Gram matrix decides it."""
+    rng = np.random.default_rng(12)
+
+    def gauss(r, c):
+        return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+
+    corners = [gauss(r, c) / 40 for r, c in ((560, 3), (3, 560), (57, 57), (12, 116))]
+    low_rank = gauss(64, 2) @ gauss(2, 40)  # rank two of 40
+    low_rank[:, 7] = 0.0  # and a zero column
+    corners += [low_rank, low_rank.conj().T.copy()]
+    heavy = 1e-3 * gauss(300, 10)
+    heavy[17] += gauss(1, 10)[0]  # one heavy row over small dense noise
+    corners += [heavy, heavy.conj().T.copy()]
     return corners
 
 
@@ -320,6 +376,60 @@ def test_probe_with_unbounded_sums_reaches_op_norm(bad, monkeypatch):
     monkeypatch.setattr(operators, "op_norm", counted)
     assert _outcome(operators._norm_at_most, c, 0.5) == parent
     assert calls == [c.shape]
+
+
+@pytest.mark.parametrize("c", _gram_corners(), ids=lambda c: f"{c.shape[0]}x{c.shape[1]}")
+def test_probe_settles_small_corners_by_the_gram_matrix(c, monkeypatch):
+    # outside the band no SVD is taken, and the Gram matrix is that of the
+    # smaller side
+    norm = op_norm(c)
+    svd, gram = [], []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(operators, "op_norm", lambda x: svd.append(x.shape))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: gram.append(g.shape) or eigvalsh(g))
+    for bound, verdict in ((norm * (1 - 2e-12), False), (norm * (1 + 2e-12), True)):
+        assert operators._norm_at_most(c, bound) == verdict
+    k = min(c.shape)
+    assert svd == [] and gram == [(k, k)] * 2
+
+
+def test_selection_at_the_bound_is_the_linear_scan():
+    # level 1 cuts at block 1's first coordinate, 6, with bound 1/2: one
+    # dense 11x6 corner block whose norm lies at 1/2 or just either side
+    blocks = BlockStructure((6,) + (1,) * 30)
+    rng = np.random.default_rng(13)
+    draws = (rng.standard_normal((11, 6)) + 1j * rng.standard_normal((11, 6)) for _ in range(200))
+    # the first draw whose SVD norm, once scaled to 1/2, is exactly 1/2
+    base = next(b for b in (d * (0.5 / op_norm(d)) for d in draws) if op_norm(b) == 0.5)
+    scales = [1 - 4e-12, 1 - 1e-12, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1 + 1e-12, 1 + 4e-12]
+    sides = set()
+    for scale in scales:
+        m = 0.01 * np.eye(blocks.dim, dtype=complex)
+        m[20:31, :6] = base * scale
+        sides.add(float(np.sign(op_norm(m[20:, :6]) - 0.5)))
+        assert stratify(m, blocks).X.elements.tolist() == _linear_scan_X(m, blocks)
+    assert sides == {-1.0, 0.0, 1.0}
+
+
+def _mixed_case(seed, dim):
+    """A dense unit-norm complex matrix over blocks of 1 to 3 coordinates."""
+    rng = np.random.default_rng(seed)
+    sizes = []
+    while sum(sizes) < dim:
+        sizes.append(int(rng.integers(1, 4)))
+    sizes[-1] -= sum(sizes) - dim
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return m / op_norm(m), BlockStructure(tuple(sizes))
+
+
+def test_stratify_selects_without_an_svd(monkeypatch):
+    m, blocks = _mixed_case(21, 525)
+    calls = []
+    norm = op_norm
+    monkeypatch.setattr(operators, "op_norm", lambda x: calls.append(x.shape) or norm(x))
+    monkeypatch.setattr(operators, "stratify_against", lambda m, X, blocks: X)
+    assert operators.stratify(m, blocks).num_points == 5
+    assert calls == []
 
 
 def test_dd_check_examples():
