@@ -226,11 +226,13 @@ def _norm_at_most(c: np.ndarray, bound: float) -> bool:
       section 4.7) taken as <= k.  The square root halves the relative
       error and rounds once, so the estimate is within
       (0.71 (n + 1) k + k / 2 + 1) u < (n k + k + 1) u relative of s:
-      under 4.7e-13 for n k <= 4,096 (so k <= 64).  A Frobenius norm of at
-      least 2^-500 keeps what underflow can add under u.
+      under 4.7e-13 for n k <= 4,096 (so k <= 64).
 
-    Inside a band, for a larger or tinier corner, and for a corner with a
-    non-finite sum of squares, the SVD decides.
+    Squares of entries below about 1e-154 underflow, and can read a nonzero
+    corner as 0, so every "<=" from a sum of squares needs a Frobenius norm
+    of at least 2^-500, which keeps what underflow can take away under u, or
+    a corner of zeros.  Inside a band, for a larger or tinier corner, and for
+    a corner with a non-finite sum of squares, the SVD decides.
     """
     with np.errstate(over="ignore"):  # an overflow leaves the verdict to the SVD
         sq = np.square(c.real) + np.square(c.imag)
@@ -238,7 +240,7 @@ def _norm_at_most(c: np.ndarray, bound: float) -> bool:
     frob = float(np.sqrt(rows.sum()))
     lo, hi = bound * (1.0 - 1e-12), bound * (1.0 + 1e-12)
     if np.isfinite(frob):
-        if frob <= lo:
+        if frob <= lo and (frob >= 2.0**-500 or not c.any()):
             return True
         if np.sqrt(max(rows.max(), sq.sum(axis=0).max())) >= hi:
             return False
@@ -264,8 +266,9 @@ def stratify(m: np.ndarray, blocks: BlockStructure) -> DDWitness:
     the largest eigenvalue of the Gram matrix of its smaller side, off by
     under (n·k + k + 1)·2^-53 relative for an n×k corner, k <= n, again
     outside that band.  The SVD decides only inside the band, for a larger
-    corner, and for a non-finite one.  The margins exceed the rounding of
-    every side, so every verdict is the SVD's.
+    corner, for a non-finite one, and for a nonzero one whose Frobenius norm
+    is below 2^-500, where squares underflow.  The margins exceed the
+    rounding of every side, so every verdict is the SVD's.
     """
     m = np.asarray(m, dtype=complex)
     nb = blocks.num_blocks

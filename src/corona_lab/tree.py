@@ -430,6 +430,11 @@ def build_tree(
     The z-variant's jump maxima come from the same batches, one row per
     distinct element: a node's runs are its row's cells with bitwise equal
     neighbours merged, whose exact zero jumps change no maximum.
+
+    The certificates are the same at every horizon the chain accepts:
+    :func:`_region_starts` does not read the horizon, so each level's points
+    up to its last scheduled region are too, and past that region every
+    element is constant, so each window a longer horizon adds has diameter 0.
     """
     check_tolerance(eps, j0)
     if z_variant and any(

@@ -18,6 +18,7 @@ from .errors import (
     ConstructionError,
     PreconditionViolation,
     WitnessNotFound,
+    as_int,
 )
 from .operators import BlockStructure, op_norm, sampled_norm
 from .torus import TorusElement, as_indices, delta_one
@@ -35,7 +36,9 @@ SANDWICH_SAMPLES = 10
 class PositiveUnit:
     """Sequence of positive contractions with interlocking partial sums.
 
-    ``rs`` has shape (count, D): row i is the diagonal of r_i.
+    ``rs`` has shape (count, D): row i is the diagonal of r_i.  A NaN or
+    infinite entry is refused; the range [0, 1] and the interlocking are
+    :meth:`check_invariants`' verdict.
     """
 
     rs: np.ndarray
@@ -44,6 +47,8 @@ class PositiveUnit:
         rs = np.asarray(self.rs)
         if rs.ndim != 2 or not rs.shape[1]:
             raise PreconditionViolation("a unit needs a (count, D) array of diagonals, D >= 1")
+        if not np.isfinite(rs).all():
+            raise PreconditionViolation("unit entries must be finite")
         rs.setflags(write=False)
         object.__setattr__(self, "rs", rs)
 
@@ -58,9 +63,10 @@ class PositiveUnit:
     def spectrum(self, i: int) -> np.ndarray:
         return np.asarray(self.rs[i], dtype=float)
 
-    def p(self, n: int) -> np.ndarray:
-        """Diagonal of the partial sum p_n = r_0 + ... + r_{n-1}."""
-        return self.rs[:n].sum(axis=0)
+    def partial_sums(self) -> np.ndarray:
+        """Row n - 1 is the diagonal of p_n = r_0 + ... + r_{n-1}, added in
+        that order; + 0.0 makes a sum of -0.0s read 0.0, as a sum from 0 does."""
+        return np.cumsum(self.rs, axis=0) + 0.0
 
     def sandwich(self, i: int, a: np.ndarray, j: int, k: int = 1) -> np.ndarray:
         """r_i^k a r_j^k."""
@@ -74,25 +80,24 @@ class PositiveUnit:
         return v, float(self.rs[i][p])
 
     def check_invariants(self, tol: float = 1e-12) -> dict:
-        devs = {"order": 0.0, "interlock": 0.0, "far_products": 0.0}
-        prev = None
-        for n in range(self.count + 1):
-            pn = self.p(n)
-            devs["order"] = max(devs["order"], float(max(-pn.min(), pn.max() - 1.0, 0.0)))
-            if prev is not None:
-                d = pn * prev - prev
-                devs["interlock"] = max(devs["interlock"], float(np.abs(d).max()))
-            prev = pn
-        for i in range(self.count):
-            for j in range(i + 2, self.count):
-                d = self.rs[i] * self.rs[j]
-                devs["far_products"] = max(devs["far_products"], float(np.abs(d).max()))
-        devs["ok"] = all(v <= tol for k, v in devs.items() if k != "ok")
+        """Largest deviations from 0 <= p_n <= 1, p_{n+1} p_n = p_n and
+        r_i r_j = 0 (j >= i + 2), and whether all are <= ``tol``; NaN is not.
+
+        p_0 = 0 is each reduction's initial value.  The max of |r_i r_j| over
+        j >= i + 2 is |r_i| times the max of |r_j| there, exactly: rounding a
+        product by a nonnegative factor is monotone."""
+        ps = self.partial_sums()
+        order = np.maximum(-ps.min(initial=0.0), ps.max(initial=0.0) - 1.0)
+        d = ps[1:] * ps[:-1] - ps[:-1]
+        a = np.abs(self.rs)
+        tails = np.maximum.accumulate(a[::-1], axis=0)[::-1]
+        devs = {
+            "order": float(order) + 0.0,  # -0.0, from -min(p_0), reads 0.0
+            "interlock": float(np.abs(d).max(initial=0.0)),
+            "far_products": float((a[:-2] * tails[2:]).max(initial=0.0)),
+        }
+        devs["ok"] = all(v <= tol for v in devs.values())
         return devs
-
-
-def _p_profile(x: np.ndarray, n: int) -> np.ndarray:
-    return np.clip(2.0 * n - x, 0.0, 1.0)
 
 
 def build_tent_unit(count: int, grid_step: float) -> PositiveUnit:
@@ -100,27 +105,22 @@ def build_tent_unit(count: int, grid_step: float) -> PositiveUnit:
 
     p_n equals 1 on [0, 2n-1], ramps linearly to 0 on [2n-1, 2n]; each tent
     r_i = p_{i+1} - p_i then ramps up exactly where r_{i-1} ramps down, so the
-    interlocking identities hold pointwise with no tolerance.
+    interlocking identities hold pointwise with no tolerance.  ``grid_step``
+    must be a finite number above 0.
     """
+    count = as_int(count, "count")
     if count < 2:
         raise PreconditionViolation("need at least 2 tents")
-    if grid_step <= 0:
-        raise PreconditionViolation("grid_step must be positive")
-    T = 2.0 * count
-    npts = int(np.floor(T / grid_step)) + 1
-    x = np.arange(npts) * grid_step
-    ps = np.stack([_p_profile(x, n) for n in range(count + 1)])
-    rs = np.diff(ps, axis=0)
-    return PositiveUnit(rs=rs)
+    if not (grid_step > 0 and np.isfinite(grid_step)):
+        raise PreconditionViolation(f"grid_step must be finite and above 0, got {grid_step!r}")
+    x = np.arange(int(np.floor(2.0 * count / grid_step)) + 1) * grid_step
+    ps = np.clip(2.0 * np.arange(count + 1)[:, None] - x, 0.0, 1.0)
+    return PositiveUnit(rs=np.diff(ps, axis=0))
 
 
 def projection_unit(blocks: BlockStructure) -> PositiveUnit:
     """Mutually orthogonal coordinate-block indicator projections."""
-    rs = np.zeros((blocks.num_blocks, blocks.dim))
-    off = blocks.offsets
-    for i in range(blocks.num_blocks):
-        rs[i, off[i] : off[i + 1]] = 1.0
-    return PositiveUnit(rs=rs)
+    return PositiveUnit(rs=np.repeat(np.eye(blocks.num_blocks), blocks.sizes, axis=1))
 
 
 def power_gap(r, k: int, continuous_range: tuple | None = None) -> float:
@@ -210,13 +210,12 @@ def quasi_unitary_residual(alpha: TorusElement, unit: PositiveUnit, N: int) -> d
     idx = np.arange(unit.count - 1)
     vals = alpha.values(idx) * alpha.values(idx + 1).conj()
     c = 2.0 * (np.real(vals) - 1.0)
-    sel = idx > N
-    if not np.any(sel):
+    rows = idx[idx > N]
+    if not rows.size:
         return {"tail_norm": 0.0, "eps_N": 0.0, "bound": 0.0}
-    eps_N = float(np.abs(c[sel]).max())
-    s = np.zeros(unit.dim)
-    for i in idx[sel]:
-        s += c[i] * unit.rs[i] * unit.rs[i + 1]
+    eps_N = float(np.abs(c[rows]).max())
+    # one sum over axis 0 adds the terms in order of i
+    s = (c[rows, None] * unit.rs[rows] * unit.rs[rows + 1]).sum(axis=0)
     tail = float(np.abs(s).max())
     return {"tail_norm": tail, "eps_N": eps_N, "bound": 3.0 * eps_N}
 
@@ -274,27 +273,26 @@ def hyp_check(unit: PositiveUnit, mode: str, eps: float = 0.1) -> dict:
     ``"HypA"``: every r_i is a projection and every ambient corner
     r_i A r_j is nonzero.  ``"HypWeak"``: for every pair and every power up
     to :data:`HYP_K_MAX`, some ambient element has a compressed corner of
-    norm >= 1 - eps.  Failures are listed by i, then j, with the first
-    failing power.
+    norm >= 1 - eps, for an ``eps`` in (0, 1); HypA reads no eps.
+    Failures are listed by i, then j, with the first failing power.
     """
     if mode not in ("HypA", "HypWeak"):
         raise PreconditionViolation(f"unknown mode {mode!r}")
     rs = unit.rs
-    failures = []
     if mode == "HypA":
-        for i in range(unit.count):
-            r = rs[i]
-            if np.abs(r * r - r).max() > 1e-9:
-                failures.append({"kind": "not_projection", "i": i})
+        bad = np.flatnonzero(np.abs(rs * rs - rs).max(axis=1) > 1e-9)
+        failures = [{"kind": "not_projection", "i": int(i)} for i in bad]
         M = rs.max(axis=1)
         for i, j in zip(*np.nonzero(M[:, None] * M[None, :] <= PLATEAU_TOL)):
             failures.append({"kind": "zero_corner", "i": int(i), "j": int(j)})
     else:
+        if not 0.0 < eps < 1.0:
+            raise PreconditionViolation(f"HypWeak needs an eps in (0, 1), got {eps!r}")
         M = np.stack([(rs**k).max(axis=1) for k in range(1, HYP_K_MAX + 1)])
         small = M[:, :, None] * M[:, None, :] < 1.0 - eps
-        for i, j in zip(*np.nonzero(small.any(axis=0))):
-            k = int(np.argmax(small[:, i, j])) + 1
-            failures.append({"kind": "small_corner", "i": int(i), "j": int(j), "k": k})
+        first = small.argmax(axis=0) + 1  # each pair's first failing power
+        failures = [{"kind": "small_corner", "i": int(i), "j": int(j), "k": int(first[i, j])}
+                    for i, j in zip(*np.nonzero(small.any(axis=0)))]
     return {"mode": mode, "holds": not failures, "failures": failures, "k_max": HYP_K_MAX}
 
 
@@ -317,7 +315,7 @@ def tensor_unit(unit: PositiveUnit, qs) -> PositiveUnit:
         raise PreconditionViolation("q entries must lie in [0, 1]")
     if np.any(np.diff(qs, axis=0) < 0.0):
         raise PreconditionViolation("q sequence must be nondecreasing")
-    tops = np.stack([np.kron(unit.p(n), q) for n, q in enumerate(qs, 1)])
+    tops = (unit.partial_sums()[:, :, None] * qs[:, None, :]).reshape(unit.count, -1)
     out = PositiveUnit(rs=np.diff(tops, axis=0, prepend=0.0))
     inv = out.check_invariants(tol=1e-9)
     if not inv["ok"]:

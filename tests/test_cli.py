@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -805,14 +806,14 @@ def test_verify_fails_on_a_wrong_stable_unit(tmp_path, monkeypatch, mutant, fail
     assert json.loads(out.read_text())["failures"] == failures
 
 
-def _nan_tail_at(call):
-    # quasi_unitary_residual with a NaN tail norm on its call-th call
+def _tail_at(call, tail):
+    # quasi_unitary_residual with its call-th tail norm set to tail(bound)
     calls = []
 
     def residual(*args):
         calls.append(args)
         q = quasi_unitary_residual(*args)
-        return {**q, "tail_norm": np.nan} if len(calls) == call + 1 else q
+        return {**q, "tail_norm": tail(q["bound"])} if len(calls) == call + 1 else q
 
     return residual
 
@@ -827,7 +828,7 @@ def test_verify_fails_on_a_nan_check_value(tmp_path, monkeypatch, nan_at, failur
     if nan_at is None:
         monkeypatch.setattr(DDWitness, "reconstruction_residual", lambda w, m: np.nan)
     else:
-        monkeypatch.setattr(cli, "quasi_unitary_residual", _nan_tail_at(nan_at))
+        monkeypatch.setattr(cli, "quasi_unitary_residual", _tail_at(nan_at, lambda b: np.nan))
     out = tmp_path / "v.json"
     assert run(["verify", "--out", str(out)]) == 1
     assert json.loads(out.read_text())["failures"] == [failure]
@@ -1078,3 +1079,38 @@ def test_tree_output_matches_json_dumps(tmp_path, monkeypatch, flags):
     assert out.read_text() == json.dumps(
         docs[0], indent=2, sort_keys=True, default=RunList.tolist
     ) + "\n"
+
+
+@pytest.mark.parametrize(
+    "call, past, failures",
+    [(0, False, []), (0, True, ["quasi-unitary bound"]),
+     (1, False, []), (1, True, ["stable quasi-unitary bound"])],
+    ids=["tent-at-bound", "tent-ulp-above", "stable-at-bound", "stable-ulp-above"],
+)
+def test_verify_quasi_unitary_bound_at_its_edge(tmp_path, monkeypatch, call, past, failures):
+    # verify passes tail_norm <= bound + 1e-12 and fails one ulp above it
+    def tail(bound):
+        edge = bound + 1e-12
+        return float(np.nextafter(edge, np.inf)) if past else edge
+
+    monkeypatch.setattr(cli, "quasi_unitary_residual", _tail_at(call, tail))
+    out = tmp_path / "v.json"
+    assert run(["verify", "--out", str(out)]) == (1 if past else 0)
+    assert json.loads(out.read_text())["failures"] == failures
+
+
+def test_verify_runs_hyp_weak_at_eps_0_1(tmp_path, monkeypatch):
+    # --epsilon is the tree's tolerance, up to 2; HypWeak reads its own 0.1
+    calls = []
+    real = cli.hyp_check
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((bound.arguments["mode"], bound.arguments["eps"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "hyp_check", spy)
+    out = tmp_path / "v.json"
+    assert run(["verify", "--epsilon", "1.5", "--j0", "2", "--out", str(out)]) == 0
+    assert [eps for mode, eps in calls if mode == "HypWeak"] == [0.1]

@@ -336,6 +336,13 @@ def _probe_corners():
     return corners + _gram_corners()
 
 
+def _underflow_corners():
+    """Corners whose squares underflow: a sum of squares reads 0 or too small."""
+    rng = np.random.default_rng(13)
+    tiny = 1e-170 * (rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4)))
+    return [np.array([[1e-170]]), tiny, np.vstack([tiny, [[1e-150, 0, 0, 0]]])]
+
+
 def _gram_corners():
     """Corners of at most 4,096 entries whose norm bounds leave a verdict
     near their norm open, so a Gram matrix decides it."""
@@ -360,6 +367,11 @@ def test_probe_verdicts_are_the_svd_verdicts(c):
     bounds = _around(norm) + [norm * (1 - 1e-12), norm * (1 + 1e-12), norm / 2, norm * 2]
     for bound in bounds:
         assert operators._norm_at_most(c, bound) == (op_norm(c) <= bound)
+
+
+@pytest.mark.parametrize("c", _underflow_corners(), ids=lambda c: f"{c.shape[0]}x{c.shape[1]}")
+def test_probe_verdicts_on_underflowing_corners_are_the_svd_verdicts(c):
+    test_probe_verdicts_are_the_svd_verdicts(c)
 
 
 @pytest.mark.parametrize("bad", [np.nan, complex(0.0, np.nan), np.inf, 1e300])

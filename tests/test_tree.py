@@ -1,10 +1,11 @@
+import functools
 import json
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corona_lab import (
@@ -872,3 +873,27 @@ def test_tree_json():
     doc = tree.to_json()
     assert doc["eps"] == 0.1 and len(doc["nodes"]) == 3
     assert all("kind" in c for c in doc["certificates"])
+
+
+@functools.lru_cache(maxsize=None)
+def _certificate_texts(depth, horizon):
+    """Certificates of both variants at j0 = 0, 5 and 10, as JSON text."""
+    chain = generate_chain(depth, horizon, DEFAULT_SCHEDULE[:depth])
+    return [
+        json.dumps(build_tree(chain, z_variant=z_variant, j0=j0).certificates)
+        for z_variant in (False, True)
+        for j0 in (0, 5, 10)
+    ]
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(data=st.data())
+@example(data=None)  # horizon 2^20
+def test_certificates_do_not_depend_on_the_horizon(depth, data):
+    # no horizon moves the layout, and past its last region every element is
+    # constant, so each window added by a longer horizon has diameter 0
+    least = min_sufficient_horizon(depth, list(DEFAULT_SCHEDULE[:depth]))
+    assert least == (35, 213, 782, 2409, 4977, 10113)[depth - 1]
+    horizon = 2**20 if data is None else data.draw(st.integers(least + 1, 2**20), "horizon")
+    assert _certificate_texts(depth, horizon) == _certificate_texts(depth, least)
