@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, prod
 
-from .errors import InvalidSes, PreconditionViolation
+from .errors import InvalidSes, PreconditionViolation, as_int
 
 # ---------------------------------------------------------------------------
 # exact integer matrices: sequences of equal-length rows of Python ints
@@ -278,6 +278,11 @@ def free_group(rank: int) -> AbGroupPresentation:
 
 
 def cyclic_group(order: int) -> AbGroupPresentation:
+    """Z/order for an integer order >= 1; Z itself is ``free_group(1)``."""
+    if as_int(order, "order") < 1:
+        raise PreconditionViolation(
+            f"a cyclic group needs order >= 1, got {order}; Z is free_group(1)"
+        )
     return AbGroupPresentation(rank=1, relations=((order,),))
 
 
@@ -616,7 +621,7 @@ def six_term_check(S: SesTower) -> dict:
 def build_paper_model(depth: int = 8) -> SesTower:
     """The 2-adic miniature: Z doubling into a constant Z, with the cyclic
     2-power quotients downstairs."""
-    if depth < 2:
+    if as_int(depth, "depth") < 2:
         raise PreconditionViolation("need depth >= 2")
     z = free_group(1)
     F = Tower(

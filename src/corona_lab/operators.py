@@ -22,6 +22,9 @@ DENSE_NORM_DIM = 512
 # the most entries a probe's corner may have for its Gram verdict to be
 # certified (see _norm_at_most)
 _GRAM_ENTRIES = 4096
+# the most entries of a row slab of DDWitness.reconstruction_residual's
+# difference: 256 KB of complex entries
+_SLAB_ENTRIES = 16384
 
 
 def op_norm(m: np.ndarray) -> float:
@@ -127,10 +130,30 @@ class DDWitness:
     tail_bounds: tuple
 
     def reconstruction_residual(self, m: np.ndarray) -> float:
-        """op_norm(m - (m_e + m_o + a)), summed in that order in one buffer."""
-        r = self.m_e + self.m_o
-        r += self.a
-        return op_norm(np.subtract(m, r, out=r))
+        """op_norm(m - (m_e + m_o + a)), summed in that order.
+
+        The difference is checked in row slabs of at most ``_SLAB_ENTRIES``
+        entries, each bitwise those rows of the whole difference, in one
+        reused buffer: when every slab is zero (-0.0 included) the residual
+        is 0.0, op_norm's value for a zero matrix, and no D×D array is
+        made.  Otherwise the whole difference is formed and its op_norm
+        returned.  An m of another shape than the parts is refused.
+        """
+        m = np.asarray(m)
+        if m.shape != self.a.shape:
+            raise PreconditionViolation("matrix does not match the witness's parts")
+        n, d = m.shape
+        rows = max(1, _SLAB_ENTRIES // max(1, d))
+        slab = np.empty((min(rows, n), d), dtype=complex)
+        for lo in range(0, n, rows):
+            s, r = slice(lo, lo + rows), slab[: n - lo]
+            np.add(self.m_e[s], self.m_o[s], out=r)
+            r += self.a[s]
+            if np.subtract(m[s], r, out=r).any():
+                r = self.m_e + self.m_o
+                r += self.a
+                return op_norm(np.subtract(m, r, out=r))
+        return 0.0
 
     def tail_bound_ok(self) -> bool:
         return all(b <= 2.0 ** (-i + 4) for i, b in enumerate(self.tail_bounds))
@@ -144,22 +167,29 @@ def stratify_against(m: np.ndarray, X: SparseSet, blocks: BlockStructure) -> DDW
     the even double blocks [b[2i], b[min(2i + 2, K)])², m_o is m on the two
     strips between intervals 2i + 1 and 2i + 2, and a is the rest of m, the
     rows and columns past the truncation included.  The parts are cut by
-    slices, one per double block or strip; no entry mask is built.
+    slices, one per double block, strip or corner; no entry mask is built.
+    Each entry of m is written once, into the one part that holds it, and
+    every other entry of a part is the +0.0 of ``np.zeros``.
     """
     m = np.asarray(m, dtype=complex)
     b = _interval_offsets(m, X, blocks)
     K = X.num_intervals
     m_e = np.zeros(m.shape, dtype=complex)
     m_o = np.zeros(m.shape, dtype=complex)
-    a = m.copy()
+    a = np.zeros(m.shape, dtype=complex)
     for j in range(0, K, 2):
         d = slice(b[j], b[min(j + 2, K)])
         m_e[d, d] = m[d, d]
-        a[d, d] = 0.0
     for j in range(1, K - 1, 2):
         r, c = slice(b[j], b[j + 1]), slice(b[j + 1], b[j + 2])
         m_o[r, c], m_o[c, r] = m[r, c], m[c, r]
-        a[r, c] = a[c, r] = 0.0
+    # a: the corners between intervals at distance >= 2, then the rows and
+    # the columns past the truncation
+    for j in range(K - 2):
+        r, c = slice(b[j], b[j + 1]), slice(b[j + 2], b[K])
+        a[r, c], a[c, r] = m[r, c], m[c, r]
+    t = b[K]
+    a[t:], a[:t, t:] = m[t:], m[:t, t:]
     # tail i is the rows of intervals >= i, the rows past the truncation last
     D = blocks.dim
     tails = _tail_norms(a, b if b[-1] == D else b + [D], X.num_points)

@@ -85,8 +85,8 @@ class TorusElement:
         self.__post_init__()
 
     def __post_init__(self):
-        """Check the runs, reduce their phases mod 2π and merge neighbouring
-        runs that became bitwise equal."""
+        """Check the runs, reduce their phases mod 2π, refuse a non-finite
+        one, and merge neighbouring runs that became bitwise equal."""
         starts = self.starts
         if (
             starts.ndim != 1
@@ -99,7 +99,10 @@ class TorusElement:
             raise PreconditionViolation(
                 "runs must start at 0 and increase strictly below the horizon"
             )
-        ph = np.mod(self.run_phases, TWO_PI)
+        with np.errstate(invalid="ignore"):  # an infinite phase reduces to NaN
+            ph = np.mod(self.run_phases, TWO_PI)
+        if not np.isfinite(ph).all():
+            raise PreconditionViolation("phases must be finite")
         bits = ph.view(np.int64)
         keep = np.concatenate(([True], bits[1:] != bits[:-1]))
         starts, ph = starts[keep], ph[keep]

@@ -38,13 +38,14 @@ class PositiveUnit:
 
     ``rs`` has shape (count, D): row i is the diagonal of r_i.  A NaN or
     infinite entry is refused; the range [0, 1] and the interlocking are
-    :meth:`check_invariants`' verdict.
+    :meth:`check_invariants`' verdict.  The unit holds a read-only copy of
+    ``rs``, so the caller's array stays writable and cannot change the unit.
     """
 
     rs: np.ndarray
 
     def __post_init__(self):
-        rs = np.asarray(self.rs)
+        rs = np.array(self.rs)
         if rs.ndim != 2 or not rs.shape[1]:
             raise PreconditionViolation("a unit needs a (count, D) array of diagonals, D >= 1")
         if not np.isfinite(rs).all():

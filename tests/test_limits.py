@@ -110,6 +110,19 @@ def test_group_canonical():
     assert cyclic_group(8).invariants() == (0, (8,))
 
 
+@pytest.mark.parametrize("order", [0, -3, 2.5, True])
+def test_cyclic_group_refuses_an_order_below_one_or_not_an_integer(order):
+    # 0 built Z and -3 built Z/3 without a word
+    with pytest.raises(PreconditionViolation, match="order"):
+        cyclic_group(order)
+
+
+def test_paper_model_refuses_a_depth_that_is_no_integer():
+    # 2.5 escaped as a TypeError from range()
+    with pytest.raises(PreconditionViolation, match="depth must be an integer"):
+        build_paper_model(2.5)
+
+
 def test_tower_validation():
     z = free_group(1)
     with pytest.raises(PreconditionViolation, match="need one bond per adjacent level pair"):

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -270,6 +273,123 @@ def test_parts_are_the_dense_mask_parts(case):
     assert _bits(w.m_e) == _bits(np.where(mask_e, m, 0.0))
     assert _bits(w.m_o) == _bits(np.where(mask_o, m, 0.0))
     assert _bits(w.a) == _bits(np.where(~(mask_e | mask_o), m, 0.0))
+
+
+def _copy_and_zero_witness(m, X, blocks):
+    """stratify_against's witness built from a copy of m with its double
+    blocks and strips zeroed again: the oracle for writing each entry once."""
+    m = np.asarray(m, dtype=complex)
+    b = operators._interval_offsets(m, X, blocks)
+    K = X.num_intervals
+    m_e = np.zeros(m.shape, dtype=complex)
+    m_o = np.zeros(m.shape, dtype=complex)
+    a = m.copy()
+    for j in range(0, K, 2):
+        d = slice(b[j], b[min(j + 2, K)])
+        m_e[d, d] = m[d, d]
+        a[d, d] = 0.0
+    for j in range(1, K - 1, 2):
+        r, c = slice(b[j], b[j + 1]), slice(b[j + 1], b[j + 2])
+        m_o[r, c], m_o[c, r] = m[r, c], m[c, r]
+        a[r, c] = a[c, r] = 0.0
+    D = blocks.dim
+    tails = operators._tail_norms(a, b if b[-1] == D else b + [D], X.num_points)
+    return operators.DDWitness(X=X, m_e=m_e, m_o=m_o, a=a, tail_bounds=tuple(tails))
+
+
+def _one_buffer_residual(w, m):
+    """The residual from the whole difference in one D×D buffer: the oracle
+    for the row slabs."""
+    r = w.m_e + w.m_o
+    r += w.a
+    return op_norm(np.subtract(m, r, out=r))
+
+
+@st.composite
+def _slab_cases(draw):
+    """1-6 intervals over blocks of 1-3 coordinates, X possibly ending before
+    the last block; entries drawn with signed and exact zeros; a slab of at
+    least one row and at most the whole matrix; and one part perturbed in the
+    first row, the last row or a row on either side of a slab boundary, or m
+    given a NaN, or neither."""
+    K = draw(st.integers(1, 6))
+    nb = draw(st.integers(K, K + 10))
+    blocks = BlockStructure(tuple(draw(st.lists(st.integers(1, 3), min_size=nb, max_size=nb))))
+    last = draw(st.integers(K, nb))
+    inner = draw(st.permutations(range(1, last)))[: K - 1]
+    X = SparseSet(np.asarray([0, *sorted(inner), last]))
+    D = blocks.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    zeros = np.array([0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0)])
+    hit = rng.random((D, D)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    m[hit] = zeros[rng.integers(0, 4, hit.sum())]
+    slab_rows = draw(st.integers(1, D))
+    edit = draw(st.sampled_from(["none", "first", "last", "before-slab", "at-slab", "nan"]))
+    row = {"first": 0, "last": D - 1, "before-slab": slab_rows - 1}.get(edit, min(slab_rows, D - 1))
+    part = draw(st.sampled_from(["m_e", "m_o", "a"]))
+    delta = draw(st.sampled_from([0.5, -1e-3j, 5e-324]))
+    return m, X, blocks, slab_rows * D, edit, (part, row, draw(st.integers(0, D - 1)), delta)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_slab_cases())
+def test_parts_and_residual_are_the_copy_and_zero_oracle(case):
+    m, X, blocks, slab, edit, (part, row, col, delta) = case
+    if edit == "nan":
+        m[row, col] = np.nan
+    want = _outcome(_copy_and_zero_witness, m, X, blocks)
+    got = _outcome(stratify_against, m, X, blocks)
+    if want is PreconditionViolation:
+        # a NaN in a is refused by its tail norms, one in m_e or m_o by the
+        # residual below
+        assert got is PreconditionViolation and edit == "nan"
+        return
+    for f in ("m_e", "m_o", "a"):
+        assert _bits(getattr(got, f)) == _bits(getattr(want, f))
+    assert got.X is want.X and got.tail_bounds == want.tail_bounds
+    if edit not in ("none", "nan"):
+        edited = getattr(got, part).copy()
+        edited[row, col] += delta
+        got = replace(got, **{part: edited})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_SLAB_ENTRIES", slab)
+        residual = _outcome(got.reconstruction_residual, m)
+    oracle = _outcome(_one_buffer_residual, got, m)
+    # a float by its hex text, so -0.0 is not 0.0; an exception by its type
+    assert (residual.hex() if isinstance(residual, float) else residual) == (
+        oracle.hex() if isinstance(oracle, float) else oracle
+    )
+    if edit == "none":
+        assert residual == 0.0
+    if edit == "nan":
+        assert residual is PreconditionViolation
+
+
+@pytest.mark.parametrize("shape", [(6,), (1, 6), (3, 3)])
+def test_residual_refuses_a_matrix_of_another_shape(shape):
+    # (6,) and (1, 6) were broadcast against the parts, and (3, 3) let
+    # numpy's ValueError escape
+    rng = np.random.default_rng(12)
+    w = stratify(rand_mat(rng, 6), BlockStructure((1,) * 6))
+    with pytest.raises(PreconditionViolation, match="does not match"):
+        w.reconstruction_residual(np.ones(shape))
+
+
+def test_zero_residual_makes_no_dxd_array():
+    # the whole difference as one buffer peaked at one D×D complex array
+    D = 400
+    m = rand_mat(np.random.default_rng(13), D)
+    m[::7] = -0.0
+    z = np.zeros((D, D), dtype=complex)
+    w = operators.DDWitness(SparseSet(np.array([1, 2])), m.copy(), z, z, ())
+    tracemalloc.start()
+    try:
+        assert w.reconstruction_residual(m) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < D * D * 16 / 4
 
 
 def _linear_scan_X(m, blocks):

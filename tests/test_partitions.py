@@ -307,18 +307,29 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _nan_for(alpha, value):
+    """alpha with its runs of phase ``value`` made NaN, set past the
+    constructor, which refuses a non-finite phase: a profile's NaN path."""
+    ph = np.where(alpha.run_phases == value, np.nan, alpha.run_phases)
+    ph.setflags(write=False)
+    object.__setattr__(alpha, "run_phases", ph)
+    return alpha
+
+
+# phase 5.0 stands for NaN (see _nan_for)
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_runs_and_points(phase=st.sampled_from([0.0, 1.0, 2.5, np.pi, np.nan])))
+@given(_runs_and_points(phase=st.sampled_from([0.0, 1.0, 2.5, np.pi, 5.0])))
 # no window: the excess is -inf
 @example(case=(TorusElement.from_runs([0, 3], [0.0, np.pi], 8), SparseSet(np.array([0, 5]))))
 # no run break: every window is 0.0, and so is the excess
 @example(case=(TorusElement.from_runs([0], [2.5], 9), SparseSet(np.array([2, 4, 9]))))
 # a NaN phase propagates to the excess
-@example(case=(TorusElement.from_runs([0, 3], [0.0, np.nan], 8), SparseSet(np.array([2, 4, 8]))))
+@example(case=(TorusElement.from_runs([0, 3], [0.0, 5.0], 8), SparseSet(np.array([2, 4, 8]))))
 def test_sparse_profile_matches_the_dense_oracle(case):
     # the dense views, the endpoint entries, the union excess and every
     # in_fx verdict bitwise those of one float per window
     alpha, X = case
+    alpha = _nan_for(alpha, 5.0)
     d, d_single, d_endpoints = _dense_profile(alpha, X)
     prof = fx_profile(alpha, X)
     assert prof.windows == d.size

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -459,6 +460,19 @@ def test_phases_normalized_and_frozen():
     assert np.all(a.phases >= 0) and np.all(a.phases < 2 * np.pi)
     with pytest.raises(ValueError):
         a.phases[0] = 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build", ["phases", "runs"])
+def test_a_non_finite_phase_is_refused(bad, build):
+    # a NaN phase built, and an infinite one built NaN with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionViolation, match="finite"):
+            if build == "phases":
+                TorusElement([0.5, bad, 0.0])
+            else:
+                TorusElement.from_runs([0, 2], [0.5, bad], 4)
 
 
 def test_circle_diameters_on_step_functions():

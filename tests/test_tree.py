@@ -641,6 +641,64 @@ def test_tree_depth1():
     assert len(divs) == 1 and len(divs[0]["blocks"]) == 1
 
 
+def _turning_witness(monkeypatch, theta):
+    """Make every witness turn by theta at each of its jump points in place
+    of pi/m; on a chain with one scheduled block of m = 32, that block's Δ
+    is 2 sin(16 theta), its jumps 2 sin(theta / 2)."""
+    real = tree_mod.successor_witness
+
+    def witness(chain, t):
+        w = real(chain, t)
+        return TorusElement.from_runs(w.starts, np.arange(w.starts.size) * theta, w.horizon)
+
+    monkeypatch.setattr(tree_mod, "successor_witness", witness)
+
+
+def test_divergence_short_of_two_by_1e_6_fails(monkeypatch):
+    # a turn of pi (1 - delta) over the block: Δ = 2 cos(pi delta / 2) = 2 - 1e-6
+    chain = generate_chain(1, 3000, [32])
+    _turning_witness(monkeypatch, np.pi / 32 * (1.0 - 2e-3 / np.pi))
+    with pytest.raises(ConstructionError, match="divergence failed"):
+        build_tree(chain)
+
+
+def test_divergence_at_two_minus_its_tolerance_is_listed(monkeypatch):
+    # bisect the turn down to the least that build_tree lists; its Δ reads
+    # 2 - DIVERGENCE_TOL exactly, and the turn one ulp below fails
+    chain = generate_chain(1, 3000, [32])
+    lo, hi = np.pi / 32 * (1.0 - 2e-3 / np.pi), np.pi / 32
+    while np.nextafter(lo, hi) != hi:
+        mid = (lo + hi) / 2
+        _turning_witness(monkeypatch, mid)
+        try:
+            build_tree(chain)
+            hi = mid
+        except ConstructionError:
+            lo = mid
+    _turning_witness(monkeypatch, hi)
+    certs = build_tree(chain).certificates
+    [[block]] = [c["blocks"] for c in certs if c["kind"] == "divergence"]
+    assert block["delta"] == 2.0 - tree_mod.DIVERGENCE_TOL
+    _turning_witness(monkeypatch, lo)
+    with pytest.raises(ConstructionError, match="divergence failed"):
+        build_tree(chain)
+
+
+@pytest.mark.parametrize("excess, holds", [(0.5e-12, True), (2e-12, False)])
+def test_jump_bound_slack_is_1e_12(monkeypatch, excess, holds):
+    # node "1" jumps by bound + excess, bound = 2 sin(pi / 64) for m = 32
+    chain = generate_chain(1, 3000, [32])
+    bound = 2.0 * np.sin(np.pi / 64)
+    _turning_witness(monkeypatch, 2.0 * np.arcsin((bound + excess) / 2.0))
+    if not holds:
+        with pytest.raises(ConstructionError, match="jump bound failed at node '1'"):
+            build_tree(chain, z_variant=True)
+        return
+    tree = build_tree(chain, z_variant=True)
+    [jump] = [c for c in tree.certificates if c["kind"] == "jump_bound" and c["node"] == "1"]
+    assert jump["holds"] and jump["max_jump"] - jump["bound"] == pytest.approx(excess, abs=1e-13)
+
+
 def test_tree_depth2_certificates():
     chain = generate_chain(2, 30000, [32, 36])
     tree = build_tree(chain, z_variant=True)

@@ -366,6 +366,15 @@ def test_unit_refuses_non_finite_entries(bad):
         PositiveUnit(rs=rs)
 
 
+def test_unit_keeps_its_own_copy_of_the_rows():
+    # the unit froze the caller's own array, so a later write to it raised
+    rs = np.full((3, 4), 0.5)
+    unit = PositiveUnit(rs=rs)
+    rs[1, 0] = 0.25
+    assert rs.flags.writeable and rs[1, 0] == 0.25
+    assert unit.rs[1, 0] == 0.5 and not unit.rs.flags.writeable
+
+
 def test_check_invariants_is_false_on_a_nan_deviation():
     # NaN rows set past the constructor's check still read "ok": False
     unit = PositiveUnit(rs=np.zeros((3, 4)))
