@@ -213,7 +213,7 @@ def cmd_tree(args) -> int:
 def cmd_stratify(args) -> int:
     try:
         m = load_matrix(args.matrix)
-    except (OSError, ValueError, CoronaLabError) as exc:
+    except CoronaLabError as exc:
         _emit({"error": "parse", "message": str(exc)}, args.out)
         return 2
     blocks = BlockStructure((1,) * m.shape[0])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionViolation
+from .errors import PreconditionViolation, as_int
 from .partitions import SparseSet
 from .torus import TorusElement, as_indices, delta_one
 
@@ -57,7 +57,9 @@ class BlockStructure:
 
     def __post_init__(self):
         sz = np.asarray(self.sizes)
-        if sz.size and sz.dtype.kind not in "iu":
+        # an integer array reads a bool as 0 or 1, so a bool is found by its type
+        bools = sz.ndim == 1 and not {bool, np.bool_}.isdisjoint(map(type, self.sizes))
+        if sz.ndim != 1 or bools or sz.size and sz.dtype.kind not in "iu":
             raise PreconditionViolation("block sizes must be integers")
         sz = tuple(sz.tolist())
         if not sz or any(s < 1 for s in sz):
@@ -90,13 +92,17 @@ def save_matrix(path, m: np.ndarray) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
+    """The matrix :func:`save_matrix` wrote to ``path``; a file that cannot be
+    read or parsed raises :class:`PreconditionViolation`, chained from the error, with its text."""
     rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([complex(tok) for tok in line.split(",")])
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if line:
+                    rows.append([complex(tok) for tok in line.split(",")])
+    except (OSError, ValueError) as exc:
+        raise PreconditionViolation(str(exc)) from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise PreconditionViolation("malformed matrix file")
     m = np.asarray(rows, dtype=complex)
@@ -372,6 +378,8 @@ def ad_sandwich(
 def sampled_norm(coeff: np.ndarray, samples: int, seed: int) -> float:
     """The largest ``op_norm(coeff * a)`` over ``samples`` seeded complex
     Gaussian matrices ``a``, each scaled to norm one; 0.0 for none."""
+    if as_int(samples, "samples") < 0 or as_int(seed, "seed") < 0:
+        raise PreconditionViolation(f"need samples >= 0 and seed >= 0, got {samples}, {seed}")
     rng = np.random.default_rng(seed)
     n = coeff.shape[0]
     sampled = 0.0

@@ -61,6 +61,7 @@ class SparseSet:
 
 def n_of(X: SparseSet, j: int) -> int:
     """The j-th point of the enumeration of {0} ∪ X."""
+    j = as_int(j, "j")
     pts = X.enumeration
     if j < 0 or j >= pts.size:
         raise TruncationExceeded(f"j={j} beyond truncation ({pts.size} points)")

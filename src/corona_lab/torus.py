@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, product, repeat
+from itertools import chain, repeat
 from math import prod
 
 import numpy as np
@@ -28,6 +28,8 @@ DIAMETER_CHUNK = 1 << 20
 
 #: most cases :func:`fuzz_lij` draws and checks at once (one chunk)
 FUZZ_CHUNK = 2048
+#: length of the sequences :func:`fuzz_lij` draws, and the size of its index sets
+FUZZ_HORIZON, FUZZ_SET_SIZE = 16, 3
 
 
 class RunList:
@@ -261,91 +263,37 @@ def _pairs(L: int):
     return pairs
 
 
-def ranked_subsets(u: np.ndarray, horizon: int) -> np.ndarray:
-    """Ordered subsets of ``range(horizon)`` drawn by rank, one per column
-    of the doubles ``u`` (shape (k, c), each in [0, 1)).
-
-    Pick q of a column is the index of rank ``floor(u[q] * (horizon - q))``
-    among the indices not yet picked in that column: the rank is shifted
-    past each earlier pick p, in increasing order of p, by ``x += x >= p``.
-    With u uniform, each column is a uniform ordered k-subset, up to the
-    2^-53 grid of one double; for ``horizon`` <= 2^53 the largest double
-    below 1 gives rank ``horizon - q - 1``, so every rank lies in range.
-    """
-    k, c = u.shape
-    picks = np.empty((k, c), dtype=np.int64)
-    for q in range(k):
-        x = (u[q] * (horizon - q)).astype(np.int64)
-        for p in np.sort(picks[:q], axis=0):
-            x += x >= p
-        picks[q] = x
-    return picks
-
-
-def fuzz_lij(n: int, seed: int = 0, horizon: int = 16, set_size: int = 3) -> int:
+def fuzz_lij(n: int, seed: int = 0) -> int:
     """Vectorized fuzz of the union bound; returns the number of violations.
 
-    It backs acceptance criterion 3.  ``verify`` does not run it: it checks
-    the bound on the profiles the lab builds, by
+    It backs acceptance criterion 3; ``verify`` checks the bound on the
+    lab's own profiles instead, by
     :meth:`~corona_lab.partitions.FxProfile.union_excess`.
 
-    Each of the ``n`` cases draws two uniform ordered ``set_size``-subsets
-    I, J of ``range(horizon)``, independently, by :func:`ranked_subsets`,
-    and one phase gamma = pa - pb (pa, pb each uniform on [0, 2π)) for each
-    of its 2 set_size points, I's then J's.  A point of J that is also in I
-    takes I's phase.  So gamma is iid over the distinct indices of a case
-    and shared where I and J meet, which is the law of a case drawn as two
-    whole sequences pa, pb of length ``horizon`` read at two uniform random
-    subsets of their indices: the check is as strong, case for case, at
-    6 set_size doubles and no sort over the horizon per case, whatever the
-    horizon.
-
-    Row r of a (2 set_size, c) array holds the value of gamma at point r of
-    every case, and each distinct pair of points a < b gives one row
-    |v_a - v_b|: running maxima over the pairs give Delta_{I u J}, Delta_I
-    and Delta_J, and the pair (0, set_size) gives Delta_{i0 j0}.  These are
-    the distances that :func:`circle_diameters` computes for each window.
-
-    Cases are streamed in chunks of at most :data:`FUZZ_CHUNK`, so memory
-    grows with neither ``n`` nor ``horizon``.  They are the same draws as
-    one draw each, case-major, of pa and pb ((n, 2 set_size) doubles) and
-    of the ranks of I and J ((n, set_size) doubles) from
-    ``default_rng(seed)``: each double takes one 64-bit output, so each of
-    the four streams starts at that generator's state advanced past the
-    outputs of the streams before it.
+    Each of the ``n`` cases draws two sequences pa, pb of
+    :data:`FUZZ_HORIZON` phases uniform on [0, 2π), and two independent
+    uniform ordered :data:`FUZZ_SET_SIZE`-subsets I, J of their indices:
+    the first entries of an argsort of uniform doubles.  gamma = pa - pb
+    read at I's points, then J's, gives Delta_{I u J}, Delta_I and Delta_J
+    by one :func:`circle_diameters` call, and Delta_{i0 j0} from the first
+    point of each.  Cases are streamed in chunks of at most
+    :data:`FUZZ_CHUNK`; the four streams of ``SeedSequence(seed).spawn(4)``
+    are read case by case, so the count does not depend on the chunk size.
     """
     n, seed = as_int(n, "n"), as_int(seed, "seed")
-    horizon, k = as_int(horizon, "horizon"), as_int(set_size, "set_size")
-    if n < 0 or seed < 0 or not 1 <= k <= horizon <= 1 << 53:
-        raise PreconditionViolation(
-            "need n >= 0, seed >= 0 and 1 <= set_size <= horizon <= 2^53, got "
-            f"n={n}, seed={seed}, set_size={k}, horizon={horizon}"
-        )
-    # PCG64(seed) is the bit generator of default_rng(seed); pa and pb take
-    # 2 set_size doubles a case, the ranks of I and J set_size each
-    g_pa, g_pb, g_i, g_j = (
-        np.random.Generator(np.random.PCG64(seed).advance(s * n * k)) for s in (0, 2, 4, 5)
-    )
+    if n < 0 or seed < 0:
+        raise PreconditionViolation(f"need n >= 0 and seed >= 0, got n={n}, seed={seed}")
+    g_pa, g_pb, g_i, g_j = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(4))
+    h, k = FUZZ_HORIZON, FUZZ_SET_SIZE
     violations = 0
     for c0 in range(0, n, FUZZ_CHUNK):
         c = min(FUZZ_CHUNK, n - c0)
-        I = ranked_subsets(g_i.random((c, k)).T, horizon)
-        J = ranked_subsets(g_j.random((c, k)).T, horizon)
-        pa = g_pa.uniform(0.0, TWO_PI, size=(c, 2 * k))
-        pb = g_pb.uniform(0.0, TWO_PI, size=(c, 2 * k))
-        # row r holds gamma at point r of every case: I's points, then J's
-        gamma = (pa - pb).T
-        for q, p in product(range(k), repeat=2):
-            np.copyto(gamma[k + q], gamma[p], where=J[q] == I[p])
-        v = np.exp(1j * gamma)
-        lhs, d_i, d_j = np.zeros(c), np.zeros(c), np.zeros(c)
-        for a, b in combinations(range(2 * k), 2):
-            d = np.abs(v[a] - v[b])
-            np.maximum(lhs, d, out=lhs)
-            if b < k:
-                np.maximum(d_i, d, out=d_i)
-            elif a >= k:
-                np.maximum(d_j, d, out=d_j)
-        rhs = d_i + d_j + np.abs(v[0] - v[k])
-        violations += int(np.sum(lhs > rhs + SLACK))
+        gamma = g_pa.uniform(0.0, TWO_PI, (c, h)) - g_pb.uniform(0.0, TWO_PI, (c, h))
+        I = g_i.random((c, h)).argsort(axis=1)[:, :k]
+        J = g_j.random((c, h)).argsort(axis=1)[:, :k]
+        # row r holds gamma at I's points, then J's, of case r
+        v = np.exp(1j * np.take_along_axis(gamma, np.hstack((I, J)), axis=1))
+        d_union, d_i, d_j = circle_diameters(v, [0, 0, k], [2 * k, k, 2 * k]).T
+        rhs = d_i + d_j + np.abs(v[:, 0] - v[:, k])
+        violations += int(np.sum(d_union > rhs + SLACK))
     return violations

@@ -132,7 +132,7 @@ def power_gap(r, k: int, continuous_range: tuple | None = None) -> float:
     declares that the spectrum fills an interval (the tent model's ramps do),
     in which case the max is taken analytically over that interval.
     """
-    if k < 0:
+    if as_int(k, "k") < 0:
         raise PreconditionViolation("k must be a natural number")
     if continuous_range is not None:
         lo, hi = float(continuous_range[0]), float(continuous_range[1])
@@ -208,6 +208,7 @@ def epsilon_witness(unit: PositiveUnit, i: int, j: int, eps: float) -> dict:
 def quasi_unitary_residual(alpha: TorusElement, unit: PositiveUnit, N: int) -> dict:
     """Tail norm of sum_{i > N} 2 [Re(alpha(i) conj(alpha(i+1))) - 1] r_i r_{i+1}
     against the bound 3 eps_N; the overlap supports meet at most three terms."""
+    N = as_int(N, "N")
     idx = np.arange(unit.count - 1)
     vals = alpha.values(idx) * alpha.values(idx + 1).conj()
     c = 2.0 * (np.real(vals) - 1.0)

@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 from corona_lab import cli, partitions
 from corona_lab import tree as tree_mod
 from corona_lab.cli import main
+from corona_lab.errors import PreconditionViolation
 from corona_lab.limits import Tower, constant_tower, free_group
-from corona_lab.operators import DDWitness, save_matrix
+from corona_lab.operators import DDWitness, load_matrix, save_matrix
 from corona_lab.partitions import FxProfile
-from corona_lab.torus import RunList, TorusElement, sorted_unique
+from corona_lab.torus import SLACK, RunList, TorusElement, sorted_unique
 from corona_lab.tree import min_sufficient_horizon
 from corona_lab.weak_units import PositiveUnit, quasi_unitary_residual, tensor_unit
+from test_partitions import excess_profile
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -412,6 +414,29 @@ def test_stratify_malformed(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not,a,matrix\n")
     assert run(["stratify", str(bad), "--out", str(tmp_path / "o.json")]) == 2
+
+
+@pytest.mark.parametrize("case", ["bad token", "missing path", "directory"])
+def test_stratify_parse_error_keeps_its_message(tmp_path, case):
+    # load_matrix used to let the ValueError or OSError escape, which the
+    # CLI caught; its PreconditionViolation is chained from that error and
+    # carries its text, so the document keeps its bytes
+    path = {"bad token": tmp_path / "m.txt", "missing path": tmp_path / "no.txt"}.get(
+        case, tmp_path
+    )
+    if case == "bad token":
+        path.write_text("1+2j,4x\n")
+    cause, message = {
+        "bad token": (ValueError, "complex() arg is a malformed string"),
+        "missing path": (FileNotFoundError, f"[Errno 2] No such file or directory: {str(path)!r}"),
+        "directory": (IsADirectoryError, f"[Errno 21] Is a directory: {str(path)!r}"),
+    }[case]
+    with pytest.raises(PreconditionViolation) as info:
+        load_matrix(path)
+    assert isinstance(info.value.__cause__, cause) and str(info.value) == message
+    out = tmp_path / "o.json"
+    assert run(["stratify", str(path), "--out", str(out)]) == 2
+    assert json.loads(out.read_text()) == {"error": "parse", "message": message}
 
 
 def test_sandwich_blocks(tmp_path):
@@ -1097,6 +1122,25 @@ def test_verify_quasi_unitary_bound_at_its_edge(tmp_path, monkeypatch, call, pas
     out = tmp_path / "v.json"
     assert run(["verify", "--out", str(out)]) == (1 if past else 0)
     assert json.loads(out.read_text())["failures"] == failures
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["at-slack", "ulp-above"])
+def test_verify_union_bound_at_slack(tmp_path, monkeypatch, past):
+    # every profile exceeds the union bound by exactly SLACK, which passes,
+    # or by one ulp more, which fails on every witness and level
+    excess = float(np.nextafter(SLACK, np.inf)) if past else SLACK
+    calls = []
+
+    def profile(alpha, X):
+        calls.append((alpha, X))
+        return excess_profile(excess)
+
+    monkeypatch.setattr(cli, "fx_profile", profile)
+    out = tmp_path / "v.json"
+    assert run(["verify", "--out", str(out)]) == (1 if past else 0)
+    failures = json.loads(out.read_text())["failures"]
+    assert calls and len(failures) == (len(calls) if past else 0)
+    assert all(f.startswith("union bound ") for f in failures)
 
 
 def test_verify_runs_hyp_weak_at_eps_0_1(tmp_path, monkeypatch):

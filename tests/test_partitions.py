@@ -11,10 +11,14 @@ from corona_lab import (
     SparseSet,
     TorusElement,
     TruncationExceeded,
+    ad_sandwich,
+    build_tent_unit,
     constant_one,
     delta_one,
     fx_profile,
     n_of,
+    power_gap,
+    quasi_unitary_residual,
 )
 from corona_lab.operators import BlockStructure
 from corona_lab.partitions import FxProfile, break_windows
@@ -63,6 +67,10 @@ def _dense_profile(alpha, X):
     return (*dense, d_endpoints)
 
 
+def _sandwich(**kwargs):
+    return ad_sandwich(constant_one(4), BlockStructure((2, 2, 1, 1)), [0, 1], **kwargs)
+
+
 def test_sparse_set_validation():
     with pytest.raises(PreconditionViolation):
         SparseSet(np.array([5]))
@@ -82,9 +90,28 @@ def test_sparse_set_validation():
         (lambda: TorusElement.from_runs([0, 1], [0.0, 1.0], 3.7), "horizon must be an integer"),
         (lambda: generate_chain(1, 3000.7, [32]), "horizon must be an integer"),
         (lambda: generate_chain(1.0, 3000, [32]), "depth must be an integer"),
+        # the cases below used to raise IndexError or TypeError, or return a
+        # result for the float, the bool or the negative count
+        (lambda: n_of(SparseSet([2, 5, 9]), 2.5), "j must be an integer"),
+        (lambda: n_of(SparseSet([2, 5, 9]), True), "j must be an integer"),
+        (lambda: BlockStructure((True, 2)), "block sizes must be integers"),
+        (lambda: BlockStructure([2, 3, np.True_]), "block sizes must be integers"),
+        (lambda: BlockStructure(3), "block sizes must be integers"),
+        (lambda: BlockStructure([[1, 2]]), "block sizes must be integers"),
+        (lambda: power_gap(np.array([0.5, 0.75]), 2.5), "k must be an integer"),
+        (lambda: power_gap(np.array([0.5, 0.75]), True), "k must be an integer"),
+        (lambda: quasi_unitary_residual(constant_one(12), build_tent_unit(12, 0.25), 1.5),
+         "N must be an integer"),
+        (lambda: _sandwich(samples=2.5), "samples must be an integer"),
+        (lambda: _sandwich(samples=True), "samples must be an integer"),
+        (lambda: _sandwich(seed=1.5), "seed must be an integer"),
+        (lambda: _sandwich(samples=-1), "need samples >= 0"),
     ],
     ids=["sparse-set", "sparse-set-bool", "block-sizes", "run-starts", "element-horizon",
-         "chain-horizon", "chain-depth"],
+         "chain-horizon", "chain-depth", "n-of", "n-of-bool", "block-sizes-bool",
+         "block-sizes-numpy-bool", "block-sizes-scalar", "block-sizes-2d", "power-gap",
+         "power-gap-bool", "quasi-unitary-N", "sandwich-samples", "sandwich-samples-bool",
+         "sandwich-seed", "sandwich-negative-samples"],
 )
 def test_integer_arguments_are_refused_not_truncated(build, message):
     with pytest.raises(PreconditionViolation, match=message):
@@ -300,6 +327,32 @@ def test_in_fx_refuses_a_j0_past_every_window():
             prof.in_fx(0.1, j0)
     with pytest.raises(PreconditionViolation, match="with 0 windows"):
         _sparse(np.zeros(0), np.zeros(1), np.zeros(0)).in_fx(1.0, 0)
+
+
+def test_in_fx_at_its_bound():
+    # a double window at exactly eps holds at j0, one ulp above fails, and a
+    # window above eps before j0 is not read
+    eps, j0 = 0.25, 2
+
+    def prof(d):
+        return _sparse(np.asarray(d), np.zeros(6), np.zeros(5))
+
+    above = float(np.nextafter(eps, np.inf))
+    assert prof([0.0, 0.0, eps, 0.0, 0.0]).in_fx(eps, j0)
+    assert not prof([0.0, 0.0, above, 0.0, 0.0]).in_fx(eps, j0)
+    assert prof([0.0, above, eps, 0.0, 0.0]).in_fx(eps, j0)
+
+
+def excess_profile(excess):
+    """A profile whose double window 1 exceeds the union bound by exactly
+    ``excess``: its halves and its endpoint pair are 0.0."""
+    return _sparse(np.array([0.0, excess, 0.0]), np.zeros(4), np.zeros(3))
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["at-slack", "ulp-above"])
+def test_union_excess_reads_the_excess_bitwise(past):
+    excess = float(np.nextafter(SLACK, np.inf)) if past else SLACK
+    assert excess_profile(excess).union_excess() == excess
 
 
 def _same_bits(a, b):

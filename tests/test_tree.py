@@ -27,8 +27,9 @@ from corona_lab import (
 from corona_lab import tree as tree_mod
 from corona_lab.cli import DEFAULT_SCHEDULE
 from corona_lab.partitions import FxProfile, n_of
-from corona_lab.torus import TWO_PI, sorted_unique
+from corona_lab.torus import SLACK, TWO_PI, sorted_unique
 from corona_lab.tree import ScheduleEntry
+from test_partitions import excess_profile
 
 
 def _interval(X, j):
@@ -426,6 +427,18 @@ def test_limit_stage_checks_the_union_bound(monkeypatch, kept, pair):
     monkeypatch.setattr(tree_mod, "fx_profile", dropped_endpoints)
     with pytest.raises(ConstructionError, match=f"^union bound exceeded by .* {pair} on level 0$"):
         limit_stage(branch, chain.levels)
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["at-slack", "ulp-above"])
+def test_union_bound_check_at_slack(past):
+    # an excess of exactly SLACK passes, one ulp above it fails
+    excess = float(np.nextafter(SLACK, np.inf)) if past else SLACK
+    prof = excess_profile(excess)
+    if past:
+        with pytest.raises(ConstructionError, match="^union bound exceeded by"):
+            tree_mod._check_union_bound(prof, "inputs 0 and 1", 0)
+    else:
+        tree_mod._check_union_bound(prof, "inputs 0 and 1", 0)
 
 
 def _dense_limit_stage(alphas, levels):
