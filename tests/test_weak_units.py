@@ -80,6 +80,13 @@ def test_power_gap_monotone_in_k(tent12):
 def test_power_gap_rejects_non_contraction():
     with pytest.raises(PreconditionViolation):
         power_gap(np.array([0.5, 1.7]), 2)
+    # a NaN in the spectrum or at either end of the range used to pass the
+    # range checks, returning nan or 0.0
+    with pytest.raises(PreconditionViolation):
+        power_gap(np.array([0.5, np.nan]), 2)
+    for bounds in [(0.0, np.nan), (np.nan, 1.0)]:
+        with pytest.raises(PreconditionViolation):
+            power_gap(None, 2, continuous_range=bounds)
 
 
 def test_power_gap_rejects_other_shapes():
@@ -118,6 +125,12 @@ def test_epsilon_witness_tent_adjacent(tent12):
 def test_epsilon_witness_large_eps(tent12):
     out = epsilon_witness(tent12, 0, 3, 2.0)
     assert out["norms"]["norm_a"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_epsilon_witness_refuses_a_nan_eps():
+    # NaN used to fail the search for k, a WitnessNotFound: a failed hypothesis
+    with pytest.raises(PreconditionViolation, match="eps"):
+        epsilon_witness(build_tent_unit(4, 0.25), 0, 1, float("nan"))
 
 
 def test_epsilon_witness_failure_mode():
