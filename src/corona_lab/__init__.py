@@ -54,6 +54,7 @@ from .tree import (
     CoherenceTree,
     build_tree,
     generate_chain,
+    jump_schedule,
     limit_stage,
     min_sufficient_horizon,
     successor_witness,

@@ -33,7 +33,7 @@ from .operators import (
 )
 from .partitions import fx_profile
 from .torus import SLACK, RunList, TorusElement
-from .tree import build_tree, generate_chain, limit_stage
+from .tree import build_tree, generate_chain, jump_schedule, limit_stage
 from .weak_units import (
     build_tent_unit,
     hyp_check,
@@ -43,7 +43,6 @@ from .weak_units import (
     weak_sandwich,
 )
 
-DEFAULT_SCHEDULE = (32, 36, 40, 48)
 PAPER_MODEL_DEPTH = 3
 
 
@@ -186,7 +185,7 @@ def _config_echo(args) -> dict:
 
 def cmd_tree(args) -> int:
     try:
-        chain = generate_chain(args.depth, args.horizon, DEFAULT_SCHEDULE[: args.depth])
+        chain = generate_chain(args.depth, args.horizon, jump_schedule(args.epsilon)[: args.depth])
         tree = build_tree(chain, z_variant=args.z_variant, eps=args.epsilon, j0=args.j0)
     except HorizonTooSmall as exc:
         _emit(
@@ -322,10 +321,13 @@ def _inv_doc(g) -> dict:
 def cmd_verify(args) -> int:
     failures = []
     try:
-        chain = generate_chain(2, 20_000, DEFAULT_SCHEDULE[:3])
+        chain = generate_chain(2, 20_000, jump_schedule(args.epsilon)[:3])
         tree = build_tree(chain, z_variant=True, eps=args.epsilon, j0=args.j0)
-    except PreconditionViolation:
-        raise  # invalid input, such as a j0 past every window: exit 2, not a failure
+    except (PreconditionViolation, HorizonTooSmall):
+        # invalid input: exit 2, not a failure.  Such as an eps with no
+        # schedule, one whose chain needs more than verify's horizon, or a
+        # j0 past every window
+        raise
     except CoronaLabError as exc:
         failures.append(f"tree: {exc}")
     else:

@@ -160,6 +160,48 @@ def min_sufficient_horizon(depth: int, m_schedule) -> int:
     return max(4, need)
 
 
+def _chord(m) -> float:
+    """2 sin(pi/2m): the distance between points of the circle pi/m apart,
+    so the jump bound of blocks of m jumps and the coherence tail max they
+    leave."""
+    return 2.0 * float(np.sin(np.pi / (2.0 * m)))
+
+
+def jump_schedule(eps: float) -> tuple:
+    """The jump counts m of a transition's scheduled blocks for the
+    tolerance ``eps``, each block's witness jumping by pi/m.
+
+    A jump of pi/m gives a coherence tail max of 2 sin(pi/2m), so m_min is
+    the least m with 2 sin(pi/2m) (1 + 1e-12) <= eps, the margin covering
+    the rounding of the computed diameters; it is found by bisection, in
+    ``HORIZON_BITS`` steps.  The entries are m_min (8, 9, 10, 12) / 8,
+    rounded up, nondecreasing as the z-variant needs: (32, 36, 40, 48) at
+    eps = 0.1.  An eps that is not a number in (0, 2) has no schedule, and
+    neither has one whose m_min is 2^59 or more: no horizon below 2^59 holds
+    a block of that many jumps.
+    """
+    if isinstance(eps, (bool, np.bool_)) or not 0.0 < eps < 2.0:
+        raise PreconditionViolation(f"eps must be above 0 and below 2, got {eps}")
+
+    def meets(m: int) -> bool:
+        return _chord(m) * (1.0 + 1e-12) <= eps
+
+    # meets(1) is false, since 2 (1 + 1e-12) > eps: m_min is in (lo, hi]
+    lo, hi = 1, 1 << HORIZON_BITS
+    if not meets(hi):
+        raise PreconditionViolation(
+            f"eps={eps} needs blocks of at least 2^{HORIZON_BITS} jumps, "
+            f"and horizons must be below 2^{HORIZON_BITS}"
+        )
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if meets(mid):
+            hi = mid
+        else:
+            lo = mid
+    return tuple(-(-hi * eighths // 8) for eighths in (8, 9, 10, 12))
+
+
 def generate_chain(depth: int, horizon: int, m_schedule) -> Chain:
     """Build a nested chain with the same block schedule at every transition,
     laid out by the recurrence of :func:`_region_starts`.
@@ -167,7 +209,7 @@ def generate_chain(depth: int, horizon: int, m_schedule) -> Chain:
     The scheduled regions of distinct transitions occupy disjoint stretches of
     the horizon, so witnesses of distinct levels never jump at the same point.
     A horizon of 2^59 or more is refused, and with it every depth whose least
-    horizon is that large: with the schedule of the CLI, every depth past 51.
+    horizon is that large: with the schedule of eps = 0.1, every depth past 51.
     """
     horizon = as_int(horizon, "horizon")
     if horizon >= 1 << HORIZON_BITS:
@@ -536,18 +578,20 @@ def build_tree(
                 f"divergence failed for siblings of {label!r} at level {lvl}"
             )
     if z_variant:
-        bound = 2.0 * float(np.sin(np.pi / (2.0 * chain.min_jump_m())))
+        bound = _chord(chain.min_jump_m())
         for label in nodes:
             max_jump = jumps[int("0" + label[::-1], 2)]
+            # false on NaN, so the certificate and the raise agree
+            holds = max_jump <= bound + 1e-12
             certs.append({
                 "kind": "jump_bound",
                 "node": label,
                 "i0": 0,
                 "max_jump": max_jump,
                 "bound": bound,
-                "holds": max_jump <= bound + 1e-12,
+                "holds": holds,
             })
-            if max_jump > bound + 1e-12:
+            if not holds:
                 raise ConstructionError(
                     f"jump bound failed at node {label!r}: {max_jump} > {bound}"
                 )

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -22,7 +23,7 @@ from corona_lab.limits import Tower, constant_tower, free_group
 from corona_lab.operators import BlockStructure, DDWitness, load_matrix, stratify_against
 from corona_lab.partitions import FxProfile, SparseSet
 from corona_lab.torus import SLACK, RunList, TorusElement, sorted_unique
-from corona_lab.tree import min_sufficient_horizon
+from corona_lab.tree import jump_schedule, min_sufficient_horizon
 from corona_lab.weak_units import PositiveUnit, quasi_unitary_residual, tensor_unit
 from test_operators import write_matrix
 from test_partitions import excess_profile
@@ -102,6 +103,70 @@ def test_verify_refuses_an_eps_of_2_or_more(tmp_path, capsys, eps, code):
         assert not out.exists() and "below 2" in capsys.readouterr().err
     else:
         assert json.loads(out.read_text())["ok"]
+
+
+# 14 eps from 0.01 to 1.9; the tail max of eps = 0.1's m = 32, one ulp
+# below it, and the other m = 32 tail max; sqrt(2), m = 2's tail max, and one
+# ulp below it
+_EPS_GRID = [
+    *np.geomspace(0.01, 1.9, 14).tolist(),
+    0.09813534865483663,
+    float(np.nextafter(0.09813534865483663, 0.0)),
+    0.09813534865483749,
+    math.sqrt(2),
+    float(np.nextafter(math.sqrt(2), 0.0)),
+]
+
+
+@pytest.mark.parametrize("eps", _EPS_GRID)
+def test_tree_holds_at_every_eps(tmp_path, eps):
+    # the schedule follows eps, so a valid eps fails no certificate.  At the
+    # least horizon of a large eps, j0 = 10 leaves no window: 2,000 does
+    for depth in range(1, 5):
+        least = min_sufficient_horizon(depth, list(jump_schedule(eps)[:depth]))
+        for z_variant in (False, True):
+            out = tmp_path / f"tree-{depth}-{z_variant}.json"
+            argv = ["tree", "--depth", str(depth), "--horizon", str(max(least, 2000)),
+                    "--epsilon", repr(eps), "--out", str(out)] + ["--z-variant"] * z_variant
+            assert run(argv) == 0
+            certs = json.loads(out.read_text())["certificates"]
+            assert all(c["holds"] for c in certs if c["kind"] != "divergence")
+            assert all(c["blocks"] for c in certs if c["kind"] == "divergence")
+
+
+@pytest.mark.parametrize("eps, code", [("0.01", 0), ("1.9", 0), ("0", 2), ("0.001", 2)])
+def test_verify_at_eps(tmp_path, capsys, eps, code):
+    # eps = 0 has no schedule, and eps = 0.001's chain needs horizon 31,827,
+    # past verify's 20,000: invalid input, refused on one line of stderr
+    out = tmp_path / "v.json"
+    assert run(["verify", "--epsilon", eps, "--out", str(out)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert not out.exists() and err.count("\n") == 1
+        assert ("need >= 31827" if eps == "0.001" else "above 0") in err
+    else:
+        assert json.loads(out.read_text())["ok"]
+
+
+@pytest.mark.parametrize("command", ["tree", "verify"])
+@pytest.mark.parametrize("eps", ["1e-300", "1e-320"])
+def test_an_eps_too_small_for_any_horizon_exits_2(tmp_path, capsys, command, eps):
+    # m_min would be 2^59 or more: refused before any search, which at these
+    # eps would overflow or never end
+    out = tmp_path / "out.json"
+    assert run([command, "--epsilon", eps, "--out", str(out)]) == 2
+    text = out.read_text() if command == "tree" else capsys.readouterr().err
+    assert "needs blocks of at least 2^59 jumps" in text
+
+
+@pytest.mark.parametrize("eps, horizon, need", [("0.05", 1000, 1517), ("0.1", 781, 782)])
+def test_tree_min_horizon_follows_eps(tmp_path, eps, horizon, need):
+    out = tmp_path / "tree.json"
+    argv = ["tree", "--depth", "3", "--horizon", str(horizon), "--epsilon", eps,
+            "--out", str(out)]
+    assert run(argv) == 2
+    doc = json.loads(out.read_text())
+    assert doc["error"] == "HorizonTooSmall" and doc["min_horizon"] == need
 
 
 @pytest.mark.parametrize("j0, code", [(33, 2), (32, 0)])
@@ -221,7 +286,7 @@ def test_deep_tree_reports_min_horizon_within_2gb(depth):
     )
     assert proc.returncode == 2, proc.stderr
     doc = json.loads(proc.stdout)
-    need = min_sufficient_horizon(depth, list(cli.DEFAULT_SCHEDULE))
+    need = min_sufficient_horizon(depth, list(jump_schedule(0.1)))
     assert doc["error"] == "HorizonTooSmall" and doc["min_horizon"] == need > 2**28
 
 
@@ -1029,7 +1094,8 @@ def _flags(draw, **values):
     expect=st.none(),
 )
 @example(flags=["--depth=3", "--horizon=3000", f"--j0={2**63}"], z_variant=True, expect=2)
-@example(flags=["--depth=1", "--horizon=100", "--epsilon=0"], z_variant=False, expect=1)
+# no schedule meets an eps of 0
+@example(flags=["--depth=1", "--horizon=100", "--epsilon=0"], z_variant=False, expect=2)
 @example(flags=["--depth=52", "--horizon=100"], z_variant=False, expect=2)
 @example(flags=["--depth=30000", "--horizon=100"], z_variant=False, expect=2)
 # a j0 that leaves no window on the sparsest certified level certifies nothing

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import re
 import tracemalloc
 
@@ -20,12 +21,12 @@ from corona_lab import (
     delta_one,
     fx_profile,
     generate_chain,
+    jump_schedule,
     limit_stage,
     min_sufficient_horizon,
     successor_witness,
 )
 from corona_lab import tree as tree_mod
-from corona_lab.cli import DEFAULT_SCHEDULE
 from corona_lab.partitions import FxProfile, n_of
 from corona_lab.torus import SLACK, TWO_PI, sorted_unique
 from corona_lab.tree import ScheduleEntry
@@ -107,14 +108,51 @@ def test_chain_horizon_too_small():
     assert min_sufficient_horizon(3, [4, 5]) == need
 
 
-# the minimal horizons of the CLI's schedules (32, 36, 40, 48)[:depth]
+# the minimal horizons of the CLI's default schedules, eps = 0.1's (32, 36, 40, 48)[:depth]
 _CLI_MIN_HORIZONS = [35, 213, 782, 2409, 4977, 10113, 20385, 40929, 82017, 164193,
                      328545, 657249, 1314657, 2629473]
 
 
 @pytest.mark.parametrize("depth, need", enumerate(_CLI_MIN_HORIZONS, start=1))
 def test_min_sufficient_horizon_cli_schedule(depth, need):
-    assert min_sufficient_horizon(depth, list(DEFAULT_SCHEDULE[:depth])) == need
+    assert min_sufficient_horizon(depth, list(jump_schedule(0.1)[:depth])) == need
+
+
+def _tail_max_bound(m):
+    """A jump of pi/m's tail max, 2 sin(pi/2m), with the schedule's margin."""
+    return 2.0 * math.sin(math.pi / (2.0 * m)) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "eps", [1e-17, 0.01, 0.05, 0.09813534865483603, 0.1, 0.5, math.sqrt(2), 1.5, 1.9]
+)
+def test_jump_schedule_is_the_least_m_and_its_eighths(eps):
+    sched = jump_schedule(eps)
+    m = sched[0]
+    assert _tail_max_bound(m) <= eps < _tail_max_bound(m - 1)
+    assert sched == tuple(-(-m * eighths // 8) for eighths in (8, 9, 10, 12))
+
+
+def test_jump_schedule_keeps_a_margin_for_the_computed_tail_maxima():
+    # at m = 32 the certified tail maxima read ...663 and ...749, both above
+    # 2 sin(pi/64), which reads ...603: without the margin an eps equal to
+    # either would get m = 32 and fail its own certificate
+    assert jump_schedule(0.1) == (32, 36, 40, 48)
+    assert 2.0 * math.sin(math.pi / 64) == 0.09813534865483603
+    assert jump_schedule(0.09813534865483749)[0] == jump_schedule(0.09813534865483663)[0] == 33
+
+
+@pytest.mark.parametrize(
+    "eps, reason",
+    [(0.0, "above 0"), (-0.0, "above 0"), (-1.0, "above 0"), (2.0, "below 2"),
+     (math.inf, "below 2"), (math.nan, "below 2"), (True, "below 2"), (np.True_, "below 2"),
+     (5e-18, "2^59"), (1e-300, "2^59"), (1e-320, "2^59")],
+)
+def test_jump_schedule_refuses_an_eps_with_none(eps, reason):
+    # past 2^59 jumps no horizon holds a block; below 1e-300 a search by
+    # m += 1 would never end, and at 1e-320 pi / eps overflows
+    with pytest.raises(PreconditionViolation, match=re.escape(reason)):
+        jump_schedule(eps)
 
 
 def _array_chain(depth, horizon, m_schedule):
@@ -479,7 +517,7 @@ def _dense_limit_stage(alphas, levels):
 
 
 def _branches(depth, horizon, z_variant):
-    chain = generate_chain(depth, horizon, DEFAULT_SCHEDULE[:depth])
+    chain = generate_chain(depth, horizon, jump_schedule(0.1)[:depth])
     tree = build_tree(chain, z_variant=z_variant)
     leaves = [l for l in tree.nodes if len(l) == depth]
     return chain, [[tree.nodes[leaf[:n]] for n in range(depth + 1)] for leaf in leaves]
@@ -518,7 +556,7 @@ def test_limit_stage_skips_the_interval_at_the_truncation():
 def test_limit_stage_refuses_a_j0_past_every_window():
     # verify's branch with a last element that is not coherent with the
     # root: a j0 past every window of the pair's profile certified it before
-    chain = generate_chain(2, 20000, DEFAULT_SCHEDULE[:3])
+    chain = generate_chain(2, 20000, jump_schedule(0.1)[:3])
     tree = build_tree(chain, z_variant=True)
     branch = [tree.nodes[l] for l in ("", "1", "11")]
     branch[-1] = branch[-1].mul(TorusElement.from_runs([0, 5000], [0.0, 3.0], 20000))
@@ -543,7 +581,7 @@ def _traced_peak_mb(fn):
 def test_profiles_and_the_limit_stage_scale_with_run_breaks():
     # at h = 2e6, level 0 has 2e6 points; a dense profile of it held 76 MB
     # and the limit stage peaked at 236 MB
-    chain = generate_chain(2, 2_000_000, DEFAULT_SCHEDULE[:3])
+    chain = generate_chain(2, 2_000_000, jump_schedule(0.1)[:3])
     tree = build_tree(chain, z_variant=True)
     branch = [tree.nodes[l] for l in ("", "1", "11")]
     assert _traced_peak_mb(lambda: limit_stage(branch, chain.levels)) < 1.0
@@ -710,6 +748,14 @@ def test_jump_bound_slack_is_1e_12(monkeypatch, excess, holds):
     tree = build_tree(chain, z_variant=True)
     [jump] = [c for c in tree.certificates if c["kind"] == "jump_bound" and c["node"] == "1"]
     assert jump["holds"] and jump["max_jump"] - jump["bound"] == pytest.approx(excess, abs=1e-13)
+
+
+def test_a_nan_jump_bound_fails_and_raises(monkeypatch):
+    # the certificate and the raise read one verdict, false on NaN
+    chain = generate_chain(1, 3000, [32])
+    monkeypatch.setattr(tree_mod.Chain, "min_jump_m", lambda self: math.nan)
+    with pytest.raises(ConstructionError, match="jump bound failed at node ''"):
+        build_tree(chain, z_variant=True)
 
 
 def test_tree_depth2_certificates():
@@ -949,7 +995,7 @@ def test_tree_json():
 @functools.lru_cache(maxsize=None)
 def _certificate_texts(depth, horizon):
     """Certificates of both variants at j0 = 0, 5 and 10, as JSON text."""
-    chain = generate_chain(depth, horizon, DEFAULT_SCHEDULE[:depth])
+    chain = generate_chain(depth, horizon, jump_schedule(0.1)[:depth])
     return [
         json.dumps(build_tree(chain, z_variant=z_variant, j0=j0).certificates)
         for z_variant in (False, True)
@@ -964,7 +1010,7 @@ def _certificate_texts(depth, horizon):
 def test_certificates_do_not_depend_on_the_horizon(depth, data):
     # no horizon moves the layout, and past its last region every element is
     # constant, so each window added by a longer horizon has diameter 0
-    least = min_sufficient_horizon(depth, list(DEFAULT_SCHEDULE[:depth]))
+    least = min_sufficient_horizon(depth, list(jump_schedule(0.1)[:depth]))
     assert least == (35, 213, 782, 2409, 4977, 10113)[depth - 1]
     horizon = 2**20 if data is None else data.draw(st.integers(least + 1, 2**20), "horizon")
     assert _certificate_texts(depth, horizon) == _certificate_texts(depth, least)
