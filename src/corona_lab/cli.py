@@ -22,8 +22,9 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import limits as dl
-from .errors import CoronaLabError, HorizonTooSmall, PreconditionViolation
+from .errors import ConstructionError, CoronaLabError, HorizonTooSmall, PreconditionViolation
 from .operators import (
+    RESIDUAL_TOL,
     BlockStructure,
     ad_sandwich,
     dd_check,
@@ -32,9 +33,12 @@ from .operators import (
     stratify,
 )
 from .partitions import fx_profile
-from .torus import SLACK, RunList, TorusElement
+from .torus import RunList, TorusElement
 from .tree import build_tree, generate_chain, jump_schedule, limit_stage
+from .verdicts import Verdict
 from .weak_units import (
+    NORM_TOL,
+    QUASI_UNITARY_SLACK,
     build_tent_unit,
     hyp_check,
     projection_unit,
@@ -185,7 +189,8 @@ def _config_echo(args) -> dict:
 
 def cmd_tree(args) -> int:
     try:
-        chain = generate_chain(args.depth, args.horizon, jump_schedule(args.epsilon)[: args.depth])
+        schedule = jump_schedule(args.epsilon)[: args.depth]
+        chain = generate_chain(args.depth, args.horizon, schedule, args.j0)
         tree = build_tree(chain, z_variant=args.z_variant, eps=args.epsilon, j0=args.j0)
     except HorizonTooSmall as exc:
         _emit(
@@ -218,7 +223,7 @@ def cmd_stratify(args) -> int:
         return 2
     blocks = BlockStructure((1,) * m.shape[0])
     w = stratify(m, blocks)
-    residual = w.reconstruction_residual(m)
+    residual = Verdict("residual", w.reconstruction_residual(m), 0.0, RESIDUAL_TOL)
     dd_ok = dd_check(w.m_e + w.m_o, w.X, blocks)
     tail_ok = w.tail_bound_ok()
     doc = {
@@ -226,11 +231,11 @@ def cmd_stratify(args) -> int:
         "X": w.X.to_json(),
         "tail_bounds": list(w.tail_bounds),
         "tail_bounds_ok": tail_ok,
-        "reconstruction_residual": residual,
+        "reconstruction_residual": residual.value,
         "dd_exact": dd_ok,
     }
     _emit(doc, args.out)
-    return 0 if dd_ok and tail_ok and residual <= 1e-12 else 1
+    return 0 if dd_ok and tail_ok and residual.holds else 1
 
 
 def cmd_sandwich(args) -> int:
@@ -254,10 +259,11 @@ def cmd_sandwich(args) -> int:
                 alpha, BlockStructure(sizes), I, samples=5, seed=args.seed + run
             )
             lower = rep["lower_witness"]
-            slack = 1e-9
+            slack = NORM_TOL
         delta = rep["delta"]
         sampled = rep["sampled_max"]
-        ok = (lower >= delta - slack - 1e-9) and (sampled <= 2 * delta + 1e-9)
+        lower_ok = Verdict("lower", lower, delta - slack, NORM_TOL, sense=">=").holds
+        ok = lower_ok and Verdict("sampled", sampled, 2 * delta, NORM_TOL).holds
         if not ok:
             violations += 1
         rows.append([delta, lower, sampled, 2 * delta, int(ok)])
@@ -318,31 +324,38 @@ def _inv_doc(g) -> dict:
     return {"free_rank": free, "torsion": list(torsion)}
 
 
-def cmd_verify(args) -> int:
-    failures = []
+def _no_failures(count) -> list:
+    """A verdict that holds when ``count``, a number of failures, is 0."""
+    return [Verdict("failures", count, 0)]
+
+
+def _quasi_unitary(alpha, unit, N: int) -> list:
+    q = quasi_unitary_residual(alpha, unit, N)
+    return [Verdict("quasi-unitary bound", q["tail_norm"], q["bound"], QUASI_UNITARY_SLACK)]
+
+
+def _verify_checks(args):
+    """verify's checks in the order of its report, as (failure name,
+    outcome): the verdicts that must hold, or the CoronaLabError that
+    stopped the check.  Invalid input raises here and exits 2: an eps with
+    no schedule, one whose chain needs more than verify's horizon, or a j0
+    past every window."""
+    chain = generate_chain(2, 20_000, jump_schedule(args.epsilon)[:3])
     try:
-        chain = generate_chain(2, 20_000, jump_schedule(args.epsilon)[:3])
         tree = build_tree(chain, z_variant=True, eps=args.epsilon, j0=args.j0)
-    except (PreconditionViolation, HorizonTooSmall):
-        # invalid input: exit 2, not a failure.  Such as an eps with no
-        # schedule, one whose chain needs more than verify's horizon, or a
-        # j0 past every window
-        raise
-    except CoronaLabError as exc:
-        failures.append(f"tree: {exc}")
+    except ConstructionError as exc:
+        yield "tree", exc
     else:
-        # the union bound on every window of each witness against each level;
-        # a NaN excess fails too
+        # the union bound on every window of each witness against each level
         for t, witness in enumerate(tree.witnesses):
             for n, level in enumerate(chain.levels):
-                if not fx_profile(witness, level).union_excess() <= SLACK:
-                    failures.append(f"union bound {t}/{n}")
+                yield f"union bound {t}/{n}", [fx_profile(witness, level).union_bound()]
         # the element above the all-ones branch, as at a limit stage
         branch = [tree.nodes[label] for label in ("", "1", "11")]
         try:
             limit_stage(branch, chain.levels, eps=args.epsilon, j0=args.j0)
         except CoronaLabError as exc:
-            failures.append(f"limit stage: {exc}")
+            yield "limit stage", exc
 
     rng = np.random.default_rng(args.seed)
     D = 128
@@ -350,26 +363,18 @@ def cmd_verify(args) -> int:
     m /= op_norm(m)
     blocks = BlockStructure((1,) * D)
     w = stratify(m, blocks)
-    # each check below fails on NaN, as the union bound's does
-    if not w.reconstruction_residual(m) <= 1e-12 or not w.tail_bound_ok():
-        failures.append("stratification")
-    if not dd_check(w.m_e + w.m_o, w.X, blocks):
-        failures.append("dd corners")
+    residual = Verdict("residual", w.reconstruction_residual(m), 0.0, RESIDUAL_TOL)
+    yield "stratification", [residual, *w.tail_verdicts()]
+    yield "dd corners", _no_failures(int(not dd_check(w.m_e + w.m_o, w.X, blocks)))
 
     tent = build_tent_unit(12, 0.25)
-    inv = tent.check_invariants()
-    if not inv["ok"]:
-        failures.append("tent invariants")
+    yield "tent invariants", _no_failures(int(not tent.check_invariants()["ok"]))
     # at hyp_check's eps 0.1: --epsilon is the tree's, below 2, and HypWeak's is in (0, 1)
-    if not hyp_check(tent, "HypWeak")["holds"]:
-        failures.append("tent HypWeak")
+    yield "tent HypWeak", _no_failures(len(hyp_check(tent, "HypWeak")["failures"]))
     proj = projection_unit(BlockStructure((2, 2, 2, 2)))
-    if not hyp_check(proj, "HypA")["holds"]:
-        failures.append("projection HypA")
+    yield "projection HypA", _no_failures(len(hyp_check(proj, "HypA")["failures"]))
     alpha = TorusElement(1.0 / (np.arange(12) + 1.0))
-    q = quasi_unitary_residual(alpha, tent, 3)
-    if not q["tail_norm"] <= q["bound"] + 1e-12:
-        failures.append("quasi-unitary bound")
+    yield "quasi-unitary bound", _quasi_unitary(alpha, tent, 3)
     # the stable case A (x) K, q_n the projection onto the first n coordinates
     # of C^4; the tent tensor's neighbouring elements overlap, so its
     # quasi-unitary tail is not 0
@@ -378,19 +383,25 @@ def cmd_verify(args) -> int:
         stable = tensor_unit(proj, qs)
         stable_tent = tensor_unit(build_tent_unit(4, 0.25), qs)
     except CoronaLabError as exc:
-        failures.append(f"stable unit: {exc}")
+        yield "stable unit", exc
     else:
-        if not hyp_check(stable, "HypA")["holds"]:
-            failures.append("stable HypA")
-        q = quasi_unitary_residual(alpha, stable_tent, 1)
-        if not q["tail_norm"] <= q["bound"] + 1e-12:
-            failures.append("stable quasi-unitary bound")
+        yield "stable HypA", _no_failures(len(hyp_check(stable, "HypA")["failures"]))
+        yield "stable quasi-unitary bound", _quasi_unitary(alpha, stable_tent, 1)
 
     ses = dl.build_paper_model(depth=6)
     rep = dl.six_term_check(ses)
-    if rep["case"] != "diagonal_defect" or rep["lim1_F"] != "Nonzero":
-        failures.append("derived limits paper model")
+    wrong = (rep["case"] != "diagonal_defect") + (rep["lim1_F"] != "Nonzero")
+    yield "derived limits paper model", _no_failures(wrong)
 
+
+def cmd_verify(args) -> int:
+    failures = []
+    for name, outcome in _verify_checks(args):
+        # a check fails by its error, or by a verdict that does not hold, as NaN does not
+        if isinstance(outcome, CoronaLabError):
+            failures.append(f"{name}: {outcome}")
+        elif not all(v.holds for v in outcome):
+            failures.append(name)
     doc = {
         "config": _config_echo(args),
         "failures": failures,

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import PreconditionViolation, as_int
 from .partitions import SparseSet
 from .torus import TorusElement, as_indices, delta_one
+from .verdicts import Verdict
 
 # unused here; perfbench/tracing.py splits its op_norm counters at this size
 DENSE_NORM_DIM = 512
@@ -25,6 +26,8 @@ _GRAM_ENTRIES = 4096
 # the most entries of a row slab of DDWitness.reconstruction_residual's
 # difference: 256 KB of complex entries
 _SLAB_ENTRIES = 16384
+#: rounding allowed in m - (m_e + m_o + a), which is 0 exactly
+RESIDUAL_TOL = 1e-12
 
 
 def op_norm(m: np.ndarray) -> float:
@@ -155,8 +158,12 @@ class DDWitness:
                 return op_norm(np.subtract(m, r, out=r))
         return 0.0
 
+    def tail_verdicts(self) -> list:
+        """Each tail bound b_i against 2^(4 - i), as a :class:`Verdict`."""
+        return [Verdict("tail bound", b, 2.0 ** (4 - i)) for i, b in enumerate(self.tail_bounds)]
+
     def tail_bound_ok(self) -> bool:
-        return all(b <= 2.0 ** (-i + 4) for i, b in enumerate(self.tail_bounds))
+        return all(v.holds for v in self.tail_verdicts())
 
 
 def stratify_against(m: np.ndarray, X: SparseSet, blocks: BlockStructure) -> DDWitness:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HorizonTooSmall, PreconditionViolation, TruncationExceeded, as_int
-from .torus import TorusElement, circle_diameters, sorted_unique
+from .torus import SLACK, TorusElement, circle_diameters, sorted_unique
+from .verdicts import Verdict
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ class FxProfile:
             )
         j, v = self.double
         # the windows past j0 without an entry are 0.0, within any eps
-        return bool(v[np.searchsorted(j, j0) :].max(initial=0.0) <= eps)
+        return Verdict("coherence", float(v[np.searchsorted(j, j0) :].max(initial=0.0)), eps).holds
 
     def union_excess(self) -> float:
         """The largest ``d[j] - (s[j] + s[j+1] + e[j])`` over the double
@@ -153,6 +154,11 @@ class FxProfile:
         rhs = on(sj[first], sv[first]) + on(sj[second] - 1, sv[second]) + on(ej, ev)
         excess = on(dj, dv) - rhs
         return float(excess.max(initial=0.0 if at.size < n else -np.inf))
+
+    def union_bound(self, where=None) -> Verdict:
+        """The union bound as a verdict: :meth:`union_excess` at most 0,
+        within ``SLACK``."""
+        return Verdict("union bound", self.union_excess(), 0.0, SLACK, where)
 
 
 def _dense(size: int, j: np.ndarray, v: np.ndarray) -> np.ndarray:

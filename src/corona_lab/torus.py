@@ -17,6 +17,7 @@ from math import prod
 import numpy as np
 
 from .errors import IndexOutOfRange, PreconditionViolation, as_int
+from .verdicts import Verdict
 
 TWO_PI = 2.0 * np.pi
 
@@ -295,5 +296,5 @@ def fuzz_lij(n: int, seed: int = 0) -> int:
         v = np.exp(1j * np.take_along_axis(gamma, np.hstack((I, J)), axis=1))
         d_union, d_i, d_j = circle_diameters(v, [0, 0, k], [2 * k, k, 2 * k]).T
         rhs = d_i + d_j + np.abs(v[:, 0] - v[:, k])
-        violations += int(np.sum(d_union > rhs + SLACK))
+        violations += int(np.sum(~Verdict("union bound", d_union, rhs, SLACK).passes()))
     return violations

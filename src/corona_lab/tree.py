@@ -23,9 +23,13 @@ import numpy as np
 
 from .errors import ConstructionError, HorizonTooSmall, PreconditionViolation, as_int
 from .partitions import SparseSet, break_windows, check_tolerance, fx_profile, n_of
-from .torus import DIAMETER_CHUNK, SLACK, TWO_PI, TorusElement, circle_diameters, sorted_unique
+from .torus import DIAMETER_CHUNK, TWO_PI, TorusElement, circle_diameters, sorted_unique
+from .verdicts import Verdict, require
 
+#: rounding allowed below the divergence 2 of a scheduled block
 DIVERGENCE_TOL = 1e-9
+#: rounding allowed above the jump bound 2 sin(pi/2m) of a z-variant node
+JUMP_SLACK = 1e-12
 
 #: horizons must be below 2^HORIZON_BITS: numpy's arange refuses lengths
 #: that round to 2^60 int64 samples, and no memory holds a chain that long
@@ -142,14 +146,17 @@ def _region_starts(depth: int, m_schedule):
     return ms, starts
 
 
-def min_sufficient_horizon(depth: int, m_schedule) -> int:
-    """Smallest horizon for which :func:`generate_chain` succeeds, worked
-    out from point counts alone, so that finding it allocates no horizon.
+def min_sufficient_horizon(depth: int, m_schedule, j0: int = 0) -> int:
+    """Smallest horizon for which :func:`generate_chain` succeeds with this
+    ``j0``, worked out from point counts alone, so that finding it
+    allocates no horizon.
 
     Transition t needs its last block end e_t = c_t + sum(m + 1) below the
     n_t points of level t, and keeps c_{t+1} - 1 points up to e_t and
     (n_t - e_t) // 2 points past it, so the least n_t follows from the
     least n_{t+1}, backwards from the last transition; n_0 is the horizon.
+    Level depth - 1, the sparsest a certificate profiles, needs j0 + 3
+    points, so that :func:`build_tree` at this j0 has a window from j0 on.
     """
     ms, starts = _region_starts(depth, m_schedule)
     span = sum(m + 1 for m in ms)
@@ -157,6 +164,8 @@ def min_sufficient_horizon(depth: int, m_schedule) -> int:
     for t in reversed(range(depth)):
         tail = max(need - starts[t + 1], 0)
         need = starts[t] + span + max(1, 2 * tail)
+        if t == depth - 1:
+            need = max(need, as_int(j0, "j0") + 3)
     return max(4, need)
 
 
@@ -202,14 +211,16 @@ def jump_schedule(eps: float) -> tuple:
     return tuple(-(-hi * eighths // 8) for eighths in (8, 9, 10, 12))
 
 
-def generate_chain(depth: int, horizon: int, m_schedule) -> Chain:
+def generate_chain(depth: int, horizon: int, m_schedule, j0: int = 0) -> Chain:
     """Build a nested chain with the same block schedule at every transition,
     laid out by the recurrence of :func:`_region_starts`.
 
     The scheduled regions of distinct transitions occupy disjoint stretches of
     the horizon, so witnesses of distinct levels never jump at the same point.
-    A horizon of 2^59 or more is refused, and with it every depth whose least
-    horizon is that large: with the schedule of eps = 0.1, every depth past 51.
+    A horizon below :func:`min_sufficient_horizon` for this ``j0`` raises
+    :class:`HorizonTooSmall` naming it.  A horizon of 2^59 or more is
+    refused, and with it every depth whose least horizon is that large: with
+    the schedule of eps = 0.1, every depth past 51.
     """
     horizon = as_int(horizon, "horizon")
     if horizon >= 1 << HORIZON_BITS:
@@ -222,7 +233,7 @@ def generate_chain(depth: int, horizon: int, m_schedule) -> Chain:
             f"depth {depth} needs a horizon of at least 2^{depth + 1}, "
             f"and horizons must be below 2^{HORIZON_BITS}"
         )
-    need = min_sufficient_horizon(depth, m_schedule)
+    need = min_sufficient_horizon(depth, m_schedule, j0)
     if need >= 1 << HORIZON_BITS:
         raise PreconditionViolation(
             f"depth {depth} needs horizon {need}; horizons must be below 2^{HORIZON_BITS}"
@@ -334,7 +345,7 @@ def limit_stage(alphas, levels, eps: float = 0.1, j0: int = 10):
         d_endpoints[np.searchsorted(j, ej[e])] = ev[e]
         k = np.maximum(np.searchsorted(bounds, pts[j], side="right") - 1, n + 1)
         d = np.maximum(d_single, d_endpoints)
-        bad = np.nonzero(d >= 1.0 / k)[0]
+        bad = np.flatnonzero(~_close(d, k))
         if bad.size:
             at = bad[0]
             raise ConstructionError(
@@ -345,14 +356,16 @@ def limit_stage(alphas, levels, eps: float = 0.1, j0: int = 10):
     return beta, x_inf, worst
 
 
+def _close(d, k):
+    """Whether each distance in ``d`` is below 1/k, elementwise; NaN is not."""
+    return Verdict("limit stage", d, 1.0 / k, sense="<").passes()
+
+
 def _check_union_bound(prof, pair: str, level: int) -> None:
     """Raise :class:`ConstructionError` unless ``prof`` meets the union bound
     on every window, within ``SLACK``; a NaN excess fails too."""
-    excess = prof.union_excess()
-    if not excess <= SLACK:
-        raise ConstructionError(
-            f"union bound exceeded by {excess} on the profile of {pair} on level {level}"
-        )
+    verdict = prof.union_bound(f"the profile of {pair} on level {level}")
+    require(verdict, ConstructionError, "union bound exceeded by {value} on {where}")
 
 
 def _sparsify_limit(profiles, levels) -> SparseSet:
@@ -365,12 +378,11 @@ def _sparsify_limit(profiles, levels) -> SparseSet:
     bounds = []
     prev = 0
     for k in range(1, K):
-        th = 1.0 / k
         last_bad = 0
         for n in range(k):
             prof = profiles[n, k]
             (sj, sv), (ej, ev) = prof.single, prof.endpoints
-            bad = np.concatenate((sj[(sv >= th) & (sj < prof.windows)], ej[ev >= th]))
+            bad = np.concatenate((sj[~_close(sv, k) & (sj < prof.windows)], ej[~_close(ev, k)]))
             if bad.size:
                 last_bad = max(last_bad, int(levels[n].enumeration[bad.max() + 1]))
         # the first point of the last level past both prev and last_bad
@@ -530,23 +542,21 @@ def build_tree(
         r = int("0" + label_t[::-1], 2)
         for cut in range(len(label_t)):
             label_s = label_t[:cut]
-            tail_max = tail_maxes[cut][r >> cut]
             # d[j0:] <= eps exactly when its max is, also for an empty or NaN tail
-            holds = bool(tail_max <= eps)
+            v = require(
+                Verdict("coherence", tail_maxes[cut][r >> cut], eps, 0.0, (label_s, label_t)),
+                ConstructionError,
+                "coherence failed for {where[0]!r} < {where[1]!r}: tail max {value} > {bound}",
+            )
             certs.append({
                 "kind": "coherence",
                 "s": label_s,
                 "t": label_t,
                 "eps": eps,
                 "j0": j0,
-                "tail_max": tail_max,
-                "holds": holds,
+                "tail_max": v.value,
+                "holds": v.holds,
             })
-            if not holds:
-                raise ConstructionError(
-                    f"coherence failed for {label_s!r} < {label_t!r}: "
-                    f"tail max {tail_max} > {eps}"
-                )
     # sibling divergence over the scheduled blocks of the next level: the
     # siblings differ by the level's witness, so each Δ is its block diameter
     level_blocks = []
@@ -557,10 +567,12 @@ def build_tree(
         deltas = circle_diameters(
             np.exp(1j * w.run_phases), w.run_index(pts[at]), w.run_index(pts[at + 1] - 1) + 1
         )
+        verdicts = [
+            Verdict("divergence", d, 2.0, DIVERGENCE_TOL, entry, ">=")
+            for entry, d in zip(sched, deltas.tolist())
+        ]
         level_blocks.append([
-            {"block": entry.block, "m": entry.m, "delta": float(d)}
-            for entry, d in zip(sched, deltas)
-            if d >= 2.0 - DIVERGENCE_TOL
+            {"block": v.where.block, "m": v.where.m, "delta": v.value} for v in verdicts if v.holds
         ])
     # the first 2^depth - 1 labels are those above the leaves
     for label in labels[: (1 << depth) - 1]:
@@ -580,21 +592,19 @@ def build_tree(
     if z_variant:
         bound = _chord(chain.min_jump_m())
         for label in nodes:
-            max_jump = jumps[int("0" + label[::-1], 2)]
-            # false on NaN, so the certificate and the raise agree
-            holds = max_jump <= bound + 1e-12
+            v = require(
+                Verdict("jump bound", jumps[int("0" + label[::-1], 2)], bound, JUMP_SLACK, label),
+                ConstructionError,
+                "jump bound failed at node {where!r}: {value} > {bound}",
+            )
             certs.append({
                 "kind": "jump_bound",
                 "node": label,
                 "i0": 0,
-                "max_jump": max_jump,
-                "bound": bound,
-                "holds": holds,
+                "max_jump": v.value,
+                "bound": v.bound,
+                "holds": v.holds,
             })
-            if not holds:
-                raise ConstructionError(
-                    f"jump bound failed at node {label!r}: {max_jump} > {bound}"
-                )
     return CoherenceTree(
         nodes=nodes,
         witnesses=tuple(witnesses),

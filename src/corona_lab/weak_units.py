@@ -22,8 +22,17 @@ from .errors import (
 )
 from .operators import BlockStructure, op_norm, sampled_norm
 from .torus import TorusElement, as_indices, delta_one
+from .verdicts import Verdict, require
 
 PLATEAU_TOL = 1e-12
+#: rounding allowed in a computed operator norm against its bound
+NORM_TOL = 1e-9
+#: how far a sampled spectrum may stray outside [0, 1]
+SPECTRUM_TOL = 1e-9
+#: how far r^2 may stray from r in a projection
+PROJECTION_TOL = 1e-9
+#: rounding allowed above the quasi-unitary bound 3 eps_N
+QUASI_UNITARY_SLACK = 1e-12
 
 #: highest power k of the corners that :func:`hyp_check` tests for HypWeak
 HYP_K_MAX = 8
@@ -82,11 +91,14 @@ class PositiveUnit:
 
     def check_invariants(self, tol: float = 1e-12) -> dict:
         """Largest deviations from 0 <= p_n <= 1, p_{n+1} p_n = p_n and
-        r_i r_j = 0 (j >= i + 2), and whether all are <= ``tol``; NaN is not.
+        r_i r_j = 0 (j >= i + 2), and whether all are <= ``tol``, a finite
+        number >= 0; NaN is not.
 
         p_0 = 0 is each reduction's initial value.  The max of |r_i r_j| over
         j >= i + 2 is |r_i| times the max of |r_j| there, exactly: rounding a
         product by a nonnegative factor is monotone."""
+        if not 0.0 <= tol < np.inf:
+            raise PreconditionViolation(f"tol must be finite and >= 0, got {tol!r}")
         ps = self.partial_sums()
         order = np.maximum(-ps.min(initial=0.0), ps.max(initial=0.0) - 1.0)
         d = ps[1:] * ps[:-1] - ps[:-1]
@@ -97,7 +109,7 @@ class PositiveUnit:
             "interlock": float(np.abs(d).max(initial=0.0)),
             "far_products": float((a[:-2] * tails[2:]).max(initial=0.0)),
         }
-        devs["ok"] = all(v <= tol for v in devs.values())
+        devs["ok"] = all(Verdict(name, v, 0.0, tol).holds for name, v in devs.items())
         return devs
 
 
@@ -147,7 +159,7 @@ def power_gap(r, k: int, continuous_range: tuple | None = None) -> float:
     spec = np.asarray(r, dtype=float)
     if spec.ndim != 1 or not spec.size:
         raise PreconditionViolation("r must be a nonempty 1-D spectrum")
-    if not (spec.min() >= -1e-9 and spec.max() <= 1.0 + 1e-9):  # NaN fails too
+    if not (spec.min() >= -SPECTRUM_TOL and spec.max() <= 1.0 + SPECTRUM_TOL):  # NaN fails too
         raise PreconditionViolation("r is not a positive contraction")
     spec = np.clip(spec, 0.0, 1.0)
     return float((spec**k * (1.0 - spec)).max())
@@ -162,26 +174,28 @@ def epsilon_witness(unit: PositiveUnit, i: int, j: int, eps: float) -> dict:
     the result; failure to meet them reports the model as violating the
     hypothesis rather than returning an uncertified witness.
     """
+    i, j = as_int(i, "i"), as_int(j, "j")
     if not (0 <= i < unit.count and 0 <= j < unit.count):
         raise PreconditionViolation("tent indices out of range")
-    if not eps > 0:  # NaN is invalid input too, not a failed hypothesis
-        raise PreconditionViolation("eps must be positive")
+    if not 0 < eps < np.inf:  # NaN is invalid input too, not a failed hypothesis
+        raise PreconditionViolation("eps must be positive and finite")
     delta = min(eps, 1.0) / 4.0
     k = None
     for cand in range(1, 65):
         gi = power_gap(unit.spectrum(i), cand)
         gj = power_gap(unit.spectrum(j), cand)
-        if max(gi, gj) <= delta:
+        if Verdict("power gap", max(gi, gj), delta).holds:
             k = cand
             break
     if k is None:
         raise WitnessNotFound("power gaps do not fall below eps/4 for k <= 64")
     vi, li = unit.peak_vector(i)
     vj, lj = unit.peak_vector(j)
-    if (li * lj) ** (k + 1) < 1.0 - delta:
-        raise WitnessNotFound(
-            f"no corner of norm >= {1 - delta} at pair ({i}, {j})"
-        )
+    require(
+        Verdict("corner", (li * lj) ** (k + 1), 1.0 - delta, where=f"({i}, {j})", sense=">="),
+        WitnessNotFound,
+        "no corner of norm >= {bound} at pair {where}",
+    )
     a0 = np.outer(vi, vj.conj())
     a = unit.sandwich(i, a0, j, k)
     na = op_norm(a)
@@ -195,13 +209,13 @@ def epsilon_witness(unit: PositiveUnit, i: int, j: int, eps: float) -> dict:
         "corner": op_norm(corner),
         "defect": op_norm(corner - a),
     }
-    ok = (
-        abs(norms["norm_a"] - 1.0) <= 1e-9
-        and norms["corner"] >= 1.0 - eps - 1e-9
-        and norms["defect"] < eps
-    )
-    if not ok:
-        raise WitnessNotFound(f"certification failed at pair ({i}, {j}): {norms}")
+    where = f"({i}, {j}): {norms}"
+    for verdict in (
+        Verdict("norm_a", abs(norms["norm_a"] - 1.0), 0.0, NORM_TOL, where),
+        Verdict("corner", norms["corner"], 1.0 - eps, NORM_TOL, where, ">="),
+        Verdict("defect", norms["defect"], eps, 0.0, where, "<"),
+    ):
+        require(verdict, WitnessNotFound, "certification failed at pair {where}")
     return {"a": a, "norms": norms}
 
 
@@ -282,16 +296,18 @@ def hyp_check(unit: PositiveUnit, mode: str, eps: float = 0.1) -> dict:
         raise PreconditionViolation(f"unknown mode {mode!r}")
     rs = unit.rs
     if mode == "HypA":
-        bad = np.flatnonzero(np.abs(rs * rs - rs).max(axis=1) > 1e-9)
+        dev = np.abs(rs * rs - rs).max(axis=1)
+        bad = np.flatnonzero(~Verdict("projection", dev, 0.0, PROJECTION_TOL).passes())
         failures = [{"kind": "not_projection", "i": int(i)} for i in bad]
         M = rs.max(axis=1)
-        for i, j in zip(*np.nonzero(M[:, None] * M[None, :] <= PLATEAU_TOL)):
+        corners = Verdict("corner", M[:, None] * M[None, :], PLATEAU_TOL, sense=">")
+        for i, j in zip(*np.nonzero(~corners.passes())):
             failures.append({"kind": "zero_corner", "i": int(i), "j": int(j)})
     else:
         if not 0.0 < eps < 1.0:
             raise PreconditionViolation(f"HypWeak needs an eps in (0, 1), got {eps!r}")
         M = np.stack([(rs**k).max(axis=1) for k in range(1, HYP_K_MAX + 1)])
-        small = M[:, :, None] * M[:, None, :] < 1.0 - eps
+        small = ~Verdict("corner", M[:, :, None] * M[:, None, :], 1.0 - eps, sense=">=").passes()
         first = small.argmax(axis=0) + 1  # each pair's first failing power
         failures = [{"kind": "small_corner", "i": int(i), "j": int(j), "k": int(first[i, j])}
                     for i, j in zip(*np.nonzero(small.any(axis=0)))]

@@ -64,7 +64,8 @@ def test_tree_horizon_too_small(tmp_path):
         ["--depth", "-1"],
         ["--depth", "0", "--j0", "-5", "--epsilon", "nan"],
         ["--depth", "0", "--z-variant"],
-        ["--j0", "3000"],
+        # a j0 that no horizon below 2^59 gives a window
+        ["--j0", str(2**62)],
     ],
     ids=["negative-j0", "nan-epsilon", "negative-depth", "depth0-bad-tolerance",
          "depth0-z-variant", "j0-past-every-window"],
@@ -171,15 +172,32 @@ def test_tree_min_horizon_follows_eps(tmp_path, eps, horizon, need):
 
 @pytest.mark.parametrize("j0, code", [(33, 2), (32, 0)])
 def test_tree_j0_must_leave_a_window(tmp_path, j0, code):
-    # level 0 of horizon 35 is {0, ..., 34}: 35 points, so 33 windows
+    # level 0 of horizon 35 is {0, ..., 34}: 35 points, so 33 windows; j0 = 33
+    # needs 36 points, so horizon 36
     out = tmp_path / "tree.json"
     argv = ["tree", "--depth", "1", "--horizon", "35", "--j0", str(j0), "--out", str(out)]
     assert run(argv) == code
     doc = json.loads(out.read_text())
     if code == 2:
-        assert doc["error"] == "PreconditionViolation" and "33" in doc["message"]
+        assert doc["error"] == "HorizonTooSmall" and doc["min_horizon"] == 36
     else:
         assert all(c["holds"] for c in doc["certificates"] if c["kind"] == "coherence")
+
+
+@pytest.mark.parametrize("j0", [0, 10, 40])
+@pytest.mark.parametrize("eps", ["0.1", "0.5", "1.0", "1.5", "1.9"])
+def test_reported_least_horizon_runs_at_its_j0(tmp_path, eps, j0):
+    # the horizon a HorizonTooSmall names runs, and one below it is too small
+    out = tmp_path / "tree.json"
+    for depth in range(1, 5):
+        argv = ["tree", "--depth", str(depth), "--epsilon", eps, "--j0", str(j0),
+                "--out", str(out), "--horizon"]
+        assert run(argv + ["3"]) == 2
+        least = json.loads(out.read_text())["min_horizon"]
+        assert run(argv + [str(least - 1)]) == 2
+        doc = json.loads(out.read_text())
+        assert doc["error"] == "HorizonTooSmall" and doc["min_horizon"] == least
+        assert run(argv + [str(least)]) == 0
 
 
 # Z with doubling bonds and a doubling tail: its image chain needs two steps
@@ -940,6 +958,58 @@ def test_verify_fails_on_a_nan_check_value(tmp_path, monkeypatch, nan_at, failur
     out = tmp_path / "v.json"
     assert run(["verify", "--out", str(out)]) == 1
     assert json.loads(out.read_text())["failures"] == [failure]
+
+
+def _nan_profile(alpha, X, profile=partitions.fx_profile):
+    # fx_profile with every distance NaN
+    prof = profile(alpha, X)
+    return FxProfile(prof.windows, *((j, v * np.nan) for j, v in
+                                     (prof.double, prof.single, prof.endpoints)))
+
+
+# verify's checks in the order of its report; the tree, the limit stage and
+# the stable units report only a failure, by its error
+_VERIFY_CHECKS = [
+    "tree", *(f"union bound {t}/{n}" for t in range(2) for n in range(3)), "limit stage",
+    "stratification", "dd corners", "tent invariants", "tent HypWeak", "projection HypA",
+    "quasi-unitary bound", "stable unit", "stable HypA", "stable quasi-unitary bound",
+    "derived limits paper model",
+]
+_BY_ERROR = {
+    "tree": "tree: coherence failed for '' < '0': tail max nan > 0.1",
+    "limit stage": "limit stage: union bound exceeded by nan on the profile of inputs 0 and 1 "
+    "on level 0",
+    "stable unit": "stable unit: unit entries must be finite",
+}
+
+
+def test_verify_checks_are_its_table():
+    args = cli.build_parser().parse_args(["verify"])
+    assert [name for name, _ in cli._verify_checks(args)] == [
+        name for name in _VERIFY_CHECKS if name not in _BY_ERROR
+    ]
+
+
+@pytest.mark.parametrize("name", _VERIFY_CHECKS)
+def test_verify_fails_each_check_on_nan(tmp_path, monkeypatch, name):
+    # NaN planted in the check's value: in its verdicts, or in what the tree,
+    # the limit stage or the stable units compute
+    if name == "tree":
+        diameters = tree_mod.circle_diameters
+        monkeypatch.setattr(tree_mod, "circle_diameters", lambda *a: diameters(*a) * np.nan)
+    elif name == "limit stage":
+        monkeypatch.setattr(tree_mod, "fx_profile", _nan_profile)
+    elif name == "stable unit":
+        monkeypatch.setattr(cli, "tensor_unit", lambda unit, qs: PositiveUnit(unit.rs * np.nan))
+    else:
+        checks = cli._verify_checks
+        monkeypatch.setattr(cli, "_verify_checks", lambda args: (
+            (n, [v._replace(value=math.nan) for v in out] if n == name else out)
+            for n, out in checks(args)
+        ))
+    out = tmp_path / "v.json"
+    assert run(["verify", "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["failures"] == [_BY_ERROR.get(name, name)]
 
 
 # Exit-code contract: every input ends in 0, 1 or 2, never in a traceback.

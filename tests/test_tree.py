@@ -108,6 +108,23 @@ def test_chain_horizon_too_small():
     assert min_sufficient_horizon(3, [4, 5]) == need
 
 
+def test_least_horizon_gives_j0_a_window():
+    # eps = 1.9's schedule (2, 3) at depth 2: level 1 has 12 points at the
+    # least horizon 24, and j0 = 10 needs 13 there, which horizon 26 gives
+    assert min_sufficient_horizon(2, [2, 3]) == 24
+    assert min_sufficient_horizon(2, [2, 3], j0=10) == 26
+    with pytest.raises(HorizonTooSmall, match="need >= 26$") as exc:
+        generate_chain(2, 25, [2, 3], j0=10)
+    assert exc.value.min_horizon == 26
+    chain = generate_chain(2, 26, [2, 3], j0=10)
+    assert chain.levels[1].num_points == 13
+    build_tree(chain, eps=1.9, j0=10)
+    # a chain built for a smaller j0 is refused by the tree, as invalid input
+    message = "^j0=10 leaves no window on level 1, which has 10$"
+    with pytest.raises(PreconditionViolation, match=message):
+        build_tree(generate_chain(2, 24, [2, 3]), eps=1.9, j0=10)
+
+
 # the minimal horizons of the CLI's default schedules, eps = 0.1's (32, 36, 40, 48)[:depth]
 _CLI_MIN_HORIZONS = [35, 213, 782, 2409, 4977, 10113, 20385, 40929, 82017, 164193,
                      328545, 657249, 1314657, 2629473]
